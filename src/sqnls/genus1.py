@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .phase_geometry import big_r, big_s, rho1_real_roots
-from .scattering import BarrierParams, chi_integral
-from .specfun import QuadratureSpec, complete_elliptic, quad_path, quad_ray_to_inf, theta_sum
+from .scattering import BarrierParams, chi_batch
+from .specfun import (QuadratureSpec, complete_elliptic, quad_path, quad_path_vec,
+                      quad_ray_to_inf, theta_sum)
 
 __all__ = [
     "EndpointState",
@@ -138,9 +140,8 @@ def endpoint_residuals(alpha: complex, x_minus_l: float, t: float, q: float,
     factor along the straight segment from alpha* to alpha.
     """
     if quad is None:
-        quad = QuadratureSpec(target_abs_tol=1e-12, endpoint_singularity="inverse_sqrt_both")
-    else:
-        quad = QuadratureSpec(quad.target_abs_tol, quad.max_subdivisions, "inverse_sqrt_both")
+        quad = QuadratureSpec(target_abs_tol=1e-12)
+    quad = replace(quad, endpoint_singularity="inverse_sqrt_both")
     a = complex(alpha)
     ac = a.conjugate()
     f_m = t / 4.0 * (3 * a * a + 2 * a * ac + 3 * ac * ac + 4 * q * q) \
@@ -154,11 +155,6 @@ def endpoint_residuals(alpha: complex, x_minus_l: float, t: float, q: float,
 
     f_g = quad_path(integrand, [ac, a], quad)
     return f_m, f_g
-
-
-def endpoint_residuals_params(alpha: complex, x: float, t: float, p: BarrierParams,
-                              quad: QuadratureSpec | None = None) -> tuple[complex, complex]:
-    return endpoint_residuals(alpha, x - p.L, t, p.q, quad)
 
 
 def char_speed(alpha: complex, q: float) -> complex:
@@ -192,30 +188,33 @@ def _cut2(alpha: complex, q: float) -> tuple[complex, complex]:
     return c1.conjugate(), d1.conjugate()
 
 
-def _other_factor(z: complex, c: complex, d: complex) -> complex:
+def _other_factor(z: np.ndarray, c: complex, d: complex) -> np.ndarray:
     # quadratic sqrt factor with cut c +- d, ~ (z - c) at infinity
-    return (z - c) * cmath.sqrt(1.0 - (d / (z - c)) ** 2)
+    return (z - c) * np.sqrt(1.0 - (d / (z - c)) ** 2)
 
 
-def _r_on_cut(s: float, c: complex, d: complex, c_other: complex, d_other: complex,
-              u_sign: float) -> tuple[complex, complex]:
-    """(z, R_side) at parameter s in (-1, 1) on the cut c +- d.
+def _r_on_cut(s: np.ndarray, c: complex, d: complex, c_other: complex, d_other: complex,
+              u_sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """(z, R_side) at parameters s in (-1, 1) on the cut c +- d.
 
     The boundary value of the local factor is u_sign * i * d * sqrt(1-s^2);
     the opposite cut's factor is single-valued there.
     """
     z = c + s * d
-    loc = u_sign * 1j * d * math.sqrt(max(1.0 - s * s, 0.0))
+    loc = u_sign * 1j * d * np.sqrt(np.maximum(1.0 - s * s, 0.0))
     return z, loc * _other_factor(z, c_other, d_other)
 
 
 def _cut_integral(g, cut: str, alpha: complex, q: float, quad: QuadratureSpec,
-                  u_sign: float) -> complex:
+                  u_sign: float) -> np.ndarray:
     """integral over s in (-1, 1) of g(z(s), R_side(z(s))) dz along a cut.
 
-    Orientation is increasing s (iq -> alpha on cut 1, -iq -> alpha* on
-    cut 2). Integrands with 1/R blow up like an inverse square root at both
-    ends, which the endpoint substitution absorbs.
+    g takes arrays of n points z and boundary values R_side and returns
+    shape (n,) or (n, k); the integral then has shape () or (k,), each
+    component to the tolerance of quad. Orientation is increasing s (iq ->
+    alpha on cut 1, -iq -> alpha* on cut 2). Integrands with 1/R blow up
+    like an inverse square root at both ends, which the endpoint
+    substitution absorbs.
     """
     c1, d1 = _cut1(alpha, q)
     c2, d2 = _cut2(alpha, q)
@@ -225,18 +224,18 @@ def _cut_integral(g, cut: str, alpha: complex, q: float, quad: QuadratureSpec,
         c, d, co, do = c2, d2, c1, d1
     else:
         raise ValueError("cut must be 'band1' or 'band2'")
-    spec = QuadratureSpec(quad.target_abs_tol, quad.max_subdivisions, "inverse_sqrt_both")
 
-    def param_integrand(s: complex) -> complex:
+    def param_integrand(s: np.ndarray) -> np.ndarray:
         z, r_side = _r_on_cut(s.real, c, d, co, do, u_sign)
         return g(z, r_side) * d
 
-    return quad_path(param_integrand, [-1.0, 1.0], spec)
+    return quad_path_vec(param_integrand, [-1.0, 1.0],
+                         replace(quad, endpoint_singularity="inverse_sqrt_both"))
 
 
 def _a_cycle(num, alpha: complex, q: float, quad: QuadratureSpec) -> complex:
     """a-period of num(z)/R(z) dz: twice the straight-segment integral alpha -> alpha*."""
-    spec = QuadratureSpec(quad.target_abs_tol, quad.max_subdivisions, "inverse_sqrt_both")
+    spec = replace(quad, endpoint_singularity="inverse_sqrt_both")
     val = quad_path(lambda z: num(z) / big_r(z, alpha, q), [alpha, alpha.conjugate()], spec)
     return 2.0 * val
 
@@ -258,7 +257,7 @@ def seg_integral_inv_r(alpha: complex, q: float, quad: QuadratureSpec | None = N
     """
     if quad is None:
         quad = QuadratureSpec(target_abs_tol=1e-12)
-    spec = QuadratureSpec(quad.target_abs_tol, quad.max_subdivisions, "inverse_sqrt_both")
+    spec = replace(quad, endpoint_singularity="inverse_sqrt_both")
     return quad_path(lambda z: 1.0 / big_r(z, alpha, q), [alpha.conjugate(), alpha], spec)
 
 
@@ -283,7 +282,7 @@ def period_integrals(alpha: complex, q: float, quad: QuadratureSpec | None = Non
     H_real = H_val.real
     if H_real > 0:
         raise RuntimeError(f"b-period positive ({H_real}); orientation conventions broken")
-    tail_spec = QuadratureSpec(quad.target_abs_tol, quad.max_subdivisions, "inverse_sqrt_left")
+    tail_spec = replace(quad, endpoint_singularity="inverse_sqrt_left")
     a_inf = c_nu * quad_ray_to_inf(lambda z: 1.0 / big_r(z, alpha, q), 1j * q, 1j, 2, tail_spec)
     return H_real, a_period, a_inf, c_nu
 
@@ -306,7 +305,7 @@ def abel_map(z: complex, alpha: complex, c_nu: complex, q: float,
         path = [start, w, z]
         if not _path_clears_cuts(path, alpha, q):
             raise ValueError(f"no cut-avoiding two-leg path from iq to {z}")
-    spec = QuadratureSpec(quad.target_abs_tol, quad.max_subdivisions, sing)
+    spec = replace(quad, endpoint_singularity=sing)
     return c_nu * quad_path(lambda lam: 1.0 / big_r(lam, alpha, q), path, spec)
 
 
@@ -350,14 +349,14 @@ def _point_seg_dist(z: complex, b0: complex, b1: complex) -> float:
 # the full set of modulation constants
 # ---------------------------------------------------------------------------
 
-def _weight_j(z: complex, on_band: int, xi0: float, xi1: float, q: float,
-              chi_quad: QuadratureSpec) -> complex:
-    """Band weight log-term minus twice the spectral chi transforms."""
+def _weight_j(z: np.ndarray, on_band: int, xi0: float, xi1: float, q: float,
+              chi_quad: QuadratureSpec) -> np.ndarray:
+    """Band weight log-term minus twice the spectral chi transforms, at an array of band points."""
     if on_band == 1:
-        logterm = cmath.log(2.0 * (z + 1j * q) / q)
+        logterm = np.log(2.0 * (z + 1j * q) / q)
     else:
-        logterm = cmath.log(q / (2.0 * (z - 1j * q)))
-    chi = chi_integral(z, xi1, q, chi_quad) + chi_integral(z, xi0, q, chi_quad)
+        logterm = np.log(q / (2.0 * (z - 1j * q)))
+    chi = chi_batch(z, xi1, q, chi_quad) + chi_batch(z, xi0, q, chi_quad)
     return logterm - 2.0 * chi
 
 
@@ -371,7 +370,7 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams,
     """
     if quad is None:
         quad = QuadratureSpec(target_abs_tol=1e-10)
-    chi_quad = QuadratureSpec(target_abs_tol=min(1e-11, quad.target_abs_tol), max_subdivisions=quad.max_subdivisions)
+    chi_quad = replace(quad, target_abs_tol=min(1e-11, quad.target_abs_tol))
     q, L = p.q, p.L
     a = complex(alpha)
     ac = a.conjugate()
@@ -396,7 +395,7 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams,
 
     # eta = -theta0(iq) + 2 int_inf^iq rho, up the imaginary axis
     theta0_iq = 2 * t * (1j * q) ** 2 + 2 * (x - L) * (1j * q)
-    tail_spec = QuadratureSpec(quad.target_abs_tol, quad.max_subdivisions, "inverse_sqrt_left")
+    tail_spec = replace(quad, endpoint_singularity="inverse_sqrt_left")
     eta_val = -theta0_iq - 2.0 * quad_ray_to_inf(lambda z: rho(z), 1j * q, 1j, 2, tail_spec)
     if abs(eta_val.imag) > 1e-8 * max(1.0, abs(eta_val)):
         raise RuntimeError(f"band-jump constant not real: {eta_val}")
@@ -414,7 +413,7 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams,
     # expanding the Cauchy integrals of s0, s1 at infinity gives
     # p' = (1/2 pi i) * (oriented weight integral), real since the gap
     # integral of 1/R is imaginary and the band integrals pair up
-    gap_spec = QuadratureSpec(quad.target_abs_tol, quad.max_subdivisions, "inverse_sqrt_both")
+    gap_spec = replace(quad, endpoint_singularity="inverse_sqrt_both")
     gap_path_lower = quad_path(lambda z: 1.0 / big_r(z, a, q), [ac, xi0 + 0j], gap_spec)
     gap_path_upper = quad_path(lambda z: 1.0 / big_r(z, a, q), [xi0 + 0j, a], gap_spec)
     gap_inv_r = gap_path_lower + gap_path_upper
@@ -427,22 +426,22 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams,
     if abs(tau1_b_c - tau1_b) > 1e-8 * max(1.0, abs(tau1_b)):
         raise RuntimeError("tau1 b-period not real")
 
-    # p0: band pieces with the j weight, gap pieces with the constant -i pi/2
-    def j_over_r(z: complex, r_side: complex, band: int) -> complex:
-        return _weight_j(z, band, xi0, xi1, q, chi_quad) / r_side
+    # p0: band pieces with the j weight, gap pieces with the constant -i pi/2;
+    # the slope (j / R) and the moment ((z - Re alpha) j / R) of a band share
+    # one pass, so the chi transforms run once per band node
+    def j_terms(band: int):
+        def g(z: np.ndarray, r_side: np.ndarray) -> np.ndarray:
+            j_over_r = _weight_j(z, band, xi0, xi1, q, chi_quad) / r_side
+            return np.stack((j_over_r, (z - a.real) * j_over_r), axis=1)
+        return g
 
-    band1_slope = -_cut_integral(lambda z, r: j_over_r(z, r, 1), "band1", a, q, quad, _BAND1_SIDE)
-    band2_slope = _cut_integral(lambda z, r: j_over_r(z, r, 2), "band2", a, q, quad, _BAND2_SIDE)
+    band1_slope, band1_mom = -_cut_integral(j_terms(1), "band1", a, q, quad, _BAND1_SIDE)
+    band2_slope, band2_mom = _cut_integral(j_terms(2), "band2", a, q, quad, _BAND2_SIDE)
     gaps_slope = (-0.5j * math.pi) * gap_inv_r
     p0_slope = (band1_slope + band2_slope + gaps_slope) / (2 * math.pi)
     if abs(p0_slope.imag) > 1e-7 * max(1.0, abs(p0_slope)):
         raise RuntimeError(f"p0 slope not real: {p0_slope}")
 
-    def j_moment(z: complex, r_side: complex, band: int) -> complex:
-        return (z - a.real) * _weight_j(z, band, xi0, xi1, q, chi_quad) / r_side
-
-    band1_mom = -_cut_integral(lambda z, r: j_moment(z, r, 1), "band1", a, q, quad, _BAND1_SIDE)
-    band2_mom = _cut_integral(lambda z, r: j_moment(z, r, 2), "band2", a, q, quad, _BAND2_SIDE)
     gap_mom = (-0.5j * math.pi) * (
         quad_path(lambda z: (z - a.real) / big_r(z, a, q), [ac, xi0 + 0j], gap_spec)
         + quad_path(lambda z: (z - a.real) / big_r(z, a, q), [xi0 + 0j, a], gap_spec))
@@ -454,7 +453,7 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams,
         raise RuntimeError(f"T0 not real: {t0_val}")
 
     # Y0 = p0_const + p0' (iq - int_{iq}^{inf} (num2 + c_tau)/R - 1)
-    resid_spec = QuadratureSpec(quad.target_abs_tol, quad.max_subdivisions, "inverse_sqrt_left")
+    resid_spec = replace(quad, endpoint_singularity="inverse_sqrt_left")
     resid = quad_ray_to_inf(lambda z: (num2(z) + c_tau) / big_r(z, a, q) - 1.0,
                             1j * q, 1.0, 2, resid_spec)
     y0_val = p0_const + p0_slope.real * (1j * q - resid)

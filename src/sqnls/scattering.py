@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .specfun import QuadratureSpec, quad_path, quad_ray_to_inf
+from .specfun import QuadratureSpec, quad_path, quad_ray_to_inf, quad_ray_vec
 
 __all__ = [
     "BarrierParams",
@@ -34,6 +34,7 @@ __all__ = [
     "connection_coefficient",
     "kappa_weight",
     "chi_integral",
+    "chi_batch",
     "spectral_weights",
     "multistep_scattering",
 ]
@@ -313,16 +314,6 @@ def eigenvalues(p: BarrierParams) -> list[float]:
     return roots
 
 
-def _a_on_axis(y: float, p: BarrierParams) -> float:
-    # e^{2Ly/eps}-normalized a(iy); real-valued
-    q = p.q
-    s = math.sqrt(max(q * q - y * y, 0.0))
-    phi = 2 * p.L * s / p.eps
-    if s > 1e-9 * q:
-        return (s * math.cos(phi) + y * math.sin(phi)) / s
-    return math.cos(phi) + y * (2 * p.L / p.eps) * float(_csinc(complex(phi)).real)
-
-
 def connection_coefficient(z_k: complex, p: BarrierParams) -> complex:
     """c_k = b(z_k) / a'(z_k) at a simple zero z_k of a.
 
@@ -354,11 +345,38 @@ def connection_coefficient(z_k: complex, p: BarrierParams) -> complex:
 # spectral weights kappa, chi, delta
 # ---------------------------------------------------------------------------
 
-def kappa_weight(s: complex, q: float) -> complex:
-    """-(1/2 pi) log(1 + |r0|^2), analytically continued off the real axis."""
-    s = complex(s)
-    nu = nu_imag_cut(s, q) if s != 0 else complex(q)
-    return -cmath.log(1.0 + q * q / (nu + s) ** 2) / (2 * math.pi)
+def kappa_weight(s, q: float):
+    """-(1/2 pi) log(1 + |r0|^2), analytically continued off the real axis.
+
+    s is a point or an array of points; nu takes the imaginary-segment
+    branch, and the value q at s = 0.
+    """
+    s = np.asarray(s, dtype=complex)
+    zero = s == 0
+    s_safe = np.where(zero, 1.0, s)
+    nu = np.where(zero, q, s_safe * np.sqrt(1.0 + (q / s_safe) ** 2))
+    # [()] turns a 0-d result into a scalar and leaves arrays as they are
+    return (-np.log(1.0 + q * q / (nu + s) ** 2) / (2 * math.pi))[()]
+
+
+def chi_batch(z, a: float, q: float, quad: QuadratureSpec | None = None) -> np.ndarray:
+    """chi(z_j, a) = i * integral_{-inf}^{a} kappa(s) / (s - z_j) ds for an array z.
+
+    One adaptive rule on the ray serves every z_j: kappa is evaluated once
+    per ray node, and the shared panels are refined until each chi(z_j, a)
+    meets quad.target_abs_tol on its own. No z_j may lie on the ray; use
+    chi_integral with a side for real z below a.
+    """
+    z = np.asarray(z, dtype=complex)
+    if quad is None:
+        quad = QuadratureSpec(target_abs_tol=1e-11)
+    if np.any((z.imag == 0) & (z.real < a)):
+        raise BranchBoundaryError("real z below a: use chi_integral with side=+1 or -1")
+
+    def f(s: np.ndarray) -> np.ndarray:
+        return kappa_weight(s, q)[:, None] / (s[:, None] - z)
+
+    return -1j * quad_ray_vec(f, a, -1.0, 2, replace(quad, endpoint_singularity="none"))
 
 
 def chi_integral(z: complex, a: float, q: float, quad: QuadratureSpec | None = None,
@@ -367,7 +385,8 @@ def chi_integral(z: complex, a: float, q: float, quad: QuadratureSpec | None = N
 
     For real z strictly below a, pass side=+1 (limit from above) or -1; the
     contour is deformed around s = z into the opposite half-plane, which is
-    the analytic continuation of the corresponding boundary value.
+    the analytic continuation of the corresponding boundary value. Elsewhere
+    this is the one-point case of chi_batch.
     """
     z = complex(z)
     if quad is None:
@@ -388,10 +407,7 @@ def chi_integral(z: complex, a: float, q: float, quad: QuadratureSpec | None = N
         head = quad_path(f, [z.real + d, a], quad)
         return 1j * (tail + mid + head)
 
-    tail_spec = QuadratureSpec(target_abs_tol=quad.target_abs_tol,
-                               max_subdivisions=quad.max_subdivisions)
-    total = -quad_ray_to_inf(f, a, -1.0, 2, tail_spec)
-    return 1j * total
+    return complex(chi_batch(np.array([z]), a, q, quad)[0])
 
 
 def spectral_weights(z: complex, xi0: float, xi1: float, p: BarrierParams,

@@ -5,10 +5,19 @@ production scheme plus an independent power-series scheme for
 cross-checking), the real dilogarithm, the genus-1 theta sum, and an
 adaptive Gauss-Legendre quadrature over complex polylines with
 endpoint-singularity substitutions and semi-infinite tail maps.
+
+The quadrature has one adaptive loop, `adaptive_gl`. Its integrand takes
+an array of nodes and returns one value per node, or a row of k values per
+node. All k components share the panels, and each keeps its own error sum,
+so each meets the absolute tolerance by itself. `quad_path_vec` and
+`quad_ray_vec` map polylines and rays onto it; `quad_path` and
+`quad_ray_to_inf` are their scalar forms, calling a one-point integrand
+once per node.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -23,9 +32,11 @@ __all__ = [
     "complete_elliptic_series",
     "dilog",
     "theta_sum",
+    "adaptive_gl",
     "quad_path",
+    "quad_path_vec",
     "quad_ray_to_inf",
-    "stadium_polyline",
+    "quad_ray_vec",
 ]
 
 _LN_INV_EPS = math.log(1e16)
@@ -222,43 +233,77 @@ def theta_sum(w: complex, H: float, n_override: int | None = None) -> complex:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
-def _gl_panel(f, a: float, b: float) -> complex:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * sum(w * f(mid + half * x) for x, w in zip(_GL_NODES, _GL_WEIGHTS))
+def _gl_sums(f, lo, hi) -> np.ndarray:
+    """15-point Gauss-Legendre sums of f over the panels [lo[i], hi[i]], from one call of f."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    vals = np.asarray(f((mid[:, None] + half[:, None] * _GL_NODES).ravel()))
+    vals = vals.reshape(lo.size, _GL_NODES.size, *vals.shape[1:])
+    return np.einsum("p,j,pj...->p...", half, _GL_WEIGHTS, vals)
 
 
-def _adaptive_gl(f, a: float, b: float, tol: float, max_panels: int) -> complex:
-    """Bisect the worst panel until the summed error estimate meets tol."""
-    whole = _gl_panel(f, a, b)
-    left = _gl_panel(f, a, 0.5 * (a + b))
-    right = _gl_panel(f, 0.5 * (a + b), b)
-    panels = [(abs(whole - left - right), a, b, left + right)]
+def adaptive_gl(f, a: float, b: float, tol: float, max_panels: int) -> np.ndarray:
+    """Adaptive 15-point Gauss-Legendre integral of f over [a, b].
+
+    f maps a 1-D array of n nodes to values of shape (n,) or (n, k); the
+    result has shape () or (k,). A panel's estimate is the sum of the rules
+    on its two halves, and its error |whole - left - right| is kept per
+    component. The panel whose largest component error is largest comes off
+    a heap and is bisected until every component's error sum is at most
+    tol. A child's whole-panel rule is its parent's half-panel rule, so each
+    bisection evaluates f on 60 new nodes: 45 + 60 (panels - 1) in all.
+    """
+    m = 0.5 * (a + b)
+    whole, left, right = _gl_sums(f, [a, a, m], [b, m, b])
+    bounds = np.empty((max_panels, 2))
+    halves = np.empty((max_panels, 2) + whole.shape, dtype=complex)
+    errs = np.empty((max_panels,) + whole.shape)
+    heap: list[tuple[float, int]] = []
+
+    def put(row: int, lo: float, hi: float, whole, left, right):
+        err = np.abs(whole - left - right)
+        bounds[row] = lo, hi
+        halves[row] = left, right
+        errs[row] = err
+        heapq.heappush(heap, (-float(err.max()), row))
+
+    put(0, a, b, whole, left, right)
+    n = 1
     while True:
-        total_err = sum(p[0] for p in panels)
-        if total_err <= tol:
-            return sum(p[3] for p in panels)
-        if len(panels) >= max_panels:
-            best = sum(p[3] for p in panels)
+        total_err = errs[:n].sum(axis=0)
+        if np.all(total_err <= tol):
+            return halves[:n].sum(axis=(0, 1))
+        if n >= max_panels:
             raise QuadratureConvergenceError(
-                f"adaptive quadrature: error {total_err:.3e} > tol {tol:.3e} "
-                f"after {len(panels)} panels",
-                best,
-                total_err,
+                f"adaptive quadrature: error {total_err.max():.3e} > tol {tol:.3e} "
+                f"after {n} panels",
+                halves[:n].sum(axis=(0, 1))[()],
+                total_err[()],
             )
-        panels.sort(key=lambda p: p[0])
-        _, pa, pb, _ = panels.pop()
-        pm = 0.5 * (pa + pb)
-        for qa, qb in ((pa, pm), (pm, pb)):
-            whole = _gl_panel(f, qa, qb)
-            lft = _gl_panel(f, qa, 0.5 * (qa + qb))
-            rgt = _gl_panel(f, 0.5 * (qa + qb), qb)
-            panels.append((abs(whole - lft - rgt), qa, qb, lft + rgt))
+        _, row = heapq.heappop(heap)
+        lo, hi = bounds[row]
+        m = 0.5 * (lo + hi)
+        ql, qr = 0.5 * (lo + m), 0.5 * (m + hi)
+        quarters = _gl_sums(f, [lo, ql, m, qr], [ql, m, qr, hi])
+        left, right = halves[row].copy()
+        put(row, lo, m, left, quarters[0], quarters[1])
+        put(n, m, hi, right, quarters[2], quarters[3])
+        n += 1
+
+
+def _per_node(vals: np.ndarray, w) -> np.ndarray:
+    # values of shape (n,) or (n, k) times a per-node factor of shape (n,)
+    return vals * np.reshape(w, np.shape(w) + (1,) * (vals.ndim - 1))
+
+
+def _node_loop(integrand):
+    # a scalar integrand as an array integrand: one call per node
+    return lambda z: np.array([integrand(v) for v in z.tolist()], dtype=complex)
 
 
 def _segment_quad(f, z0: complex, z1: complex, tol: float, max_panels: int,
-                  sub_left: str = "none", sub_right: str = "none") -> complex:
-    """Integrate f along the straight segment z0 -> z1.
+                  sub_left: str = "none", sub_right: str = "none") -> np.ndarray:
+    """Integrate the array integrand f along the straight segment z0 -> z1.
 
     sub_left / sub_right in {'none', 'sqrt', 'log'} select the variable
     substitution removing the endpoint singularity; 'sqrt' and 'log' both
@@ -267,7 +312,7 @@ def _segment_quad(f, z0: complex, z1: complex, tol: float, max_panels: int,
     """
     d = z1 - z0
     if sub_left == "none" and sub_right == "none":
-        return _adaptive_gl(lambda s: f(z0 + s * d) * d, 0.0, 1.0, tol, max_panels)
+        return adaptive_gl(lambda s: f(z0 + s * d) * d, 0.0, 1.0, tol, max_panels)
     if sub_left != "none" and sub_right != "none":
         # split at the midpoint and substitute from each end
         zm = z0 + 0.5 * d
@@ -275,17 +320,20 @@ def _segment_quad(f, z0: complex, z1: complex, tol: float, max_panels: int,
                 + _segment_quad(f, zm, z1, 0.5 * tol, max_panels, sub_right=sub_right))
     if sub_right != "none":
         # mirror so the singular endpoint sits on the left
-        return _segment_quad(lambda z: f(z), z1, z0, tol, max_panels, sub_left=sub_right) * -1.0
+        return _segment_quad(f, z1, z0, tol, max_panels, sub_left=sub_right) * -1.0
     # singular endpoint at z0: lambda = z0 + d u^2, d lambda = 2 d u du
-    return _adaptive_gl(lambda u: f(z0 + d * u * u) * 2.0 * d * u, 0.0, 1.0, tol, max_panels)
+    return adaptive_gl(lambda u: _per_node(f(z0 + d * u * u), 2.0 * d * u), 0.0, 1.0,
+                       tol, max_panels)
 
 
-def quad_path(integrand, path, spec: QuadratureSpec | None = None) -> complex:
-    """Integrate a complex-valued function along a polyline.
+def quad_path_vec(integrand, path, spec: QuadratureSpec | None = None) -> np.ndarray:
+    """Integrate an array integrand along a polyline.
 
-    path is a sequence of complex vertices; consecutive vertices are joined
-    by straight segments. Declared endpoint singularities refer to the
-    first / last vertex of the polyline.
+    integrand maps a 1-D complex array of n nodes to values of shape (n,)
+    or (n, k); the result has shape () or (k,), and every component meets
+    the tolerance on its own. path is a sequence of complex vertices;
+    consecutive vertices are joined by straight segments. Declared endpoint
+    singularities refer to the first / last vertex of the polyline.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -310,16 +358,25 @@ def quad_path(integrand, path, spec: QuadratureSpec | None = None) -> complex:
     for i in range(nseg):
         sl = left if i == 0 else "none"
         sr = right if i == nseg - 1 else "none"
-        total += _segment_quad(integrand, pts[i], pts[i + 1], tol_per,
-                               spec.max_subdivisions, sub_left=sl, sub_right=sr)
+        total = total + _segment_quad(integrand, pts[i], pts[i + 1], tol_per,
+                                      spec.max_subdivisions, sub_left=sl, sub_right=sr)
     return total
 
 
-def quad_ray_to_inf(integrand, start: complex, direction: complex, decay_power: float,
-                    spec: QuadratureSpec | None = None) -> complex:
-    """Integrate from `start` to infinity along `direction`.
+def quad_path(integrand, path, spec: QuadratureSpec | None = None) -> complex:
+    """Integrate a complex-valued function of one complex point along a polyline.
 
-    The semi-infinite ray is mapped to [0, 1) by lambda = start + u/(1-u) *
+    The scalar form of quad_path_vec: integrand is called once per node.
+    """
+    return complex(quad_path_vec(_node_loop(integrand), path, spec))
+
+
+def quad_ray_vec(integrand, start: complex, direction: complex, decay_power: float,
+                 spec: QuadratureSpec | None = None) -> np.ndarray:
+    """Integrate an array integrand from `start` to infinity along `direction`.
+
+    integrand takes and returns arrays as in quad_path_vec. The
+    semi-infinite ray is mapped to [0, 1) by lambda = start + u/(1-u) *
     direction, which needs an algebraic decay rate >= 2 from the caller to
     bound the transformed integrand at u = 1. Endpoint singularities of the
     spec apply to the finite end.
@@ -333,39 +390,23 @@ def quad_ray_to_inf(integrand, start: complex, direction: complex, decay_power: 
         raise ValueError("direction must be nonzero")
     d /= abs(d)
 
-    def g(u: float) -> complex:
-        lam = start + d * (u / (1.0 - u))
-        return integrand(lam) * d / (1.0 - u) ** 2
+    def g(u: np.ndarray) -> np.ndarray:
+        return _per_node(integrand(start + d * (u / (1.0 - u))), d / (1.0 - u) ** 2)
 
     kind = spec.endpoint_singularity
     if kind in ("inverse_sqrt_left", "log_left"):
         # remove the finite-end singularity with u -> u^2 before the tail map
-        return _adaptive_gl(lambda v: g(v * v) * 2.0 * v, 0.0, 1.0,
-                            spec.target_abs_tol, spec.max_subdivisions)
+        return adaptive_gl(lambda v: _per_node(g(v * v), 2.0 * v), 0.0, 1.0,
+                           spec.target_abs_tol, spec.max_subdivisions)
     if kind != "none":
         raise ValueError("only left-endpoint singularities make sense on a ray to infinity")
-    return _adaptive_gl(g, 0.0, 1.0, spec.target_abs_tol, spec.max_subdivisions)
+    return adaptive_gl(g, 0.0, 1.0, spec.target_abs_tol, spec.max_subdivisions)
 
 
-def stadium_polyline(p0: complex, p1: complex, offset: float, n_arc: int = 24) -> list[complex]:
-    """Closed stadium-shaped polyline at distance `offset` around segment [p0, p1].
+def quad_ray_to_inf(integrand, start: complex, direction: complex, decay_power: float,
+                    spec: QuadratureSpec | None = None) -> complex:
+    """Integrate a complex-valued function from `start` to infinity along `direction`.
 
-    Counterclockwise orientation (positive winding about the segment).
-    Used to realize loop integrals around branch cuts.
+    The scalar form of quad_ray_vec: integrand is called once per node.
     """
-    if offset <= 0:
-        raise ValueError("offset must be positive")
-    t = (p1 - p0) / abs(p1 - p0)
-    n = 1j * t
-    pts: list[complex] = [p0 - offset * n, p1 - offset * n]
-    # half-turn around p1 from -n through +t to +n, then back and around p0
-    for k in range(1, n_arc):
-        ang = math.pi * k / n_arc
-        pts.append(p1 + offset * (-n * math.cos(ang) + t * math.sin(ang)))
-    pts.append(p1 + offset * n)
-    pts.append(p0 + offset * n)
-    for k in range(1, n_arc):
-        ang = math.pi * k / n_arc
-        pts.append(p0 + offset * (n * math.cos(ang) - t * math.sin(ang)))
-    pts.append(p0 - offset * n)
-    return pts
+    return complex(quad_ray_vec(_node_loop(integrand), start, direction, decay_power, spec))

@@ -8,6 +8,7 @@ from sqnls.scattering import (
     BarrierParams,
     BranchBoundaryError,
     BranchCut,
+    chi_batch,
     chi_integral,
     connection_coefficient,
     eigenvalue_phase,
@@ -295,6 +296,55 @@ class TestSpectralWeights:
     def test_ordering_validated(self):
         with pytest.raises(ValueError):
             spectral_weights(1j, -1.0, 2.0, P)
+
+
+def _kappa_real(s: float, q: float) -> float:
+    # kappa on the real axis from |nu + s| = |s| + sqrt(s^2 + q^2)
+    return -math.log1p(q * q / (abs(s) + math.hypot(s, q)) ** 2) / (2 * math.pi)
+
+
+def _chi_reference(z: complex, a: float, q: float) -> complex:
+    # i * int_{-inf}^{a} kappa(s) (s - conj z) / |s - z|^2 ds, real and
+    # imaginary parts by scipy's adaptive quad
+    from scipy.integrate import quad
+
+    x, y = z.real, z.imag
+    parts = []
+    for num in (lambda s: s - x, lambda s: y):
+        g = lambda s: _kappa_real(s, q) * num(s) / ((s - x) ** 2 + y * y)
+        near = [x] if a - 1.0 < x < a else None
+        parts.append(quad(g, -math.inf, a - 1.0, epsabs=1e-14, epsrel=1e-14, limit=500)[0]
+                     + quad(g, a - 1.0, a, epsabs=1e-14, epsrel=1e-14, limit=500,
+                            points=near)[0])
+    return 1j * complex(*parts)
+
+
+class TestChiBatch:
+    @pytest.mark.parametrize("mu", [0.9, 1.3, 1.4, 1.41])
+    def test_band_nodes_match_scipy(self, mu):
+        from sqnls.genus1 import solve_endpoint
+
+        q = 1.0
+        alpha = solve_endpoint(mu, q).alpha
+        xi0 = mu - alpha.real
+        # nodes clustered towards both ends of each band, as the outer rule's are;
+        # at mu = 1.41 the band end alpha sits within 0.1 of xi0
+        s = 0.5 * (1.0 - np.cos(np.pi * np.arange(1, 13) / 13))
+        z = np.concatenate((1j * q + s * (alpha - 1j * q),
+                            -1j * q + s * (alpha.conjugate() + 1j * q)))
+        for a in (xi0, xi0 - 1.5):
+            got = chi_batch(z, a, q)
+            ref = np.array([_chi_reference(zj, a, q) for zj in z])
+            assert np.max(np.abs(got.real - ref.real)) <= 1e-10
+            assert np.max(np.abs(got.imag - ref.imag)) <= 1e-10
+
+    def test_chi_integral_is_one_element_batch(self):
+        for z, a in ((0.3 + 0.5j, 1.2), (-2.0 - 0.1j, -0.5), (1.5 + 0j, 1.2)):
+            assert chi_integral(z, a, 1.0) == chi_batch(np.array([z]), a, 1.0)[0]
+
+    def test_real_point_below_a_rejected(self):
+        with pytest.raises(BranchBoundaryError):
+            chi_batch(np.array([0.3 + 0.5j, -2.0 + 0j]), 1.2, 1.0)
 
 
 class TestMultistep:

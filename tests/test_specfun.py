@@ -7,12 +7,14 @@ import pytest
 from sqnls.specfun import (
     QuadratureConvergenceError,
     QuadratureSpec,
+    adaptive_gl,
     complete_elliptic,
     complete_elliptic_series,
     dilog,
     ellipe,
     ellipk,
     quad_path,
+    quad_path_vec,
     quad_ray_to_inf,
     theta_sum,
 )
@@ -170,3 +172,69 @@ class TestQuadPath:
     def test_tail_needs_decay_rate(self):
         with pytest.raises(ValueError):
             quad_ray_to_inf(lambda z: 1.0 / (1 + abs(z)), 0.0, 1.0, 1, QuadratureSpec(1e-8))
+
+
+class TestAdaptiveGL:
+    def test_components_meet_tolerance_each(self):
+        # a smooth component of size ~1e6 and a narrow peak of size ~1: one
+        # error norm over both would let the peak stop short
+        tol = 1e-8
+        w2 = 1e-4
+
+        def f(x):
+            return np.stack((1e6 * np.exp(x), w2 / ((x - 0.3) ** 2 + w2)), axis=1)
+
+        val = adaptive_gl(f, 0.0, 1.0, tol, 400)
+        w = math.sqrt(w2)
+        exact_peak = w * (math.atan(0.7 / w) + math.atan(0.3 / w))
+        assert val.shape == (2,)
+        assert abs(val[0] - 1e6 * (math.e - 1.0)) <= tol
+        assert abs(val[1] - exact_peak) <= tol
+
+    def test_no_node_evaluated_twice(self):
+        seen = []
+
+        def f(x):
+            seen.append(x.copy())
+            return 1.0 / (x * x + 1e-3)
+
+        val = adaptive_gl(f, -1.0, 1.0, 1e-12, 400)
+        nodes = np.concatenate(seen)
+        panels = len(seen)
+        assert panels > 3
+        assert [x.size for x in seen] == [45] + [60] * (panels - 1)
+        assert np.unique(nodes).size == nodes.size
+        assert abs(val - 2.0 * math.atan(1.0 / math.sqrt(1e-3)) / math.sqrt(1e-3)) < 1e-11
+
+    def test_convergence_error_at_panel_cap(self):
+        calls = []
+
+        def f(z):
+            calls.append(z)
+            return 1.0 / cmath.sqrt(abs(z.real) + 1e-30)
+
+        spec = QuadratureSpec(target_abs_tol=1e-13, max_subdivisions=5)
+        with pytest.raises(QuadratureConvergenceError) as err:
+            quad_path(f, [-1.0, 1.0], spec)
+        assert len(calls) == 45 + 60 * 4
+        assert isinstance(err.value.estimate, complex)
+        assert abs(err.value.estimate - 4.0) < 0.5
+        assert err.value.error_bound > 1e-13
+
+    def test_vector_convergence_error_carries_components(self):
+        f = lambda z: np.stack((1.0 / np.sqrt(np.abs(z.real) + 1e-30), np.ones(z.size)), axis=1)
+        spec = QuadratureSpec(target_abs_tol=1e-13, max_subdivisions=3)
+        with pytest.raises(QuadratureConvergenceError) as err:
+            quad_path_vec(f, [-1.0, 1.0], spec)
+        assert err.value.estimate.shape == (2,)
+        assert abs(err.value.estimate[1] - 2.0) < 1e-13
+        assert err.value.error_bound[0] > 1e-13
+
+    def test_vector_matches_scalar_path(self):
+        f = lambda z: np.exp(z) / (1 + z * z / 9)
+        spec = QuadratureSpec(1e-12, endpoint_singularity="inverse_sqrt_both")
+        path = [0.0, 0.4 + 0.4j, 1.0 + 1.0j]
+        vec = quad_path_vec(lambda z: np.stack((f(z), 2.0 * f(z)), axis=1), path, spec)
+        one = quad_path(lambda z: complex(f(np.array([z]))[0]), path, spec)
+        assert abs(vec[0] - one) < 1e-12
+        assert abs(vec[1] - 2.0 * one) < 2e-12

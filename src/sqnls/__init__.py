@@ -7,10 +7,11 @@ Subpackages:
   genus0         pre-break (plane-wave) asymptotics
   genus1         post-break (theta-function) asymptotics
   nls_direct     split-step Fourier reference integrator
-  cli            region classification, grid sampling, command line
+  field          region classification, grid sampling, breaking-curve table
+  cli            command line
 """
 
-from .cli import Region, classify, psi_asymptotic
+from .field import Region, classify, psi_asymptotic
 from .genus0 import psi_asy_g0
 from .genus1 import psi_asy_g1, solve_endpoint
 from .nls_direct import default_config, evolve

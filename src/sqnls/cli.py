@@ -1,4 +1,4 @@
-"""Region classification, grid evaluation, validation runs, and the command line.
+"""The command line: classification, breaking curves, grid fields, validation runs, endpoints.
 
 Output files are plain CSV (LF endings, UTF-8, no BOM, '.' decimal) with
 every number printed to 17 significant digits, so identical configurations
@@ -11,186 +11,17 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .genus0 import RegionError, psi_asy_g0
-from .genus1 import modulation_constants, psi_asy_g1, solve_endpoint
-from .nls_direct import GridField, default_config, evolve
-from .phase_geometry import first_breaking_time, second_breaking_time
+from .field import _fmt, breaking_curves, classify, sample_grid
+from .genus0 import psi_asy_g0
+from .genus1 import modulation_constants, solve_endpoint
+from .nls_direct import default_config, evolve
+from .phase_geometry import first_breaking_time, ray_breaking_time
 from .scattering import BarrierParams
-__all__ = ["Region", "classify", "sample_grid", "breaking_curves", "endpoint_line", "main"]
 
-_BOUNDARY_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Region:
-    """Point classification with the breaking times that bound it."""
-
-    label: str  # 'S0' | 'S1' | 'S2' | 'beyond_scope'
-    T1: float | None = None
-    T2: float | None = None
-
-
-_T2_CACHE: dict[tuple, float | None] = {}
-
-
-def _t2_cached(x: float, p: BarrierParams) -> float | None:
-    """Memoized T2(x); None where the double-root search fails.
-
-    The search genuinely fails at x = 0, where the two breaking curves
-    pinch together (T2(x) -> T1(0) as x -> 0) and the oscillatory window
-    has zero width.
-    """
-    key = (p.q, p.L, p.eps, round(abs(x), 12))
-    if key not in _T2_CACHE:
-        try:
-            _T2_CACHE[key] = second_breaking_time(abs(x), p)
-        except RuntimeError:
-            _T2_CACHE[key] = None
-    return _T2_CACHE[key]
-
-
-def classify(x: float, t: float, p: BarrierParams) -> Region:
-    """Assign (x, t) to S0 / S1 / S2 / beyond_scope.
-
-    Boundary points (|x| = L or t on a breaking curve) are beyond_scope:
-    the asymptotic description holds on compacts strictly inside each
-    region. T2 is computed lazily and cached per x.
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    scale_x = max(1.0, p.L)
-    if abs(abs(x) - p.L) <= _BOUNDARY_RTOL * scale_x:
-        return Region("beyond_scope")
-    if abs(x) > p.L:
-        return Region("S0")
-    t1 = first_breaking_time(x, p)
-    if abs(t - t1) <= _BOUNDARY_RTOL * max(1.0, t1):
-        return Region("beyond_scope", T1=t1)
-    if t < t1:
-        return Region("S1", T1=t1)
-    t2 = _t2_cached(x, p)
-    if t2 is None or t >= t2 - _BOUNDARY_RTOL * max(1.0, t2):
-        return Region("beyond_scope", T1=t1, T2=t2)
-    return Region("S2", T1=t1, T2=t2)
-
-
-def psi_asymptotic(x: float, t: float, p: BarrierParams,
-                   region: Region | None = None) -> complex:
-    """Dispatch the leading-order wave form by region; raises on beyond_scope."""
-    reg = region if region is not None else classify(x, t, p)
-    if reg.label == "S0":
-        return 0.0 + 0.0j
-    if reg.label == "S1":
-        return psi_asy_g0(x, t, p)
-    if reg.label == "S2":
-        mu = (p.L - abs(x)) / (2.0 * t)
-        state = solve_endpoint(mu, p.q)
-        mods = modulation_constants(state.alpha, abs(x), t, p)
-        return psi_asy_g1(abs(x), t, p, state, mods)
-    raise RegionError(f"point ({x}, {t}) is beyond the covered regions")
-
-
-def sample_grid(x_range: tuple[float, float], t_range: tuple[float, float],
-                resolution: tuple[int, int], p: BarrierParams, mode: str) -> dict:
-    """Evaluate fields on a rectangular (x, t) grid.
-
-    Returns a dict with keys 'x', 't', 'regions', and per-mode entries:
-    'asymptotic' and/or 'numeric' (lists of GridField, one per t), plus a
-    'report' of per-region comparison rows in 'both' mode and an 'errors'
-    list of per-point failures (never aborting the grid).
-    """
-    if mode not in ("asymptotic", "numeric", "both"):
-        raise ValueError("mode must be 'asymptotic', 'numeric' or 'both'")
-    nx, nt = resolution
-    if nx < 2 or nt < 2:
-        raise ValueError("resolution must be >= 2 per axis")
-    xs = np.linspace(x_range[0], x_range[1], nx)
-    ts = np.linspace(t_range[0], t_range[1], nt)
-    regions = [[classify(float(x), float(t), p) for x in xs] for t in ts]
-    out: dict = {"x": xs, "t": ts, "regions": regions, "errors": []}
-
-    if mode in ("asymptotic", "both"):
-        fields = []
-        for i, t in enumerate(ts):
-            vals = np.full(nx, np.nan + 1j * np.nan, dtype=complex)
-            for j, x in enumerate(xs):
-                reg = regions[i][j]
-                if reg.label == "beyond_scope":
-                    continue  # null marker, never a guess
-                try:
-                    vals[j] = psi_asymptotic(float(x), float(t), p, reg)
-                except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-                    out["errors"].append({"x": float(x), "t": float(t), "error": repr(exc)})
-            fields.append(GridField(xs.copy(), vals, float(t),
-                                    region_labels=[r.label for r in regions[i]]))
-        out["asymptotic"] = fields
-
-    if mode in ("numeric", "both"):
-        t_final = float(ts[-1])
-        cfg = default_config(p, t_final, [float(t) for t in ts])
-        raw = evolve(cfg)
-        fields = []
-        for i, snap in enumerate(raw):
-            re = np.interp(xs, snap.x_nodes, snap.values.real)
-            im = np.interp(xs, snap.x_nodes, snap.values.imag)
-            fields.append(GridField(xs.copy(), re + 1j * im, float(ts[i]),
-                                    region_labels=[r.label for r in regions[i]]))
-        out["numeric"] = fields
-
-    if mode == "both":
-        report = []
-        for i, t in enumerate(ts):
-            labels = np.array([r.label for r in regions[i]])
-            for lab in ("S0", "S1", "S2"):
-                mask = labels == lab
-                if not np.any(mask):
-                    continue
-                sub_x = xs[mask]
-                num = out["numeric"][i]
-                asy = out["asymptotic"][i]
-                if np.any(np.isnan(asy.values[mask].real)):
-                    continue
-                diff = np.abs(num.values[mask] - asy.values[mask])
-                report.append({
-                    "t": float(t), "region": lab,
-                    "patch_lo": float(sub_x[0]), "patch_hi": float(sub_x[-1]),
-                    "linf": float(np.max(diff)),
-                    "l2": float(math.sqrt(np.mean(diff ** 2))),
-                })
-        out["report"] = report
-    return out
-
-
-# ---------------------------------------------------------------------------
-# formatting and configuration
-# ---------------------------------------------------------------------------
-
-def _fmt(v: float | None) -> str:
-    if v is None or (isinstance(v, float) and math.isnan(v)):
-        return ""
-    return f"{v:.17g}"
-
-
-def breaking_curves(x_min: float, x_max: float, nx: int, p: BarrierParams) -> list[str]:
-    """CSV lines x,T1,T2 over a grid; T2 empty where the search fails."""
-    lines = ["x,T1,T2"]
-    for x in np.linspace(x_min, x_max, nx):
-        x = float(x)
-        try:
-            t1 = first_breaking_time(x, p)
-        except ValueError:
-            lines.append(f"{_fmt(x)},,")
-            continue
-        try:
-            t2 = _t2_cached(x, p)
-        except Exception:  # noqa: BLE001 - reported as an empty field
-            t2 = None
-        lines.append(f"{_fmt(x)},{_fmt(t1)},{_fmt(t2)}")
-    return lines
+__all__ = ["endpoint_line", "load_config", "main"]
 
 
 def endpoint_line(mu: float, p: BarrierParams) -> str:
@@ -200,29 +31,10 @@ def endpoint_line(mu: float, p: BarrierParams) -> str:
     the midpoint t = T2_ray/2 of the oscillatory window on the ray of
     constant mu through (L, 0).
     """
-    from scipy.optimize import brentq
-
-    q, L = p.q, p.L
-    state = solve_endpoint(mu, q)
-    xi0 = mu - state.alpha.real
-
-    def gap_max(t: float) -> float:
-        from scipy.optimize import minimize_scalar
-        from .phase_geometry import rho1_value
-        lam_lo = -(2.0 * L / t + 10.0 * q + 2.0 * abs(xi0))
-        res = minimize_scalar(lambda u: -rho1_value(u, state.alpha, xi0, t, L, q),
-                              bounds=(lam_lo, -1e-9 * q), method="bounded",
-                              options={"xatol": 1e-12})
-        return rho1_value(float(res.x), state.alpha, xi0, t, L, q)
-
-    t_hi = 0.1
-    while gap_max(t_hi) > 0:
-        t_hi *= 2.0
-        if t_hi > 1e6:
-            raise RuntimeError("no upper breaking time found on the ray")
-    t2_ray = brentq(gap_max, t_hi / 2.0 if gap_max(t_hi / 2.0) > 0 else 1e-8, t_hi, xtol=1e-10)
+    state = solve_endpoint(mu, p.q)
+    t2_ray = ray_breaking_time(mu, p)
     t_ref = 0.5 * t2_ray
-    x_ref = L - 2.0 * mu * t_ref
+    x_ref = p.L - 2.0 * mu * t_ref
     mods = modulation_constants(state.alpha, x_ref, t_ref, p)
     vals = [mu, state.m, state.alpha.real, state.alpha.imag,
             mods.Omega, mods.eta, mods.T0, mods.Y0, mods.H]

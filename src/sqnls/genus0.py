@@ -24,7 +24,7 @@ from .phase_geometry import (
     quartic_surd,
     trace_zero_level,
 )
-from .scattering import BarrierParams, BranchCut, nu_branch, nu_imag_cut
+from .scattering import BarrierParams, BranchCut, kappa_weight, nu_branch, nu_imag_cut
 from .specfun import QuadratureSpec, dilog, quad_ray_to_inf
 
 __all__ = [
@@ -204,9 +204,9 @@ def gfun_g0(z: complex, x: float, t: float, p: BarrierParams, band: TracedContou
 # the slow phase omega
 # ---------------------------------------------------------------------------
 
-def _log_weight(lam: float, q: float) -> float:
-    nu = math.copysign(math.sqrt(lam * lam + q * q), lam) if lam != 0 else q
-    return math.log1p(q * q / (nu + lam) ** 2) / nu
+def _omega_density(lam: np.ndarray, q: float) -> np.ndarray:
+    # log(1 + |r0|^2) / nu at real lam, nu = sign(lam) sqrt(lam^2 + q^2)
+    return -2.0 * math.pi * kappa_weight(lam, q) / nu_imag_cut(lam, q)
 
 
 def omega_phase(x: float, t: float, p: BarrierParams, quad: QuadratureSpec | None = None,
@@ -226,7 +226,7 @@ def omega_phase(x: float, t: float, p: BarrierParams, quad: QuadratureSpec | Non
         return -(_dilog_of_r0sq(xi0, q) + _dilog_of_r0sq(xi1, q)) / (2 * math.pi)
     if method != "integral":
         raise ValueError("method must be 'integral' or 'dilog'")
-    f = lambda lam: _log_weight(complex(lam).real, q)
+    f = lambda lam: _omega_density(lam, q)
     left = quad_ray_to_inf(f, xi1, -1.0, 3, quad)   # = -int_{-inf}^{xi1}
     right = quad_ray_to_inf(f, xi0, +1.0, 3, quad)  # = +int_{xi0}^{inf}
     return float(((left + right) / math.pi).real)
@@ -247,7 +247,7 @@ def omega_selfsimilar(x: float, t: float, p: BarrierParams,
         quad = QuadratureSpec(target_abs_tol=1e-11)
     q = p.q
 
-    f = lambda lam: _log_weight(complex(lam).real, q)
+    f = lambda lam: _omega_density(lam, q)
 
     def F(zeta: float) -> float:
         lam_c = -zeta / 4 * (1 + math.sqrt(1 - 8 * q * q / (zeta * zeta)))

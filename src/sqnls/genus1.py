@@ -18,9 +18,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .phase_geometry import big_r, big_s, rho1_real_roots
-from .scattering import BarrierParams, chi_batch
-from .specfun import (QuadratureSpec, complete_elliptic, quad_path, quad_path_vec,
-                      quad_ray_to_inf, theta_sum)
+from .scattering import BarrierParams, _dist_to_polyline, chi_batch
+from .specfun import (QuadratureSpec, complete_elliptic, cut_sqrt, quad_path, quad_ray_to_inf,
+                      theta_sum)
 
 __all__ = [
     "EndpointState",
@@ -150,7 +150,7 @@ def endpoint_residuals(alpha: complex, x_minus_l: float, t: float, q: float,
         # degenerate real endpoint: S integrand collapses, integral vanishes
         return f_m, 0.0 + 0.0j
 
-    def integrand(lam: complex) -> complex:
+    def integrand(lam: np.ndarray) -> np.ndarray:
         return big_s(lam, a, q) * (t * (2 * lam + a + ac) + x_minus_l)
 
     f_g = quad_path(integrand, [ac, a], quad)
@@ -188,11 +188,6 @@ def _cut2(alpha: complex, q: float) -> tuple[complex, complex]:
     return c1.conjugate(), d1.conjugate()
 
 
-def _other_factor(z: np.ndarray, c: complex, d: complex) -> np.ndarray:
-    # quadratic sqrt factor with cut c +- d, ~ (z - c) at infinity
-    return (z - c) * np.sqrt(1.0 - (d / (z - c)) ** 2)
-
-
 def _r_on_cut(s: np.ndarray, c: complex, d: complex, c_other: complex, d_other: complex,
               u_sign: float) -> tuple[np.ndarray, np.ndarray]:
     """(z, R_side) at parameters s in (-1, 1) on the cut c +- d.
@@ -202,7 +197,7 @@ def _r_on_cut(s: np.ndarray, c: complex, d: complex, c_other: complex, d_other: 
     """
     z = c + s * d
     loc = u_sign * 1j * d * np.sqrt(np.maximum(1.0 - s * s, 0.0))
-    return z, loc * _other_factor(z, c_other, d_other)
+    return z, loc * cut_sqrt(z, c_other, d_other)
 
 
 def _cut_integral(g, cut: str, alpha: complex, q: float, quad: QuadratureSpec,
@@ -229,8 +224,8 @@ def _cut_integral(g, cut: str, alpha: complex, q: float, quad: QuadratureSpec,
         z, r_side = _r_on_cut(s.real, c, d, co, do, u_sign)
         return g(z, r_side) * d
 
-    return quad_path_vec(param_integrand, [-1.0, 1.0],
-                         replace(quad, endpoint_singularity="inverse_sqrt_both"))
+    return quad_path(param_integrand, [-1.0, 1.0],
+                     replace(quad, endpoint_singularity="inverse_sqrt_both"))
 
 
 def _a_cycle(num, alpha: complex, q: float, quad: QuadratureSpec) -> complex:
@@ -334,15 +329,8 @@ def _segments_too_close(a0: complex, a1: complex, b0: complex, b1: complex,
         pa = a0 + s * (a1 - a0)
         if shared and min(abs(pa - sh) for sh in shared) < 0.15 * abs(a1 - a0):
             continue
-        worst = min(worst, _point_seg_dist(pa, b0, b1))
+        worst = min(worst, _dist_to_polyline(pa, [b0, b1]))
     return worst < clearance
-
-
-def _point_seg_dist(z: complex, b0: complex, b1: complex) -> float:
-    u = b1 - b0
-    t = ((z - b0).real * u.real + (z - b0).imag * u.imag) / abs(u) ** 2
-    t = min(1.0, max(0.0, t))
-    return abs(z - (b0 + t * u))
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +369,14 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams,
         raise ValueError("rho1 has no real roots here: (x, t) is past the second breaking time")
     xi1 = roots[0]
 
-    def rho(z: complex, r_val: complex | None = None) -> complex:
-        s_val = (r_val / (z * z + q * q)) if r_val is not None else big_s(z, a, q)
-        return (2.0 * t * z + (x - L)) - s_val * (t * (2.0 * z + a + ac) + (x - L))
+    def rho(z: np.ndarray) -> np.ndarray:
+        # (2tz + x - L) - S (t (2z + a + a*) + x - L), with 1 - S written as
+        # (1 - S^2) / (1 + S): the direct form cancels two terms of size 2t|z|
+        # to a result of order 1/|z|^2, and the ray map amplifies that roundoff
+        s_val = big_s(z, a, q)
+        one_minus_s = ((2.0 * a.real * z + q * q - abs(a) ** 2)
+                       / ((z * z + q * q) * (1.0 + s_val)))
+        return (2.0 * t * z + (x - L)) * one_minus_s - s_val * t * (a + ac)
 
     # Omega: real part of the collapsed loop integral around the upper band
     loop_band1 = -2.0 * _cut_integral(
@@ -396,7 +389,7 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams,
     # eta = -theta0(iq) + 2 int_inf^iq rho, up the imaginary axis
     theta0_iq = 2 * t * (1j * q) ** 2 + 2 * (x - L) * (1j * q)
     tail_spec = replace(quad, endpoint_singularity="inverse_sqrt_left")
-    eta_val = -theta0_iq - 2.0 * quad_ray_to_inf(lambda z: rho(z), 1j * q, 1j, 2, tail_spec)
+    eta_val = -theta0_iq - 2.0 * quad_ray_to_inf(rho, 1j * q, 1j, 2, tail_spec)
     if abs(eta_val.imag) > 1e-8 * max(1.0, abs(eta_val)):
         raise RuntimeError(f"band-jump constant not real: {eta_val}")
 

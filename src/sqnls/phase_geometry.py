@@ -8,12 +8,13 @@ the derivative density rho1 of the second modified phase.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
+
+from .specfun import cut_sqrt
 
 __all__ = [
     "LevelTopology",
@@ -23,8 +24,10 @@ __all__ = [
     "trace_zero_level",
     "rho1_real_roots",
     "rho1_value",
+    "rho1_bump_max",
     "first_breaking_time",
     "second_breaking_time",
+    "ray_breaking_time",
     "quartic_surd",
     "big_s",
 ]
@@ -159,72 +162,70 @@ def trace_zero_level(phase, seed: complex, stop, *, direction: complex,
 # the second-phase density rho1 and the two breaking curves
 # ---------------------------------------------------------------------------
 
-def big_s(z: complex, alpha: complex, q: float) -> complex:
+def big_s(z, alpha: complex, q: float):
     """S(z) = sqrt((z - alpha)(z - alpha*) / (z^2 + q^2)) -> 1 at infinity.
 
     Branched on the straight segments [iq, alpha] and [alpha*, -iq]; on the
-    real axis S is positive. Assembled from two quadratic square roots cut
-    exactly on those segments.
+    real axis S is positive. z is a point or an array of points.
     """
     return big_r(z, alpha, q) / (z * z + q * q)
 
 
-def big_r(z: complex, alpha: complex, q: float) -> complex:
+def big_r(z, alpha: complex, q: float):
     """R(z) = sqrt((z-iq)(z-alpha)(z+iq)(z-alpha*)) ~ z^2 at infinity.
 
-    Cut along [iq, alpha] and [alpha*, -iq]. Each factor pair is evaluated
-    as (z - c) sqrt(1 - (d/(z-c))^2) whose principal-branch cut is exactly
-    the segment c +- d.
+    Cut along [iq, alpha] and [alpha*, -iq]: the product of the two cut_sqrt
+    factors whose cuts are exactly those segments. z is a point or an array.
     """
-    z = complex(z)
-    a = complex(alpha)
-    c1 = 0.5 * (1j * q + a)
-    d1 = 0.5 * (a - 1j * q)
-    c2 = c1.conjugate()
-    d2 = d1.conjugate()
-    f1 = (z - c1) * cmath.sqrt(1.0 - (d1 / (z - c1)) ** 2) if z != c1 else 1j * abs(d1) * _mid_sign(c1, d1)
-    f2 = (z - c2) * cmath.sqrt(1.0 - (d2 / (z - c2)) ** 2) if z != c2 else 1j * abs(d2) * _mid_sign(c2, d2)
-    return f1 * f2
-
-
-def _mid_sign(c: complex, d: complex) -> complex:
-    # value at the cut midpoint is ambiguous; nudge off the segment
-    z = c + 1e-12 * 1j * d / abs(d)
-    return (z - c) * cmath.sqrt(1.0 - (d / (z - c)) ** 2) / (1j * abs(d))
+    c1 = 0.5 * (1j * q + alpha)
+    d1 = 0.5 * (alpha - 1j * q)
+    return cut_sqrt(z, c1, d1) * cut_sqrt(z, c1.conjugate(), d1.conjugate())
 
 
 def rho1_value(lam: float, alpha: complex, xi0: float, t: float, L: float, q: float) -> float:
     """rho1 on the negative real axis with the real-axis branch values.
 
-    rho1 = 4 t S(lam)(lam - xi0) + 4 L lam / nu(lam); S is the positive real
-    branch and nu = sign(lam) sqrt(lam^2 + q^2).
+    rho1 = 4 t S(lam)(lam - xi0) + 4 L lam / nu(lam). On the real axis
+    S = |lam - alpha| / sqrt(lam^2 + q^2) > 0 and nu = sign(lam) sqrt(lam^2 + q^2),
+    so both terms share the denominator sqrt(lam^2 + q^2).
     """
-    s_val = big_s(lam, alpha, q)
-    s_real = abs(s_val)  # S > 0 on R, continuity from S -> 1 at -infinity
-    nu = math.copysign(math.sqrt(lam * lam + q * q), lam) if lam != 0 else q
-    return 4.0 * t * s_real * (lam - xi0) + 4.0 * L * lam / nu
+    return (4.0 * t * abs(lam - alpha) * (lam - xi0) + 4.0 * L * abs(lam)) / math.hypot(lam, q)
+
+
+def _rho1_window(xi0: float, t: float, L: float, q: float) -> tuple[float, float]:
+    # the stretch of lam < 0 that holds both negative roots of rho1
+    return -(2.0 * L / t + 10.0 * q + 2.0 * abs(xi0)), -1e-9 * q
+
+
+def rho1_bump_max(alpha: complex, xi0: float, t: float, L: float, q: float
+                  ) -> tuple[float, float]:
+    """(value, lam_star): the maximum of rho1 over its negative-axis window.
+
+    rho1 is negative at both window ends with at most one interior bump, so
+    the sign of the value counts the negative roots: two, one double, none.
+    """
+    lam_lo, lam_hi = _rho1_window(xi0, t, L, q)
+    res = minimize_scalar(lambda u: -rho1_value(u, alpha, xi0, t, L, q),
+                          bounds=(lam_lo, lam_hi), method="bounded", options={"xatol": 1e-13})
+    lam_star = float(res.x)
+    return rho1_value(lam_star, alpha, xi0, t, L, q), lam_star
 
 
 def rho1_real_roots(alpha: complex, xi0: float, t: float, L: float, q: float,
                     double_tol: float = 1e-9) -> list[float]:
     """Real zeros of rho1 on lambda < 0: two simple roots, one double, or none.
 
-    The function is negative at both window ends with at most one interior
-    bump, so the root count follows the sign of the bump maximum. A double
-    root (|max| < double_tol) is reported twice.
+    The root count follows the sign of rho1_bump_max. A double root
+    (|max| < double_tol) is reported twice.
     """
     if t <= 0:
         raise ValueError("t must be positive")
-    lam_hi = -1e-9 * q
-    lam_lo = -(2.0 * L / t + 10.0 * q + 2.0 * abs(xi0))
+    lam_lo, lam_hi = _rho1_window(xi0, t, L, q)
 
     def f(lam: float) -> float:
         return rho1_value(lam, alpha, xi0, t, L, q)
 
-    res = minimize_scalar(lambda u: -f(u), bounds=(lam_lo, lam_hi), method="bounded",
-                          options={"xatol": 1e-13})
-    lam_star = float(res.x)
-    f_star = f(lam_star)
+    f_star, lam_star = rho1_bump_max(alpha, xi0, t, L, q)
     if abs(f_star) < double_tol:
         return [lam_star, lam_star]
     if f_star < 0:
@@ -258,13 +259,7 @@ def second_breaking_time(x: float, p, tol: float = 1e-8) -> float:
     def bump_max(t: float) -> tuple[float, float]:
         mu = (L - x) / (2.0 * t)
         state = solve_endpoint(mu, q)
-        xi0 = mu - state.alpha.real
-        lam_hi = -1e-9 * q
-        lam_lo = -(2.0 * L / t + 10.0 * q + 2.0 * abs(xi0))
-        res = minimize_scalar(lambda u: -rho1_value(u, state.alpha, xi0, t, L, q),
-                              bounds=(lam_lo, lam_hi), method="bounded",
-                              options={"xatol": 1e-13})
-        return rho1_value(float(res.x), state.alpha, xi0, t, L, q), float(res.x)
+        return rho1_bump_max(state.alpha, mu - state.alpha.real, t, L, q)
 
     t_lo = t1 * 1.0001
     g_lo, _ = bump_max(t_lo)
@@ -307,3 +302,28 @@ def second_breaking_time(x: float, p, tol: float = 1e-8) -> float:
             f"double-root residuals too large at x = {x}: |rho1| = {abs(g_res):.2e}, "
             f"|rho1'| = {abs(dres):.2e}")
     return t2
+
+
+def ray_breaking_time(mu: float, p) -> float:
+    """T2 on the ray of constant mu = (L - |x|) / (2t) through (L, 0).
+
+    The endpoint depends only on mu, so along the ray only t moves in rho1.
+    t doubles from 0.1 until rho1's bump maximum turns negative, and the
+    last doubling brackets the root of the bump maximum.
+    """
+    from .genus1 import solve_endpoint  # deferred: genus1 builds on this module
+
+    q, L = p.q, p.L
+    state = solve_endpoint(mu, q)
+    xi0 = mu - state.alpha.real
+
+    def gap(t: float) -> float:
+        return rho1_bump_max(state.alpha, xi0, t, L, q)[0]
+
+    t_hi = 0.1
+    while gap(t_hi) > 0:
+        t_hi *= 2.0
+        if t_hi > 1e6:
+            raise RuntimeError("no upper breaking time found on the ray")
+    t_lo = t_hi / 2.0 if gap(t_hi / 2.0) > 0 else 1e-8
+    return brentq(gap, t_lo, t_hi, xtol=1e-10)

@@ -2,17 +2,18 @@
 
 Everything here is self-contained: complete elliptic integrals (AGM
 production scheme plus an independent power-series scheme for
-cross-checking), the real dilogarithm, the genus-1 theta sum, and an
-adaptive Gauss-Legendre quadrature over complex polylines with
-endpoint-singularity substitutions and semi-infinite tail maps.
+cross-checking), the real dilogarithm, the genus-1 theta sum, the branch
+square root `cut_sqrt` cut on a straight segment, and an adaptive
+Gauss-Legendre quadrature over complex polylines with endpoint-singularity
+substitutions and semi-infinite tail maps.
 
-The quadrature has one adaptive loop, `adaptive_gl`. Its integrand takes
-an array of nodes and returns one value per node, or a row of k values per
-node. All k components share the panels, and each keeps its own error sum,
-so each meets the absolute tolerance by itself. `quad_path_vec` and
-`quad_ray_vec` map polylines and rays onto it; `quad_path` and
-`quad_ray_to_inf` are their scalar forms, calling a one-point integrand
-once per node.
+The quadrature has one adaptive loop, `adaptive_gl`, and one calling
+convention: every integrand is an array function. It takes a 1-D array of
+n nodes and returns one value per node, shape (n,), or a row of k values
+per node, shape (n, k). All k components share the panels, and each keeps
+its own error sum, so each meets the absolute tolerance by itself.
+`quad_path` and `quad_ray_to_inf` map polylines and rays onto it; they
+return a complex scalar for an (n,) integrand and a (k,) array otherwise.
 """
 
 from __future__ import annotations
@@ -32,11 +33,10 @@ __all__ = [
     "complete_elliptic_series",
     "dilog",
     "theta_sum",
+    "cut_sqrt",
     "adaptive_gl",
     "quad_path",
-    "quad_path_vec",
     "quad_ray_to_inf",
-    "quad_ray_vec",
 ]
 
 _LN_INV_EPS = math.log(1e16)
@@ -227,6 +227,25 @@ def theta_sum(w: complex, H: float, n_override: int | None = None) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# branch square root with a straight cut
+# ---------------------------------------------------------------------------
+
+def cut_sqrt(z, c: complex, d: complex):
+    """(z - c) sqrt(1 - (d / (z - c))^2), the root of (z - c)^2 - d^2 ~ z - c at infinity.
+
+    z is a point or an array of points. The principal square root is cut
+    where 1 - (d / (z - c))^2 is real and negative, which is exactly the
+    segment c +- d, so the value jumps across that segment and is continuous
+    everywhere off it. At the midpoint z = c it takes the value i d, the
+    limit from the side z - c = +i d. A point gives a numpy complex scalar.
+    """
+    w = np.asarray(z, dtype=complex) - c
+    mid = w == 0
+    w = np.where(mid, 1.0, w)
+    return np.where(mid, 1j * d, w * np.sqrt(1.0 - (d / w) ** 2))[()]
+
+
+# ---------------------------------------------------------------------------
 # adaptive Gauss-Legendre over complex polylines
 # ---------------------------------------------------------------------------
 
@@ -296,11 +315,6 @@ def _per_node(vals: np.ndarray, w) -> np.ndarray:
     return vals * np.reshape(w, np.shape(w) + (1,) * (vals.ndim - 1))
 
 
-def _node_loop(integrand):
-    # a scalar integrand as an array integrand: one call per node
-    return lambda z: np.array([integrand(v) for v in z.tolist()], dtype=complex)
-
-
 def _segment_quad(f, z0: complex, z1: complex, tol: float, max_panels: int,
                   sub_left: str = "none", sub_right: str = "none") -> np.ndarray:
     """Integrate the array integrand f along the straight segment z0 -> z1.
@@ -326,13 +340,14 @@ def _segment_quad(f, z0: complex, z1: complex, tol: float, max_panels: int,
                        tol, max_panels)
 
 
-def quad_path_vec(integrand, path, spec: QuadratureSpec | None = None) -> np.ndarray:
+def quad_path(integrand, path, spec: QuadratureSpec | None = None):
     """Integrate an array integrand along a polyline.
 
     integrand maps a 1-D complex array of n nodes to values of shape (n,)
-    or (n, k); the result has shape () or (k,), and every component meets
-    the tolerance on its own. path is a sequence of complex vertices;
-    consecutive vertices are joined by straight segments. Declared endpoint
+    or (n, k); the result is a numpy complex scalar (a subclass of complex)
+    or a (k,) array, and every component meets the tolerance on its own.
+    path is a sequence of complex vertices; consecutive vertices are joined
+    by straight segments. Declared endpoint
     singularities refer to the first / last vertex of the polyline.
     """
     if spec is None:
@@ -363,19 +378,11 @@ def quad_path_vec(integrand, path, spec: QuadratureSpec | None = None) -> np.nda
     return total
 
 
-def quad_path(integrand, path, spec: QuadratureSpec | None = None) -> complex:
-    """Integrate a complex-valued function of one complex point along a polyline.
-
-    The scalar form of quad_path_vec: integrand is called once per node.
-    """
-    return complex(quad_path_vec(_node_loop(integrand), path, spec))
-
-
-def quad_ray_vec(integrand, start: complex, direction: complex, decay_power: float,
-                 spec: QuadratureSpec | None = None) -> np.ndarray:
+def quad_ray_to_inf(integrand, start: complex, direction: complex, decay_power: float,
+                    spec: QuadratureSpec | None = None):
     """Integrate an array integrand from `start` to infinity along `direction`.
 
-    integrand takes and returns arrays as in quad_path_vec. The
+    integrand takes arrays, and the result has the shape, as in quad_path. The
     semi-infinite ray is mapped to [0, 1) by lambda = start + u/(1-u) *
     direction, which needs an algebraic decay rate >= 2 from the caller to
     bound the transformed integrand at u = 1. Endpoint singularities of the
@@ -401,12 +408,3 @@ def quad_ray_vec(integrand, start: complex, direction: complex, decay_power: flo
     if kind != "none":
         raise ValueError("only left-endpoint singularities make sense on a ray to infinity")
     return adaptive_gl(g, 0.0, 1.0, spec.target_abs_tol, spec.max_subdivisions)
-
-
-def quad_ray_to_inf(integrand, start: complex, direction: complex, decay_power: float,
-                    spec: QuadratureSpec | None = None) -> complex:
-    """Integrate a complex-valued function from `start` to infinity along `direction`.
-
-    The scalar form of quad_ray_vec: integrand is called once per node.
-    """
-    return complex(quad_ray_vec(_node_loop(integrand), start, direction, decay_power, spec))

@@ -38,7 +38,12 @@ from sqnls.genus1 import (
     solve_endpoint,
 )
 from sqnls.nls_direct import default_config, evolve
-from sqnls.phase_geometry import first_breaking_time, rho1_real_roots, second_breaking_time
+from sqnls.phase_geometry import (
+    first_breaking_time,
+    ray_breaking_time,
+    rho1_real_roots,
+    second_breaking_time,
+)
 from sqnls.scattering import (
     BarrierParams,
     connection_coefficient,
@@ -148,7 +153,7 @@ def test_criterion_2_scattering():
         ck = connection_coefficient(zk, p)
         rad = 0.25 * min([abs(y - o) for o in evs if o != y] + [y, p.q - y])
         poly = [zk + rad * cmath.exp(2j * math.pi * k / 24) for k in range(25)]
-        res = quad_path(lambda zz: scattering_data(zz, p)[2], poly,
+        res = quad_path(lambda zz: np.array([scattering_data(v, p)[2] for v in zz]), poly,
                         QuadratureSpec(1e-11)) / (2j * math.pi)
         worst_ck = max(worst_ck, abs(ck - res) / max(1.0, abs(ck)))
     ok &= worst_ck < 1e-8
@@ -217,7 +222,7 @@ def test_criterion_5_periods_and_constants():
         a_ast = abel_map(st.alpha.conjugate(), st.alpha, c_nu, q, quad)
         worst_abel = max(worst_abel, abs(a_iq), abs(a_ast - (1j * math.pi + H / 2)))
         # modulation constants at the midpoint of the mu-ray window
-        t_ref = 0.45 * _t2_on_ray(float(mu), q, 1.0)
+        t_ref = 0.45 * ray_breaking_time(float(mu), p)
         x_ref = 1.0 - 2 * mu * t_ref
         mods = modulation_constants(st.alpha, x_ref, t_ref, p)
         worst_tau = max(worst_tau, abs(mods.tau1_b_period + mods.Omega))
@@ -227,26 +232,6 @@ def test_criterion_5_periods_and_constants():
     _verdict(5, "periods and constants", ok,
              f"elliptic {worst_seg:.1e}, Im H {worst_him:.1e}, tau1 {worst_tau:.1e}, "
              f"reality {worst_real:.1e}, abel {worst_abel:.1e}")
-
-
-def _t2_on_ray(mu: float, q: float, L: float) -> float:
-    from scipy.optimize import brentq, minimize_scalar
-    from sqnls.phase_geometry import rho1_value
-    st = solve_endpoint(mu, q)
-    xi0 = mu - st.alpha.real
-
-    def gap(t):
-        lam_lo = -(2 * L / t + 10 * q + 2 * abs(xi0))
-        r = minimize_scalar(lambda u: -rho1_value(u, st.alpha, xi0, t, L, q),
-                            bounds=(lam_lo, -1e-9 * q), method="bounded",
-                            options={"xatol": 1e-12})
-        return rho1_value(float(r.x), st.alpha, xi0, t, L, q)
-
-    t_hi = 0.1
-    while gap(t_hi) > 0:
-        t_hi *= 2
-    lo = t_hi / 2 if gap(t_hi / 2) > 0 else 1e-8
-    return brentq(gap, lo, t_hi, xtol=1e-10)
 
 
 def test_criterion_6_whitham():

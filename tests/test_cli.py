@@ -1,17 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sqnls.cli import (
-    breaking_curves,
-    classify,
-    endpoint_line,
-    load_config,
-    main,
-    sample_grid,
-)
+import sqnls
+from sqnls.cli import endpoint_line, load_config, main
+from sqnls.field import breaking_curves, classify, sample_grid
 from sqnls.phase_geometry import first_breaking_time, second_breaking_time
 from sqnls.scattering import BarrierParams
 
@@ -168,6 +167,18 @@ class TestCliOutput:
         summary = json.loads(lines[-1])
         assert summary["entries"][0]["region"] == "S1"
         assert summary["entries"][0]["linf"] < 0.5
+
+    def test_module_entry_point_runs_without_warning(self):
+        # sqnls/__init__ must not import the CLI module that `-m` executes
+        src = str(Path(sqnls.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "sqnls.cli",
+             "classify", "--x", "0.3", "--t", "0.4"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("S2,")
 
     def test_seventeen_digit_format(self, capsys):
         main(["--eps", "0.1", "classify", "--x", "0.1", "--t", "0.01"])

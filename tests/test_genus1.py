@@ -202,6 +202,18 @@ class TestModulationConstants:
             st = solve_endpoint(float(mu), Q)
             assert mu - st.alpha.real > 0
 
+    @pytest.mark.parametrize("L,x_frac,t_frac", [(2.0, 0.7404, 0.7021), (1.0, 0.75, 0.6)])
+    def test_eta_ray_converges_far_out(self, L, x_frac, t_frac):
+        # the eta ray integrand used to cancel two terms of size 2t|z|, and
+        # the ray map amplified that roundoff past the tolerance at these points
+        from sqnls.field import psi_asymptotic
+
+        p = BarrierParams(1.0, L, 0.05)
+        x = x_frac * p.L
+        t1 = first_breaking_time(x, p)
+        t = t1 + t_frac * (second_breaking_time(x, p) - t1)
+        assert math.isfinite(abs(psi_asymptotic(x, t, p)))
+
     def test_beyond_t2_rejected(self):
         p = BarrierParams(1.0, 1.0, 0.05)
         x = 0.25

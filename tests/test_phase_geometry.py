@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from sqnls.phase_geometry import (
     big_s,
     first_breaking_time,
     level_topology,
+    ray_breaking_time,
     rho1_real_roots,
     rho1_value,
     second_breaking_time,
@@ -99,6 +103,39 @@ class TestRho1:
             assert s.real > 0
         assert abs(big_s(-1e8, alpha, 1.0) - 1.0) < 1e-7
 
+    def test_rho1_value_uses_the_real_axis_s(self):
+        alpha, xi0, t, L, q = 0.5 + 0.6j, 0.4, 0.45, 1.0, 1.0
+        for lam in (-9.0, -1.3, -0.2, -1e-6):
+            nu = -math.hypot(lam, q)
+            ref = 4 * t * abs(big_s(lam, alpha, q)) * (lam - xi0) + 4 * L * lam / nu
+            assert abs(rho1_value(lam, alpha, xi0, t, L, q) - ref) <= 1e-14 * abs(ref)
+
+    def test_big_r_matches_cmath_form(self):
+        # the scalar form big_r had before it was built on specfun.cut_sqrt,
+        # with its midpoint rule: nudge 1e-12 off the cut towards +i d
+        alpha, q = 0.7 + 0.9j, 1.3
+        c1, d1 = 0.5 * (1j * q + alpha), 0.5 * (alpha - 1j * q)
+
+        def mid_sign(c, d):
+            zz = c + 1e-12 * 1j * d / abs(d)
+            return (zz - c) * cmath.sqrt(1.0 - (d / (zz - c)) ** 2) / (1j * abs(d))
+
+        def factor(z, c, d):
+            if z == c:
+                return 1j * abs(d) * mid_sign(c, d)
+            return (z - c) * cmath.sqrt(1.0 - (d / (z - c)) ** 2)
+
+        z = (np.linspace(-3.1, 3.1, 24)[:, None] + 1j * np.linspace(-2.9, 2.9, 23)[None, :]).ravel()
+        z = np.concatenate((z, [c1, c1.conjugate()]))
+        arr = big_r(z, alpha, q)
+        for zj, rj in zip(z, arr):
+            zj = complex(zj)
+            ref = factor(zj, c1, d1) * factor(zj, c1.conjugate(), d1.conjugate())
+            assert abs(rj - ref) <= 1e-15 * abs(ref)
+            assert abs(big_r(zj, alpha, q) - rj) <= 1e-15 * abs(rj)
+        other = factor(c1, c1.conjugate(), d1.conjugate())
+        assert abs(big_r(c1, alpha, q) - 1j * d1 * other) <= 1e-15 * abs(d1 * other)
+
     def test_big_r_square(self):
         alpha = 0.5 + 0.6j
         for z in (0.3 + 1.4j, -2.0 - 0.3j, 1.9 + 0.1j):
@@ -131,6 +168,13 @@ class TestBreakingTimes:
 
         assert count(t2 - 1e-3) == 2
         assert count(t2 + 1e-3) == 0
+
+    @pytest.mark.parametrize("mu", [0.4, 0.9, 1.3])
+    def test_ray_time_meets_the_curve(self, mu):
+        # the ray of constant mu crosses T2(x) at x = L - 2 mu T2_ray
+        t_ray = ray_breaking_time(mu, P)
+        x = P.L - 2.0 * mu * t_ray
+        assert abs(second_breaking_time(x, P) - t_ray) < 1e-8
 
     def test_pinch_at_origin(self):
         # the oscillatory window has zero width at x = 0: T2 descends to

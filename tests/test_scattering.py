@@ -14,13 +14,13 @@ from sqnls.scattering import (
     eigenvalue_phase,
     eigenvalues,
     harmonic_term,
+    kappa_weight,
     multistep_scattering,
     nu_branch,
     nu_imag_cut,
     r0_star,
     reflection_coefficient,
     scattering_data,
-    spectral_weights,
 )
 from sqnls.specfun import QuadratureSpec, quad_path
 
@@ -236,7 +236,7 @@ class TestConnectionCoefficients:
             ck = connection_coefficient(zk, P)
             rad = 0.25 * min([abs(y - o) for o in evs if o != y] + [y, P.q - y])
             poly = [zk + rad * cmath.exp(2j * math.pi * k / 24) for k in range(25)]
-            res = quad_path(lambda z: scattering_data(z, P)[2], poly,
+            res = quad_path(lambda z: np.array([scattering_data(v, P)[2] for v in z]), poly,
                             QuadratureSpec(1e-11)) / (2j * math.pi)
             assert abs(ck - res) < 1e-8 * max(1.0, abs(ck))
 
@@ -276,7 +276,6 @@ class TestSpectralWeights:
         assert abs(jump0 - target) < 1e-10
 
     def test_kappa_nonpositive_on_axis(self):
-        from sqnls.scattering import kappa_weight
         for s in np.linspace(-6, 6, 31):
             if s == 0:
                 continue
@@ -286,16 +285,55 @@ class TestSpectralWeights:
     def test_delta_bounded_near_xi0(self):
         xi0, xi1 = 1.2, -1.5
         vals = []
+        quad = QuadratureSpec(1e-10)
         for s in (0.1, 0.01, 0.001):
             z = xi0 + s * cmath.exp(2.2j)
-            w = spectral_weights(z, xi0, xi1, P, QuadratureSpec(1e-10))
-            vals.append(abs(w.delta))
-            assert w.delta == cmath.exp(w.chi_xi0 + w.chi_xi1)
+            delta = cmath.exp(chi_integral(z, xi0, P.q, quad) + chi_integral(z, xi1, P.q, quad))
+            vals.append(abs(delta))
         assert max(vals) < 5.0
 
-    def test_ordering_validated(self):
-        with pytest.raises(ValueError):
-            spectral_weights(1j, -1.0, 2.0, P)
+
+def _grid(q: float) -> np.ndarray:
+    # an even count of real parts keeps every point off the cut [-iq, iq]
+    return q * (np.linspace(-3.1, 3.1, 24)[:, None]
+                + 1j * np.linspace(-2.9, 2.9, 23)[None, :]).ravel()
+
+
+class TestImagCutForms:
+    # the cmath forms these functions had before they shared specfun.cut_sqrt
+    Q = 1.3
+
+    @staticmethod
+    def _nu_cmath(z: complex, q: float) -> complex:
+        return z * cmath.sqrt(1.0 + (q / z) ** 2)
+
+    def test_nu_matches_cmath_form(self):
+        z = _grid(self.Q)
+        arr = nu_imag_cut(z, self.Q)
+        for zj, aj in zip(z, arr):
+            ref = self._nu_cmath(complex(zj), self.Q)
+            assert abs(aj - ref) <= 1e-15 * abs(ref)
+            assert abs(nu_imag_cut(complex(zj), self.Q) - ref) <= 1e-15 * abs(ref)
+        with pytest.raises(BranchBoundaryError):
+            nu_imag_cut(np.array([1.0, 0.0]), self.Q)
+
+    def test_kappa_matches_cmath_form(self):
+        # log(1 + w) is well conditioned only where |w| is not small; the
+        # real axis, where the tails are small, is checked against log1p
+        q = self.Q
+        z = _grid(q)
+        for zj, kj in zip(z, kappa_weight(z, q)):
+            w = q * q / (self._nu_cmath(complex(zj), q) + zj) ** 2
+            if abs(w) < 0.25:
+                continue
+            ref = -cmath.log(1.0 + w) / (2 * math.pi)
+            assert abs(kj - ref) <= 1e-15 * abs(ref)
+        s = np.concatenate((np.linspace(-40.0, -0.1, 23), np.linspace(0.1, 40.0, 23)))
+        for sj, kj in zip(s, kappa_weight(s, q)):
+            ref = _kappa_real(sj, q)
+            assert abs(kj.imag) == 0.0
+            assert abs(kj.real - ref) <= 1e-15 * abs(ref)
+        assert kappa_weight(0.0, q) == -math.log(2.0) / (2 * math.pi)
 
 
 def _kappa_real(s: float, q: float) -> float:

@@ -10,11 +10,11 @@ from sqnls.specfun import (
     adaptive_gl,
     complete_elliptic,
     complete_elliptic_series,
+    cut_sqrt,
     dilog,
     ellipe,
     ellipk,
     quad_path,
-    quad_path_vec,
     quad_ray_to_inf,
     theta_sum,
 )
@@ -122,7 +122,7 @@ class TestThetaSum:
 class TestQuadPath:
     def test_inverse_sqrt_left(self):
         spec = QuadratureSpec(target_abs_tol=1e-12, endpoint_singularity="inverse_sqrt_left")
-        val = quad_path(lambda z: 1.0 / cmath.sqrt(z), [0.0, 1.0], spec)
+        val = quad_path(lambda z: 1.0 / np.sqrt(z), [0.0, 1.0], spec)
         assert abs(val - 2.0) < 1e-11
 
     def test_unit_circle_residue(self):
@@ -137,7 +137,7 @@ class TestQuadPath:
         assert abs(val - math.pi / 2) < 1e-11
 
     def test_additive_over_concatenation(self):
-        f = lambda z: cmath.exp(z) / (1 + z * z / 9)
+        f = lambda z: np.exp(z) / (1 + z * z / 9)
         spec = QuadratureSpec(1e-12)
         whole = quad_path(f, [0.0, 1.0 + 1.0j], spec)
         part = quad_path(f, [0.0, 0.4 + 0.4j], spec) + quad_path(f, [0.4 + 0.4j, 1.0 + 1.0j], spec)
@@ -152,13 +152,13 @@ class TestQuadPath:
 
     def test_log_endpoint(self):
         spec = QuadratureSpec(target_abs_tol=1e-12, endpoint_singularity="log_left")
-        val = quad_path(lambda z: cmath.log(z), [0.0, 1.0], spec)
+        val = quad_path(np.log, [0.0, 1.0], spec)
         assert abs(val + 1.0) < 1e-10
 
     def test_convergence_error_carries_estimate(self):
         spec = QuadratureSpec(target_abs_tol=1e-13, max_subdivisions=2)
         with pytest.raises(QuadratureConvergenceError) as err:
-            quad_path(lambda z: 1.0 / cmath.sqrt(abs(z.real) + 1e-30), [-1.0, 1.0], spec)
+            quad_path(lambda z: 1.0 / np.sqrt(np.abs(z.real) + 1e-30), [-1.0, 1.0], spec)
         assert err.value.error_bound > 0
 
     def test_spec_validation(self):
@@ -207,16 +207,16 @@ class TestAdaptiveGL:
         assert abs(val - 2.0 * math.atan(1.0 / math.sqrt(1e-3)) / math.sqrt(1e-3)) < 1e-11
 
     def test_convergence_error_at_panel_cap(self):
-        calls = []
+        nodes = []
 
         def f(z):
-            calls.append(z)
-            return 1.0 / cmath.sqrt(abs(z.real) + 1e-30)
+            nodes.append(z.size)
+            return 1.0 / np.sqrt(np.abs(z.real) + 1e-30)
 
         spec = QuadratureSpec(target_abs_tol=1e-13, max_subdivisions=5)
         with pytest.raises(QuadratureConvergenceError) as err:
             quad_path(f, [-1.0, 1.0], spec)
-        assert len(calls) == 45 + 60 * 4
+        assert sum(nodes) == 45 + 60 * 4
         assert isinstance(err.value.estimate, complex)
         assert abs(err.value.estimate - 4.0) < 0.5
         assert err.value.error_bound > 1e-13
@@ -225,7 +225,7 @@ class TestAdaptiveGL:
         f = lambda z: np.stack((1.0 / np.sqrt(np.abs(z.real) + 1e-30), np.ones(z.size)), axis=1)
         spec = QuadratureSpec(target_abs_tol=1e-13, max_subdivisions=3)
         with pytest.raises(QuadratureConvergenceError) as err:
-            quad_path_vec(f, [-1.0, 1.0], spec)
+            quad_path(f, [-1.0, 1.0], spec)
         assert err.value.estimate.shape == (2,)
         assert abs(err.value.estimate[1] - 2.0) < 1e-13
         assert err.value.error_bound[0] > 1e-13
@@ -234,7 +234,50 @@ class TestAdaptiveGL:
         f = lambda z: np.exp(z) / (1 + z * z / 9)
         spec = QuadratureSpec(1e-12, endpoint_singularity="inverse_sqrt_both")
         path = [0.0, 0.4 + 0.4j, 1.0 + 1.0j]
-        vec = quad_path_vec(lambda z: np.stack((f(z), 2.0 * f(z)), axis=1), path, spec)
-        one = quad_path(lambda z: complex(f(np.array([z]))[0]), path, spec)
+        vec = quad_path(lambda z: np.stack((f(z), 2.0 * f(z)), axis=1), path, spec)
+        one = quad_path(f, path, spec)
+        assert isinstance(one, complex)
         assert abs(vec[0] - one) < 1e-12
         assert abs(vec[1] - 2.0 * one) < 2e-12
+
+
+class TestCutSqrt:
+    C, D = 0.3 + 0.4j, 0.5 - 0.2j
+
+    def test_square_and_infinity(self):
+        z = np.array([2.0 + 1.0j, -1.0 - 3.0j, 0.1 + 0.9j, 5e7 - 2e7j])
+        r = cut_sqrt(z, self.C, self.D)
+        assert np.all(np.abs(r * r - ((z - self.C) ** 2 - self.D ** 2))
+                      <= 1e-14 * np.abs(z - self.C) ** 2)
+        assert abs(r[-1] / (z[-1] - self.C) - 1.0) < 1e-14
+
+    def test_jump_only_across_the_segment(self):
+        normal = 1j * self.D / abs(self.D)
+        h = 1e-9
+        on_cut = self.C + np.linspace(-0.95, 0.95, 13) * self.D
+        above = cut_sqrt(on_cut + h * normal, self.C, self.D)
+        below = cut_sqrt(on_cut - h * normal, self.C, self.D)
+        # the two boundary values are opposite, each of size |d| sqrt(1 - s^2)
+        assert np.all(np.abs(above + below) < 1e-6)
+        assert np.all(np.abs(above - below) > 0.5 * abs(self.D))
+        # across the line of the segment beyond its ends, and anywhere else,
+        # the value is continuous
+        off = np.concatenate((self.C + np.array([-3.0, -1.05, 1.05, 2.0]) * self.D,
+                              self.C + np.array([0.7, -0.7]) * 1j * self.D))
+        for direction in (normal, 1.0, 1j):
+            step = cut_sqrt(off + h * direction, self.C, self.D) - \
+                cut_sqrt(off - h * direction, self.C, self.D)
+            assert np.all(np.abs(step) < 1e-7)
+
+    def test_midpoint_value(self):
+        assert cut_sqrt(self.C, self.C, self.D) == 1j * self.D
+        vals = cut_sqrt(np.array([self.C, self.C + 1.0]), self.C, self.D)
+        assert vals[0] == 1j * self.D
+
+    def test_scalar_matches_array(self):
+        z = (np.linspace(-2.0, 2.0, 9)[:, None] + 1j * np.linspace(-1.5, 1.5, 7)[None, :]).ravel()
+        arr = cut_sqrt(z, self.C, self.D)
+        for zj, aj in zip(z, arr):
+            one = cut_sqrt(complex(zj), self.C, self.D)
+            assert isinstance(one, complex)
+            assert abs(one - aj) <= 1e-15 * abs(aj)

@@ -166,18 +166,26 @@ def main(argv: list[str] | None = None) -> int:
             snap_s1 = snaps[times.index(t_s1)]
             snap_s0 = snaps[times.index(0.2)]
             x = snap_s1.x_nodes
-            asy = np.array([psi_asy_g0(float(xx), t_s1, pe)
-                            if abs(xx) < pe.L and t_s1 < first_breaking_time(float(xx), pe)
-                            else np.nan for xx in x], dtype=complex)
-            mask = ~np.isnan(asy.real) & (np.abs(x) <= 0.5)
-            diff = np.abs(snap_s1.values[mask] - asy[mask])
+            # S1: the middle half of the barrier before the first breaking
+            # curve; S0: a window outside the barrier
+            s1 = np.array([abs(xx) <= 0.5 * pe.L and t_s1 < first_breaking_time(float(xx), pe)
+                           for xx in x])
+            s0 = (x >= pe.L + 0.5) & (x <= pe.L + 1.0)
+            for name, mask in (("S1", s1), ("S0", s0)):
+                if not np.any(mask):
+                    sys.stderr.write(f"sqnls validate: the {name} patch holds no grid node "
+                                     f"(q = {pe.q:g}, L = {pe.L:g}, eps = {eps:g}, t = {t_s1:g})\n")
+                    return 1
+            asy = np.array([psi_asy_g0(float(xx), t_s1, pe) for xx in x[s1]])
+            diff = np.abs(snap_s1.values[s1] - asy)
             linf, l2 = float(np.max(diff)), float(math.sqrt(np.mean(diff ** 2)))
-            lines.append(f"{_fmt(eps)},S1,{_fmt(-0.5)},{_fmt(0.5)},{_fmt(linf)},{_fmt(l2)}")
+            lines.append(f"{_fmt(eps)},S1,{_fmt(float(x[s1][0]))},{_fmt(float(x[s1][-1]))},"
+                         f"{_fmt(linf)},{_fmt(l2)}")
             summary["entries"].append({"eps": eps, "region": "S1", "linf": linf, "l2": l2})
-            tail = np.abs(snap_s0.values[(x >= 1.5) & (x <= 2.0)])
+            tail = np.abs(snap_s0.values[s0])
             linf0 = float(np.max(tail))
-            lines.append(f"{_fmt(eps)},S0,{_fmt(1.5)},{_fmt(2.0)},{_fmt(linf0)},"
-                         f"{_fmt(float(math.sqrt(np.mean(tail ** 2))))}")
+            lines.append(f"{_fmt(eps)},S0,{_fmt(float(x[s0][0]))},{_fmt(float(x[s0][-1]))},"
+                         f"{_fmt(linf0)},{_fmt(float(math.sqrt(np.mean(tail ** 2))))}")
             summary["entries"].append({"eps": eps, "region": "S0", "linf": linf0})
         lines.append(json.dumps(summary, sort_keys=True))
         _write_lines(lines, args.out)

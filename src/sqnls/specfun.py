@@ -271,9 +271,15 @@ def adaptive_gl(f, a: float, b: float, tol: float, max_panels: int) -> np.ndarra
     a heap and is bisected until every component's error sum is at most
     tol. A child's whole-panel rule is its parent's half-panel rule, so each
     bisection evaluates f on 60 new nodes: 45 + 60 (panels - 1) in all.
+
+    A panel with a non-finite value stops the loop at once: the
+    QuadratureConvergenceError names that panel and carries the estimate and
+    error sum of the finite panels before it (NaN and inf if it is [a, b]).
     """
     m = 0.5 * (a + b)
     whole, left, right = _gl_sums(f, [a, a, m], [b, m, b])
+    if not np.all(np.isfinite([whole, left, right])):
+        raise _non_finite(a, b, np.full(whole.shape, np.nan + 0j), np.full(whole.shape, np.inf))
     bounds = np.empty((max_panels, 2))
     halves = np.empty((max_panels, 2) + whole.shape, dtype=complex)
     errs = np.empty((max_panels,) + whole.shape)
@@ -304,10 +310,21 @@ def adaptive_gl(f, a: float, b: float, tol: float, max_panels: int) -> np.ndarra
         m = 0.5 * (lo + hi)
         ql, qr = 0.5 * (lo + m), 0.5 * (m + hi)
         quarters = _gl_sums(f, [lo, ql, m, qr], [ql, m, qr, hi])
+        finite = np.isfinite(quarters.reshape(2, -1)).all(axis=1)
+        if not finite.all():
+            bad_lo, bad_hi = (lo, m) if not finite[0] else (m, hi)
+            raise _non_finite(bad_lo, bad_hi, halves[:n].sum(axis=(0, 1)), total_err)
         left, right = halves[row].copy()
         put(row, lo, m, left, quarters[0], quarters[1])
         put(n, m, hi, right, quarters[2], quarters[3])
         n += 1
+
+
+def _non_finite(lo: float, hi: float, estimate: np.ndarray,
+                error_bound: np.ndarray) -> QuadratureConvergenceError:
+    return QuadratureConvergenceError(
+        f"adaptive quadrature: non-finite integrand value on panel [{float(lo)!r}, {float(hi)!r}]",
+        estimate[()], error_bound[()])
 
 
 def _per_node(vals: np.ndarray, w) -> np.ndarray:

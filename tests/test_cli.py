@@ -168,6 +168,32 @@ class TestCliOutput:
         assert summary["entries"][0]["region"] == "S1"
         assert summary["entries"][0]["linf"] < 0.5
 
+    @pytest.mark.parametrize("q, L", [(2.0, 1.0), (1.0, 2.0)])
+    def test_validate_patches_follow_q_and_L(self, tmp_path, q, L):
+        out = tmp_path / "val.csv"
+        assert main(["--q", str(q), "--L", str(L), "validate", "--eps-list", "0.1",
+                     "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        s1, s0 = (line.split(",") for line in lines[1:3])
+        p = BarrierParams(q, L, 0.1)
+        # S1: the printed range is the nodes compared, inside |x| <= L/2 and before T1
+        assert s1[1] == "S1"
+        lo, hi = float(s1[2]), float(s1[3])
+        assert lo == -hi and 0 < hi <= 0.5 * L
+        assert 0.15 < first_breaking_time(hi, p)
+        dx = 8.0 / 2048  # the eps = 0.1 validation grid on [-4, 4]
+        assert hi + dx > 0.5 * L or first_breaking_time(hi + dx, p) <= 0.15
+        assert float(s1[4]) < 0.5
+        # S0: the window [L + 1/2, L + 1] outside the barrier, where the field is small
+        assert s0[1] == "S0"
+        assert (float(s0[2]), float(s0[3])) == (L + 0.5, L + 1.0)
+        assert float(s0[4]) < 0.5
+
+    def test_validate_empty_patch_fails(self, capsys):
+        # T1(0) = 1 / (6 sqrt 2) < 0.15: no point of |x| <= L/2 is still in S1
+        assert main(["--q", "3", "validate", "--eps-list", "0.1"]) != 0
+        assert "S1 patch" in capsys.readouterr().err
+
     def test_module_entry_point_runs_without_warning(self):
         # sqnls/__init__ must not import the CLI module that `-m` executes
         src = str(Path(sqnls.__file__).resolve().parents[1])

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from sqnls import nls_direct
 from sqnls.nls_direct import (
     GridField,
+    InstabilityError,
     SolverConfig,
     barrier_initial_data,
     compare_fields,
@@ -114,6 +116,82 @@ class TestEvolve:
         at_edge = np.isclose(np.abs(x), P.L, rtol=0, atol=1e-12)
         assert np.all(psi0[at_edge] == 0.5 * P.q)
         assert np.all(psi0[np.abs(x) < P.L - 1e-9] == P.q)
+
+
+def _unfused_strang(cfg):
+    # the plain Strang loop: half rotation, linear step, half rotation, with
+    # the step count and step size per interval that evolve uses
+    n, dx, eps = cfg.grid_points, cfg.dx, cfg.params.eps
+    x = -cfg.half_width + dx * np.arange(n)
+    k = 2 * math.pi * np.fft.fftfreq(n, d=dx)
+    psi = barrier_initial_data(x, cfg.params)
+    out, t_now = [], 0.0
+    for t_target in cfg.snapshot_times:
+        span = t_target - t_now
+        if span > 1e-15:
+            n_steps = max(1, math.ceil(span / cfg.dt - 1e-12))
+            dt_loc = span / n_steps
+            lin_phase = np.exp(-0.5j * eps * dt_loc * k * k)
+            for _ in range(n_steps):
+                psi = psi * np.exp(0.5j * dt_loc / eps * np.abs(psi) ** 2)
+                psi = np.fft.ifft(lin_phase * np.fft.fft(psi))
+                psi = psi * np.exp(0.5j * dt_loc / eps * np.abs(psi) ** 2)
+            t_now = t_target
+        out.append(psi.copy())
+    return out
+
+
+class TestFusedStep:
+    # a snapshot at t = 0, uneven intervals, and one interval of one step
+    TIMES = (0.0, 0.0123, 0.0133, 0.03)
+
+    def test_matches_unfused_strang(self):
+        cfg = default_config(P, self.TIMES[-1], self.TIMES)
+        spans = np.diff(self.TIMES)
+        assert 0 < spans[1] <= cfg.dt < spans[0] < spans[2]
+        snaps = evolve(cfg)
+        ref = _unfused_strang(cfg)
+        assert [s.t for s in snaps] == list(self.TIMES)
+        for s, r in zip(snaps, ref):
+            assert np.max(np.abs(s.values - r)) <= 1e-11
+        # the field moved, so agreement is not trivial
+        assert np.max(np.abs(snaps[-1].values - snaps[0].values)) > 0.1
+
+    def test_snapshots_not_aliased(self):
+        cfg = default_config(P, self.TIMES[-1], self.TIMES)
+        snaps = evolve(cfg)
+        x = snaps[0].x_nodes
+        assert np.array_equal(snaps[0].values, barrier_initial_data(x, P))
+        for i, a in enumerate(snaps):
+            for b in snaps[i + 1:]:
+                assert not np.shares_memory(a.values, b.values)
+                assert not np.array_equal(a.values, b.values)
+
+
+class TestInstability:
+    TIMES = (0.0, 0.01, 0.02)
+
+    def _assert_raised_at_first_step(self, monkeypatch, attr, corrupt, message):
+        original = getattr(nls_direct.sp_fft, attr)
+        monkeypatch.setattr(nls_direct.sp_fft, attr,
+                            lambda *a, **kw: corrupt(original(*a, **kw)))
+        cfg = default_config(P, self.TIMES[-1], self.TIMES)
+        with pytest.raises(InstabilityError, match=message) as err:
+            evolve(cfg)
+        assert f"t = {self.TIMES[1]}" in str(err.value)
+        (snap,) = err.value.snapshots
+        assert snap.t == 0.0
+        assert np.array_equal(snap.values, barrier_initial_data(snap.x_nodes, P))
+
+    def test_norm_drift_raises(self, monkeypatch):
+        self._assert_raised_at_first_step(monkeypatch, "ifft", lambda v: v * (1 + 1e-6),
+                                          "L2 norm drifted")
+
+    def test_nan_raises(self, monkeypatch):
+        def poison(v):
+            v[0] = np.nan
+            return v
+        self._assert_raised_at_first_step(monkeypatch, "fft", poison, "NaN detected")
 
 
 class TestCompareFields:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -220,6 +221,38 @@ class TestAdaptiveGL:
         assert isinstance(err.value.estimate, complex)
         assert abs(err.value.estimate - 4.0) < 0.5
         assert err.value.error_bound > 1e-13
+
+    def test_non_finite_panel_fails_fast(self):
+        # the 15-point rule has a node at the midpoint of [0, 1], where the
+        # integrand is infinite: the first panel is already non-finite
+        nodes = []
+
+        def f(u):
+            nodes.append(u.size)
+            with np.errstate(divide="ignore"):
+                return 1.0 / (u - 0.5)
+
+        with pytest.raises(QuadratureConvergenceError, match=r"panel \[0.0, 1.0\]") as err:
+            adaptive_gl(f, 0.0, 1.0, 1e-10, 400)
+        assert sum(nodes) <= 45
+        assert np.isnan(err.value.estimate)
+        assert err.value.error_bound == math.inf
+
+    def test_non_finite_panel_carries_last_finite_estimate(self):
+        # 0.3 is no node at first; bisection narrows a panel around it until
+        # a node rounds onto it
+        def f(u):
+            with np.errstate(divide="ignore"):
+                return np.stack((1.0 / (u - 0.3), np.ones(u.size)), axis=1)
+
+        with pytest.raises(QuadratureConvergenceError) as err:
+            adaptive_gl(f, 0.0, 1.0, 1e-10, 400)
+        lo, hi = map(float, re.search(r"panel \[(.*), (.*)\]", str(err.value)).groups())
+        assert lo < 0.3 < hi and hi - lo < 1e-12
+        assert np.all(np.isfinite(err.value.estimate))
+        assert np.all(np.isfinite(err.value.error_bound))
+        assert err.value.estimate[1] == pytest.approx(1.0, abs=1e-13)
+        assert err.value.error_bound[0] > 1e-10
 
     def test_vector_convergence_error_carries_components(self):
         f = lambda z: np.stack((1.0 / np.sqrt(np.abs(z.real) + 1e-30), np.ones(z.size)), axis=1)

@@ -151,23 +151,27 @@ def main(argv: list[str] | None = None) -> int:
                     lines.append(f"{_fmt(float(x))},{_fmt(fld.t)},{lab_out},"
                                  f"{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))}")
         _write_lines(lines, args.out)
+        errors = res["errors"]
+        if errors:
+            first = errors[0]
+            sys.stderr.write(f"sqnls field: {len(errors)} point(s) failed and were left empty; "
+                             f"first at x = {first['x']:g}, t = {first['t']:g}: "
+                             f"{first['error']}\n")
+            return 1
         return 0
 
     if args.command == "validate":
         eps_list = [float(s) for s in args.eps_list.split(",") if s]
-        lines = ["eps,region,patch_lo,patch_hi,linf,l2"]
-        summary: dict = {"t": args.t, "entries": []}
+        t_s1 = args.t
+        times = sorted({t_s1, 0.2})
+        # every eps's patches are checked before any solver runs. S1: the
+        # middle half of the barrier before the first breaking curve; S0: a
+        # window outside the barrier
+        runs = []
         for eps in eps_list:
             pe = BarrierParams(p.q, p.L, eps)
-            t_s1 = args.t
-            times = sorted({t_s1, 0.2})
             cfg_run = default_config(pe, times[-1], times, refine=2, dt_divisor=32.0)
-            snaps = evolve(cfg_run)
-            snap_s1 = snaps[times.index(t_s1)]
-            snap_s0 = snaps[times.index(0.2)]
-            x = snap_s1.x_nodes
-            # S1: the middle half of the barrier before the first breaking
-            # curve; S0: a window outside the barrier
+            x = cfg_run.x_nodes
             s1 = np.array([abs(xx) <= 0.5 * pe.L and t_s1 < first_breaking_time(float(xx), pe)
                            for xx in x])
             s0 = (x >= pe.L + 0.5) & (x <= pe.L + 1.0)
@@ -176,6 +180,13 @@ def main(argv: list[str] | None = None) -> int:
                     sys.stderr.write(f"sqnls validate: the {name} patch holds no grid node "
                                      f"(q = {pe.q:g}, L = {pe.L:g}, eps = {eps:g}, t = {t_s1:g})\n")
                     return 1
+            runs.append((eps, pe, cfg_run, x, s1, s0))
+        lines = ["eps,region,patch_lo,patch_hi,linf,l2"]
+        summary: dict = {"t": args.t, "entries": []}
+        for eps, pe, cfg_run, x, s1, s0 in runs:
+            snaps = evolve(cfg_run)
+            snap_s1 = snaps[times.index(t_s1)]
+            snap_s0 = snaps[times.index(0.2)]
             asy = np.array([psi_asy_g0(float(xx), t_s1, pe) for xx in x[s1]])
             diff = np.abs(snap_s1.values[s1] - asy)
             linf, l2 = float(np.max(diff)), float(math.sqrt(np.mean(diff ** 2)))

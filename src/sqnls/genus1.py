@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -47,13 +48,32 @@ _BAND2_SIDE = +1.0
 
 @dataclass(frozen=True)
 class EndpointState:
-    """Solved band endpoint at one value of the self-similar variable."""
+    """Solved band endpoint at one value of the self-similar variable.
+
+    The residuals |F_M| and |F_G| of the endpoint system are lazy: they are
+    evaluated at the reference point t = 1 on the ray of constant mu (so
+    x - L = -2 mu) the first time either is read, once per state.
+    """
 
     mu: float
     m: float
     alpha: complex
-    res_moment: float
-    res_gap: float
+    q: float
+
+    @cached_property
+    def _residuals(self) -> tuple[float, float]:
+        f_m, f_g = endpoint_residuals(self.alpha, -2.0 * self.mu, 1.0, self.q)
+        return abs(f_m), abs(f_g)
+
+    @property
+    def res_moment(self) -> float:
+        """|F_M|, the moment residual at t = 1."""
+        return self._residuals[0]
+
+    @property
+    def res_gap(self) -> float:
+        """|F_G|, the gap residual at t = 1."""
+        return self._residuals[1]
 
 
 @dataclass(frozen=True)
@@ -113,10 +133,11 @@ def mu_from_m(m: float, q: float) -> float:
 
 
 def solve_endpoint(mu: float, q: float) -> EndpointState:
-    """Invert mu(m) on (0, 1) and package the endpoint with its residuals.
+    """Invert mu(m) on (0, 1) and package the endpoint alpha(m).
 
-    Residuals of the moment and gap functions are evaluated at the reference
-    point t = 1 on the ray of constant mu.
+    No quadrature runs here: the residuals of the moment and gap functions
+    at the reference point t = 1 are computed when the returned state's
+    res_moment or res_gap is first read.
     """
     if not (0 < mu < math.sqrt(2.0) * q):
         raise ValueError(f"mu = {mu} outside the oscillatory window (0, sqrt2 q)")
@@ -126,10 +147,7 @@ def solve_endpoint(mu: float, q: float) -> EndpointState:
     if f_lo * f_hi > 0:
         raise RuntimeError(f"no sign change for mu = {mu}: [{f_lo}, {f_hi}]")
     m = brentq(lambda mm: mu_from_m(mm, q) - mu, m_lo, m_hi, xtol=1e-15, rtol=8.9e-16)
-    alpha = alpha_from_m(m, q)
-    f_m, f_g = endpoint_residuals(alpha, -2.0 * mu, 1.0, q)
-    return EndpointState(mu=mu, m=m, alpha=alpha,
-                         res_moment=abs(f_m), res_gap=abs(f_g))
+    return EndpointState(mu=mu, m=m, alpha=alpha_from_m(m, q), q=q)
 
 
 def endpoint_residuals(alpha: complex, x_minus_l: float, t: float, q: float,

@@ -68,6 +68,11 @@ class SolverConfig:
     def dx(self) -> float:
         return 2.0 * self.half_width / self.grid_points
 
+    @property
+    def x_nodes(self) -> np.ndarray:
+        """The grid nodes -D + j dx, j = 0, ..., grid_points - 1."""
+        return -self.half_width + self.dx * np.arange(self.grid_points)
+
 
 @dataclass
 class GridField:
@@ -134,7 +139,7 @@ def evolve(cfg: SolverConfig) -> list[GridField]:
     p = cfg.params
     n = cfg.grid_points
     dx = cfg.dx
-    x = -cfg.half_width + dx * np.arange(n)
+    x = cfg.x_nodes
     k = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
     psi = barrier_initial_data(x, p)
     norm0 = math.sqrt(float(np.sum(np.abs(psi) ** 2)) * dx)

@@ -256,20 +256,21 @@ def second_breaking_time(x: float, p, tol: float = 1e-8) -> float:
     t1 = first_breaking_time(x, p)
     q, L = p.q, p.L
 
-    def bump_max(t: float) -> tuple[float, float]:
+    def bump_max(t: float):
+        # (value, lam_star, endpoint state) at trial time t
         mu = (L - x) / (2.0 * t)
         state = solve_endpoint(mu, q)
-        return rho1_bump_max(state.alpha, mu - state.alpha.real, t, L, q)
+        return (*rho1_bump_max(state.alpha, mu - state.alpha.real, t, L, q), state)
 
     t_lo = t1 * 1.0001
-    g_lo, _ = bump_max(t_lo)
+    g_lo = bump_max(t_lo)[0]
     if g_lo <= 0:
         raise RuntimeError(f"no root pair just past T1(x) at x = {x}; bump max {g_lo}")
     t_hi = t_lo
     window = 10.0 * t1
     while True:
         t_hi = min(t_hi * 1.5, window)
-        g_hi, _ = bump_max(t_hi)
+        g_hi = bump_max(t_hi)[0]
         if g_hi < 0:
             break
         if t_hi >= window:
@@ -278,10 +279,8 @@ def second_breaking_time(x: float, p, tol: float = 1e-8) -> float:
                 raise RuntimeError(f"double-root search window exhausted at x = {x}")
 
     t2 = brentq(lambda t: bump_max(t)[0], t_lo, t_hi, xtol=1e-13, rtol=8.9e-16)
-    g_res, lam_star = bump_max(t2)
-    mu = (L - x) / (2.0 * t2)
-    state = solve_endpoint(mu, q)
-    xi0 = mu - state.alpha.real
+    _, lam_star, state = bump_max(t2)
+    xi0 = state.mu - state.alpha.real
     h = 1e-6 * max(1.0, abs(lam_star))
 
     def d_rho1(lam: float) -> float:

@@ -189,10 +189,45 @@ class TestCliOutput:
         assert (float(s0[2]), float(s0[3])) == (L + 0.5, L + 1.0)
         assert float(s0[4]) < 0.5
 
-    def test_validate_empty_patch_fails(self, capsys):
+    def test_validate_empty_patch_fails(self, capsys, monkeypatch):
         # T1(0) = 1 / (6 sqrt 2) < 0.15: no point of |x| <= L/2 is still in S1
         assert main(["--q", "3", "validate", "--eps-list", "0.1"]) != 0
-        assert "S1 patch" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "S1 patch" in err
+
+        # the patches are checked before the solver runs
+        def no_solve(cfg):
+            raise AssertionError("evolve ran before the patch check")
+
+        monkeypatch.setattr("sqnls.cli.evolve", no_solve)
+        assert main(["--q", "3", "validate", "--eps-list", "0.1"]) == 1
+        assert capsys.readouterr().err == err
+
+    def test_field_reports_failed_points(self, capsys, monkeypatch):
+        import sqnls.field
+
+        orig = sqnls.field.psi_asymptotic
+
+        def failing(x, t, p, region=None):
+            if x == 0.0 and t == 0.05:
+                raise RuntimeError("injected failure")
+            return orig(x, t, p, region)
+
+        args = ["--eps", "0.2", "field", "--x-min", "-1.5", "--x-max", "1.5", "--nx", "5",
+                "--t-min", "0.05", "--t-max", "0.1", "--nt", "2", "--mode", "asymptotic"]
+        assert main(args) == 0
+        clean = capsys.readouterr().out.splitlines()
+        monkeypatch.setattr(sqnls.field, "psi_asymptotic", failing)
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        # the CSV is still written in full; only the failed row is empty
+        assert len(lines) == len(clean) == 1 + 5 * 2
+        diff = [(a, b) for a, b in zip(clean, lines) if a != b]
+        assert diff == [(clean[3], "0,0.050000000000000003,S1,,,")]
+        assert "1 point(s) failed" in captured.err
+        assert "x = 0, t = 0.05" in captured.err
+        assert "injected failure" in captured.err
 
     def test_module_entry_point_runs_without_warning(self):
         # sqnls/__init__ must not import the CLI module that `-m` executes

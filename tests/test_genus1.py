@@ -1,9 +1,10 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
+from sqnls import genus1
 from sqnls.genus1 import (
     abel_map,
     alpha_from_m,
@@ -83,6 +84,31 @@ class TestSolveEndpoint:
             solve_endpoint(SQRT2 * Q, Q)
         with pytest.raises(ValueError):
             solve_endpoint(0.0, Q)
+
+    def test_residuals_lazy_and_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return endpoint_residuals(*args, **kwargs)
+
+        monkeypatch.setattr(genus1, "endpoint_residuals", counting)
+        st = solve_endpoint(0.9, Q)
+        assert calls == []
+        first = (st.res_moment, st.res_gap)
+        assert (st.res_moment, st.res_gap) == first
+        assert len(calls) == 1
+        f_m, f_g = endpoint_residuals(st.alpha, -2.0 * 0.9, 1.0, Q)
+        assert first == (abs(f_m), abs(f_g))
+
+    def test_state_fields_frozen(self):
+        st = solve_endpoint(0.9, Q)
+        assert [f.name for f in fields(st)] == ["mu", "m", "alpha", "q"]
+        assert st.q == Q
+        with pytest.raises(FrozenInstanceError):
+            st.alpha = 0j
+        with pytest.raises(AttributeError):
+            st.res_gap = 0.0
 
 
 class TestEndpointResiduals:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sqnls import field, genus1, phase_geometry
 from sqnls.genus1 import solve_endpoint
 from sqnls.phase_geometry import (
     SaddleError,
@@ -181,3 +182,35 @@ class TestBreakingTimes:
         # T1(0) only in the limit x -> 0, so the double-root search fails
         with pytest.raises(RuntimeError):
             second_breaking_time(0.0, P)
+
+
+class TestT2SearchCost:
+    """The T2 search solves the endpoint system but never reads its residuals."""
+
+    @staticmethod
+    def _count(monkeypatch, module, name):
+        calls = []
+        orig = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_no_residual_quadrature(self, monkeypatch):
+        calls = self._count(monkeypatch, genus1, "endpoint_residuals")
+        second_breaking_time(0.3, P)
+        assert calls == []
+        monkeypatch.setattr(field, "_T2_CACHE", {})
+        t1 = first_breaking_time(0.3, P)
+        assert field.classify(0.3, 1.5 * t1, P).T2 is not None
+        assert calls == []
+
+    def test_one_endpoint_solve_per_bump_search(self, monkeypatch):
+        solves = self._count(monkeypatch, genus1, "solve_endpoint")
+        bumps = self._count(monkeypatch, phase_geometry, "rho1_bump_max")
+        second_breaking_time(0.3, P)
+        assert len(bumps) > 0
+        assert len(solves) == len(bumps)

@@ -56,16 +56,17 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _params_from(args, cfg: dict) -> BarrierParams:
-    def pick(name: str, default: float) -> float:
-        v = getattr(args, name, None)
-        if v is not None:
-            return float(v)
-        if name in cfg:
-            return float(cfg[name])
-        return default
+def _pick(args, cfg: dict, name: str, default):
+    """The flag if given, else the config value, else default, as type(default)."""
+    v = getattr(args, name, None)
+    if v is None:
+        v = cfg.get(name, default)
+    return type(default)(v)
 
-    return BarrierParams(q=pick("q", 1.0), L=pick("L", 1.0), eps=pick("eps", 0.1))
+
+def _params_from(args, cfg: dict) -> BarrierParams:
+    return BarrierParams(q=_pick(args, cfg, "q", 1.0), L=_pick(args, cfg, "L", 1.0),
+                         eps=_pick(args, cfg, "eps", 0.1))
 
 
 def _write_lines(lines: list[str], out_path: str | None):
@@ -125,18 +126,13 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "field":
-        def pick(name, default):
-            v = getattr(args, name, None)
-            if v is not None:
-                return v
-            return type(default)(cfg.get(name, default))
-        x_min = pick("x_min", -2.0)
-        x_max = pick("x_max", 2.0)
-        t_min = pick("t_min", 0.05)
-        t_max = pick("t_max", 0.2)
-        nx = pick("nx", 41)
-        nt = pick("nt", 4)
-        mode = pick("mode", "asymptotic")
+        x_min = _pick(args, cfg, "x_min", -2.0)
+        x_max = _pick(args, cfg, "x_max", 2.0)
+        t_min = _pick(args, cfg, "t_min", 0.05)
+        t_max = _pick(args, cfg, "t_max", 0.2)
+        nx = _pick(args, cfg, "nx", 41)
+        nt = _pick(args, cfg, "nt", 4)
+        mode = _pick(args, cfg, "mode", "asymptotic")
         res = sample_grid((x_min, x_max), (t_min, t_max), (nx, nt), p, mode)
         lines = ["x,t,region,re_psi,im_psi,abs_psi"]
         key = "asymptotic" if mode != "numeric" else "numeric"

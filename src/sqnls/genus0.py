@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,17 +23,13 @@ from .phase_geometry import (
     quartic_surd,
     trace_zero_level,
 )
-from .scattering import BarrierParams, BranchCut, kappa_weight, nu_branch, nu_imag_cut
+from .scattering import BarrierParams, kappa_weight, nu_imag_cut
 from .specfun import QuadratureSpec, dilog, quad_ray_to_inf
 
 __all__ = [
-    "Genus0State",
     "RegionError",
-    "genus0_state",
     "stationary_points_g0",
-    "exterior_stationary_point",
     "build_band_g0",
-    "gfun_g0",
     "omega_phase",
     "omega_selfsimilar",
     "psi_asy_g0",
@@ -46,34 +41,10 @@ class RegionError(ValueError):
     """(x, t) lies outside the region this evaluator covers."""
 
 
-@dataclass(frozen=True)
-class Genus0State:
-    """Stationary points, band contour and slow phase at one (x, t) in S1."""
-
-    x: float
-    t: float
-    xi0: float
-    xi1: float
-    band: TracedContour
-    omega: float
-
-    def __post_init__(self):
-        if not (self.xi1 < 0 < self.xi0):
-            raise ValueError("stationary points must straddle the origin")
-
-
-def genus0_state(x: float, t: float, p: "BarrierParams") -> Genus0State:
-    """Assemble the full plane-wave-window state at one interior (x, t)."""
-    xi0, xi1 = stationary_points_g0(x, t, p)
-    band = build_band_g0(x, t, p)
-    omega = omega_phase(x, t, p, method="dilog")
-    return Genus0State(x=x, t=t, xi0=xi0, xi1=xi1, band=band, omega=omega)
-
-
 def stationary_points_g0(x: float, t: float, p: BarrierParams) -> tuple[float, float]:
     """Real stationary points (xi0, xi1) of the two modified phases in S1."""
     if abs(x) >= p.L:
-        raise RegionError("|x| must be < L; use the exterior helper for |x| > L")
+        raise RegionError("|x| must be < L")
     if t <= 0:
         raise RegionError("t must be positive")
     if t >= first_breaking_time(x, p):
@@ -83,29 +54,6 @@ def stationary_points_g0(x: float, t: float, p: BarrierParams) -> tuple[float, f
     xi0 = -bm / (4 * t) * (1.0 + quartic_surd(bm, t, p.q))
     xi1 = -bp / (4 * t) * (1.0 + quartic_surd(bp, t, p.q))
     return xi0, xi1
-
-
-def exterior_stationary_point(x: float, t: float, p: BarrierParams, k: int = 0) -> float:
-    """Stationary point of the k-th unmodified phase for x outside the support.
-
-    k = 0 has the closed form -(x-L)/(2t); higher harmonics are located by a
-    bracketed root solve, seeded by the small-time value -(x+(2k-1)L)/(2t).
-    """
-    if x <= p.L:
-        raise RegionError("exterior helper expects x > L")
-    if t <= 0:
-        raise RegionError("t must be positive")
-    if k == 0:
-        return -(x - p.L) / (2 * t)
-    from scipy.optimize import brentq
-
-    def dtheta(z: float) -> float:
-        nu = -math.sqrt(z * z + p.q * p.q)
-        return 4 * t * z + 2 * (x - p.L) + 4 * k * p.L * z / nu
-
-    guess = -(x + (2 * k - 1) * p.L) / (2 * t)
-    lo, hi = 3 * guess, -1e-12
-    return brentq(dtheta, lo, hi, xtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -185,19 +133,6 @@ def build_band_g0(x: float, t: float, p: BarrierParams, base_step: float | None 
     lower = [pt.conjugate() for pt in reversed(up_pts)]
     band_pts = np.array([-1j * q] + lower[:-1] + up_pts[::-1][1:] + [1j * q], dtype=complex)
     return TracedContour(band_pts, ("branch_point", "branch_point"), base_step)
-
-
-def gfun_g0(z: complex, x: float, t: float, p: BarrierParams, band: TracedContour,
-            side: int | None = None) -> tuple[complex, complex, complex]:
-    """(g, phi0, phi1) with nu branched along the traced band contour."""
-    cut = BranchCut("curved_polyline", polyline=tuple(band.points))
-    nu = nu_branch(z, cut, p.q, side=side)
-    b = x - p.L
-    theta0 = 2 * t * z * z + 2 * b * z
-    g = 0.5 * theta0 - nu * (t * z + b) + 0.5 * t * p.q ** 2
-    phi0 = 2 * nu * (t * z + b) - t * p.q ** 2
-    phi1 = phi0 + 4 * p.L * nu
-    return g, phi0, phi1
 
 
 # ---------------------------------------------------------------------------

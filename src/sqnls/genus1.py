@@ -159,7 +159,6 @@ def endpoint_residuals(alpha: complex, x_minus_l: float, t: float, q: float,
     """
     if quad is None:
         quad = QuadratureSpec(target_abs_tol=1e-12)
-    quad = replace(quad, endpoint_singularity="inverse_sqrt_both")
     a = complex(alpha)
     ac = a.conjugate()
     f_m = t / 4.0 * (3 * a * a + 2 * a * ac + 3 * ac * ac + 4 * q * q) \
@@ -171,7 +170,7 @@ def endpoint_residuals(alpha: complex, x_minus_l: float, t: float, q: float,
     def integrand(lam: np.ndarray) -> np.ndarray:
         return big_s(lam, a, q) * (t * (2 * lam + a + ac) + x_minus_l)
 
-    f_g = quad_path(integrand, [ac, a], quad)
+    f_g = quad_path(integrand, [ac, a], quad, sqrt_ends="both")
     return f_m, f_g
 
 
@@ -242,14 +241,13 @@ def _cut_integral(g, cut: str, alpha: complex, q: float, quad: QuadratureSpec,
         z, r_side = _r_on_cut(s.real, c, d, co, do, u_sign)
         return g(z, r_side) * d
 
-    return quad_path(param_integrand, [-1.0, 1.0],
-                     replace(quad, endpoint_singularity="inverse_sqrt_both"))
+    return quad_path(param_integrand, [-1.0, 1.0], quad, sqrt_ends="both")
 
 
 def _a_cycle(num, alpha: complex, q: float, quad: QuadratureSpec) -> complex:
     """a-period of num(z)/R(z) dz: twice the straight-segment integral alpha -> alpha*."""
-    spec = replace(quad, endpoint_singularity="inverse_sqrt_both")
-    val = quad_path(lambda z: num(z) / big_r(z, alpha, q), [alpha, alpha.conjugate()], spec)
+    val = quad_path(lambda z: num(z) / big_r(z, alpha, q), [alpha, alpha.conjugate()], quad,
+                    sqrt_ends="both")
     return 2.0 * val
 
 
@@ -270,8 +268,8 @@ def seg_integral_inv_r(alpha: complex, q: float, quad: QuadratureSpec | None = N
     """
     if quad is None:
         quad = QuadratureSpec(target_abs_tol=1e-12)
-    spec = replace(quad, endpoint_singularity="inverse_sqrt_both")
-    return quad_path(lambda z: 1.0 / big_r(z, alpha, q), [alpha.conjugate(), alpha], spec)
+    return quad_path(lambda z: 1.0 / big_r(z, alpha, q), [alpha.conjugate(), alpha], quad,
+                     sqrt_ends="both")
 
 
 def period_integrals(alpha: complex, q: float, quad: QuadratureSpec | None = None
@@ -295,8 +293,8 @@ def period_integrals(alpha: complex, q: float, quad: QuadratureSpec | None = Non
     H_real = H_val.real
     if H_real > 0:
         raise RuntimeError(f"b-period positive ({H_real}); orientation conventions broken")
-    tail_spec = replace(quad, endpoint_singularity="inverse_sqrt_left")
-    a_inf = c_nu * quad_ray_to_inf(lambda z: 1.0 / big_r(z, alpha, q), 1j * q, 1j, 2, tail_spec)
+    a_inf = c_nu * quad_ray_to_inf(lambda z: 1.0 / big_r(z, alpha, q), 1j * q, 1j, 2, quad,
+                                   sqrt_start=True)
     return H_real, a_period, a_inf, c_nu
 
 
@@ -311,15 +309,15 @@ def abel_map(z: complex, alpha: complex, c_nu: complex, q: float,
         quad = QuadratureSpec(target_abs_tol=1e-11)
     z = complex(z)
     start = 1j * q
-    sing = "inverse_sqrt_both" if _is_cut_end(z, alpha, q) else "inverse_sqrt_left"
+    ends = "both" if _is_cut_end(z, alpha, q) else "start"
     path = [start, z]
     if not _path_clears_cuts(path, alpha, q):
         w = max(alpha.real, z.real) + 2.0 * (q + abs(alpha)) + 0.5j * (q + z.imag)
         path = [start, w, z]
         if not _path_clears_cuts(path, alpha, q):
             raise ValueError(f"no cut-avoiding two-leg path from iq to {z}")
-    spec = replace(quad, endpoint_singularity=sing)
-    return c_nu * quad_path(lambda lam: 1.0 / big_r(lam, alpha, q), path, spec)
+    return c_nu * quad_path(lambda lam: 1.0 / big_r(lam, alpha, q), path, quad,
+                            sqrt_ends=ends)
 
 
 def _is_cut_end(z: complex, alpha: complex, q: float) -> bool:
@@ -406,8 +404,7 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams,
 
     # eta = -theta0(iq) + 2 int_inf^iq rho, up the imaginary axis
     theta0_iq = 2 * t * (1j * q) ** 2 + 2 * (x - L) * (1j * q)
-    tail_spec = replace(quad, endpoint_singularity="inverse_sqrt_left")
-    eta_val = -theta0_iq - 2.0 * quad_ray_to_inf(rho, 1j * q, 1j, 2, tail_spec)
+    eta_val = -theta0_iq - 2.0 * quad_ray_to_inf(rho, 1j * q, 1j, 2, quad, sqrt_start=True)
     if abs(eta_val.imag) > 1e-8 * max(1.0, abs(eta_val)):
         raise RuntimeError(f"band-jump constant not real: {eta_val}")
 
@@ -424,9 +421,10 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams,
     # expanding the Cauchy integrals of s0, s1 at infinity gives
     # p' = (1/2 pi i) * (oriented weight integral), real since the gap
     # integral of 1/R is imaginary and the band integrals pair up
-    gap_spec = replace(quad, endpoint_singularity="inverse_sqrt_both")
-    gap_path_lower = quad_path(lambda z: 1.0 / big_r(z, a, q), [ac, xi0 + 0j], gap_spec)
-    gap_path_upper = quad_path(lambda z: 1.0 / big_r(z, a, q), [xi0 + 0j, a], gap_spec)
+    gap_path_lower = quad_path(lambda z: 1.0 / big_r(z, a, q), [ac, xi0 + 0j], quad,
+                               sqrt_ends="both")
+    gap_path_upper = quad_path(lambda z: 1.0 / big_r(z, a, q), [xi0 + 0j, a], quad,
+                               sqrt_ends="both")
     gap_inv_r = gap_path_lower + gap_path_upper
     p1_slope_c = -1j * omega_val / (2 * math.pi) * gap_inv_r
     if abs(p1_slope_c.imag) > 1e-8 * max(1.0, abs(p1_slope_c)):
@@ -454,8 +452,10 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams,
         raise RuntimeError(f"p0 slope not real: {p0_slope}")
 
     gap_mom = (-0.5j * math.pi) * (
-        quad_path(lambda z: (z - a.real) / big_r(z, a, q), [ac, xi0 + 0j], gap_spec)
-        + quad_path(lambda z: (z - a.real) / big_r(z, a, q), [xi0 + 0j, a], gap_spec))
+        quad_path(lambda z: (z - a.real) / big_r(z, a, q), [ac, xi0 + 0j], quad,
+                  sqrt_ends="both")
+        + quad_path(lambda z: (z - a.real) / big_r(z, a, q), [xi0 + 0j, a], quad,
+                    sqrt_ends="both"))
     p0_const = (band1_mom + band2_mom + gap_mom) / (2 * math.pi) + math.pi / 4.0
 
     # T0 and the tau1 consistency check against -Omega
@@ -464,9 +464,8 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams,
         raise RuntimeError(f"T0 not real: {t0_val}")
 
     # Y0 = p0_const + p0' (iq - int_{iq}^{inf} (num2 + c_tau)/R - 1)
-    resid_spec = replace(quad, endpoint_singularity="inverse_sqrt_left")
     resid = quad_ray_to_inf(lambda z: (num2(z) + c_tau) / big_r(z, a, q) - 1.0,
-                            1j * q, 1.0, 2, resid_spec)
+                            1j * q, 1.0, 2, quad, sqrt_start=True)
     y0_val = p0_const + p0_slope.real * (1j * q - resid)
     if abs(y0_val.imag) > 1e-7 * max(1.0, abs(y0_val)):
         raise RuntimeError(f"Y0 not real: {y0_val}")

@@ -10,15 +10,15 @@ oscillations are physical and must not be filtered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sp_fft
 
 from .scattering import BarrierParams
 
-__all__ = ["SolverConfig", "GridField", "InstabilityError", "evolve", "compare_fields",
-           "barrier_initial_data", "default_config"]
+__all__ = ["SolverConfig", "GridField", "InstabilityError", "evolve", "barrier_initial_data",
+           "default_config"]
 
 
 class InstabilityError(RuntimeError):
@@ -101,17 +101,17 @@ def barrier_initial_data(x: np.ndarray, p: BarrierParams) -> np.ndarray:
     return psi
 
 
-def default_config(p: BarrierParams, t_final: float, snapshot_times,
-                   min_half_width: float = 4.0, refine: int = 1,
+def default_config(p: BarrierParams, t_final: float, snapshot_times, refine: int = 1,
                    dt_divisor: float = 4.0) -> SolverConfig:
-    """Desk-scale configuration: smallest power-of-two grid resolving eps.
+    """Desk-scale configuration: half-width max(4, L + 4 q t_final) and the
+    smallest power-of-two grid resolving eps.
 
     For validation runs against the asymptotics pass refine = 2 and
     dt_divisor = 32: the plane wave is modulationally unstable and the
     splitting error grows like exp(q^2 t / eps), so the default dt = dx/4
     is not accuracy-converged at small eps even though it conserves.
     """
-    half_width = max(min_half_width, p.L + 4.0 * p.q * t_final)
+    half_width = max(4.0, p.L + 4.0 * p.q * t_final)
     n = 2
     while 2.0 * half_width / n > p.eps / (8.0 * p.q):
         n *= 2
@@ -189,19 +189,3 @@ def evolve(cfg: SolverConfig) -> list[GridField]:
             check(psi, t_now)
         snapshots.append(GridField(x_nodes=x.copy(), values=psi.copy(), t=t_target))
     return snapshots
-
-
-def compare_fields(numeric: GridField, asymptotic: GridField,
-                   patch: tuple[float, float]) -> tuple[float, float]:
-    """(max, rms) of |psi_num - psi_asy| restricted to patch = (lo, hi)."""
-    if len(numeric.x_nodes) != len(asymptotic.x_nodes) or \
-            not np.allclose(numeric.x_nodes, asymptotic.x_nodes, rtol=0, atol=1e-12):
-        raise ValueError("fields live on different grids")
-    if abs(numeric.t - asymptotic.t) > 1e-12:
-        raise ValueError("fields are at different times")
-    lo, hi = patch
-    mask = (numeric.x_nodes >= lo) & (numeric.x_nodes <= hi)
-    if not np.any(mask):
-        raise ValueError("patch contains no grid nodes")
-    diff = np.abs(numeric.values[mask] - asymptotic.values[mask])
-    return float(np.max(diff)), float(math.sqrt(np.mean(diff ** 2)))

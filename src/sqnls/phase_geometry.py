@@ -8,6 +8,7 @@ the derivative density rho1 of the second modified phase.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -256,8 +257,10 @@ def second_breaking_time(x: float, p, tol: float = 1e-8) -> float:
     t1 = first_breaking_time(x, p)
     q, L = p.q, p.L
 
+    @functools.cache
     def bump_max(t: float):
-        # (value, lam_star, endpoint state) at trial time t
+        # (value, lam_star, endpoint state) at trial time t; brentq re-evaluates
+        # the bracket ends, and the closing call repeats its last point
         mu = (L - x) / (2.0 * t)
         state = solve_endpoint(mu, q)
         return (*rho1_bump_max(state.alpha, mu - state.alpha.real, t, L, q), state)
@@ -316,6 +319,7 @@ def ray_breaking_time(mu: float, p) -> float:
     state = solve_endpoint(mu, q)
     xi0 = mu - state.alpha.real
 
+    @functools.cache
     def gap(t: float) -> float:
         return rho1_bump_max(state.alpha, xi0, t, L, q)[0]
 

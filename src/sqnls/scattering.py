@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,9 +26,6 @@ __all__ = [
     "nu_branch",
     "nu_imag_cut",
     "scattering_data",
-    "reflection_coefficient",
-    "harmonic_term",
-    "r0_star",
     "eigenvalues",
     "eigenvalue_phase",
     "connection_coefficient",
@@ -222,47 +219,6 @@ def scattering_data(z: complex, p: BarrierParams) -> tuple[complex, complex, com
     return a, b, b / a
 
 
-def reflection_coefficient(z: complex, p: BarrierParams) -> complex:
-    return scattering_data(z, p)[2]
-
-
-# ---------------------------------------------------------------------------
-# harmonic expansion of r
-# ---------------------------------------------------------------------------
-
-def r0_star(z: complex, q: float, cut: BranchCut | None = None) -> complex:
-    """Schwarz reflection of r0: conj(r0(conj z)); equals conj(r0) on the real axis."""
-    nu = nu_imag_cut(complex(z).conjugate(), q) if cut is None else \
-        nu_branch(complex(z).conjugate(), cut, q)
-    return (-1j * q / (nu + complex(z).conjugate())).conjugate()
-
-
-def harmonic_term(z: complex, k: int, x: float, t: float, p: BarrierParams,
-                  cut: BranchCut | None = None) -> tuple[complex, complex]:
-    """(r_k, theta_k) of the multi-harmonic expansion of r e^{i theta/eps}.
-
-    r_0 = -iq/(nu+z) and r_k = -r_0^{2k-1} (1 + r_0 r_0*) for every k >= 1;
-    theta_k = 2 t z^2 + 2 (x-L) z + 4 k L nu. The factor 1 + r_0 r_0* is the
-    analytic continuation of 1 + |r_0|^2 and equals 1 - r_0^2. The constant
-    minus sign for k >= 1 is forced by the geometric-series expansion of the
-    exact reflection coefficient (checked against partial sums in the tests).
-    """
-    if k < 0:
-        raise ValueError("harmonic index k must be >= 0")
-    z = complex(z)
-    q = p.q
-    nu = nu_imag_cut(z, q) if cut is None else nu_branch(z, cut, q)
-    denom = nu + z
-    if abs(denom) < 1e-14 * q:
-        raise ZeroDivisionError("nu + z vanishes; r0 is singular here")
-    r0 = -1j * q / denom
-    theta_k = 2 * t * z * z + 2 * (x - p.L) * z + 4 * k * p.L * nu
-    if k == 0:
-        return r0, theta_k
-    rk = -(r0 ** (2 * k - 1)) * (1.0 + r0 * r0_star(z, q, cut))
-    return rk, theta_k
-
-
 # ---------------------------------------------------------------------------
 # eigenvalues on i(0, q)
 # ---------------------------------------------------------------------------
@@ -363,7 +319,7 @@ def chi_batch(z, a: float, q: float, quad: QuadratureSpec | None = None) -> np.n
     def f(s: np.ndarray) -> np.ndarray:
         return kappa_weight(s, q)[:, None] / (s[:, None] - z)
 
-    return -1j * quad_ray_to_inf(f, a, -1.0, 2, replace(quad, endpoint_singularity="none"))
+    return -1j * quad_ray_to_inf(f, a, -1.0, 2, quad)
 
 
 def chi_integral(z: complex, a: float, q: float, quad: QuadratureSpec | None = None,

@@ -57,34 +57,16 @@ class QuadratureConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerance and endpoint handling for a path integral.
-
-    endpoint_singularity is one of 'none', 'inverse_sqrt_left',
-    'inverse_sqrt_right', 'inverse_sqrt_both', 'log_left', 'log_right'.
-    Half-integer powers (both +1/2 and -1/2) are removed by the square-root
-    substitution, so 'inverse_sqrt_*' also covers integrands vanishing like
-    sqrt at an endpoint.
-    """
+    """Absolute tolerance and panel budget for a path integral."""
 
     target_abs_tol: float = 1e-10
     max_subdivisions: int = 400
-    endpoint_singularity: str = "none"
 
     def __post_init__(self):
         if not (self.target_abs_tol > 0):
             raise ValueError("target_abs_tol must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        allowed = {
-            "none",
-            "inverse_sqrt_left",
-            "inverse_sqrt_right",
-            "inverse_sqrt_both",
-            "log_left",
-            "log_right",
-        }
-        if self.endpoint_singularity not in allowed:
-            raise ValueError(f"unknown endpoint_singularity {self.endpoint_singularity!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -333,77 +315,67 @@ def _per_node(vals: np.ndarray, w) -> np.ndarray:
 
 
 def _segment_quad(f, z0: complex, z1: complex, tol: float, max_panels: int,
-                  sub_left: str = "none", sub_right: str = "none") -> np.ndarray:
+                  sqrt_left: bool = False, sqrt_right: bool = False) -> np.ndarray:
     """Integrate the array integrand f along the straight segment z0 -> z1.
 
-    sub_left / sub_right in {'none', 'sqrt', 'log'} select the variable
-    substitution removing the endpoint singularity; 'sqrt' and 'log' both
-    use u -> u^2 (the square-root map also regularizes u log u terms after
-    the extra Jacobian factor).
+    sqrt_left / sqrt_right select the substitution u -> u^2 at that end. It
+    removes half-integer powers, +1/2 and -1/2 alike, and after its extra
+    Jacobian factor u it also regularizes u log u terms.
     """
     d = z1 - z0
-    if sub_left == "none" and sub_right == "none":
+    if not sqrt_left and not sqrt_right:
         return adaptive_gl(lambda s: f(z0 + s * d) * d, 0.0, 1.0, tol, max_panels)
-    if sub_left != "none" and sub_right != "none":
+    if sqrt_left and sqrt_right:
         # split at the midpoint and substitute from each end
         zm = z0 + 0.5 * d
-        return (_segment_quad(f, z0, zm, 0.5 * tol, max_panels, sub_left=sub_left)
-                + _segment_quad(f, zm, z1, 0.5 * tol, max_panels, sub_right=sub_right))
-    if sub_right != "none":
+        return (_segment_quad(f, z0, zm, 0.5 * tol, max_panels, sqrt_left=True)
+                + _segment_quad(f, zm, z1, 0.5 * tol, max_panels, sqrt_right=True))
+    if sqrt_right:
         # mirror so the singular endpoint sits on the left
-        return _segment_quad(f, z1, z0, tol, max_panels, sub_left=sub_right) * -1.0
+        return _segment_quad(f, z1, z0, tol, max_panels, sqrt_left=True) * -1.0
     # singular endpoint at z0: lambda = z0 + d u^2, d lambda = 2 d u du
     return adaptive_gl(lambda u: _per_node(f(z0 + d * u * u), 2.0 * d * u), 0.0, 1.0,
                        tol, max_panels)
 
 
-def quad_path(integrand, path, spec: QuadratureSpec | None = None):
+def quad_path(integrand, path, spec: QuadratureSpec | None = None, sqrt_ends: str = "none"):
     """Integrate an array integrand along a polyline.
 
     integrand maps a 1-D complex array of n nodes to values of shape (n,)
     or (n, k); the result is a numpy complex scalar (a subclass of complex)
     or a (k,) array, and every component meets the tolerance on its own.
     path is a sequence of complex vertices; consecutive vertices are joined
-    by straight segments. Declared endpoint
-    singularities refer to the first / last vertex of the polyline.
+    by straight segments. sqrt_ends is 'none', 'start' (the first vertex)
+    or 'both' (the first and the last vertex): the ends that get the
+    square-root substitution of a half-integer power singularity.
     """
+    if sqrt_ends not in ("none", "start", "both"):
+        raise ValueError(f"sqrt_ends must be 'none', 'start' or 'both', not {sqrt_ends!r}")
     if spec is None:
         spec = QuadratureSpec()
     pts = [complex(p) for p in path]
     if len(pts) < 2:
         raise ValueError("path needs at least two vertices")
-    kind = spec.endpoint_singularity
-    left = "none"
-    right = "none"
-    if kind in ("inverse_sqrt_left", "inverse_sqrt_both"):
-        left = "sqrt"
-    if kind in ("inverse_sqrt_right", "inverse_sqrt_both"):
-        right = "sqrt"
-    if kind == "log_left":
-        left = "log"
-    if kind == "log_right":
-        right = "log"
-
     nseg = len(pts) - 1
     tol_per = spec.target_abs_tol / nseg
     total = 0.0 + 0.0j
     for i in range(nseg):
-        sl = left if i == 0 else "none"
-        sr = right if i == nseg - 1 else "none"
-        total = total + _segment_quad(integrand, pts[i], pts[i + 1], tol_per,
-                                      spec.max_subdivisions, sub_left=sl, sub_right=sr)
+        total = total + _segment_quad(
+            integrand, pts[i], pts[i + 1], tol_per, spec.max_subdivisions,
+            sqrt_left=i == 0 and sqrt_ends != "none",
+            sqrt_right=i == nseg - 1 and sqrt_ends == "both")
     return total
 
 
 def quad_ray_to_inf(integrand, start: complex, direction: complex, decay_power: float,
-                    spec: QuadratureSpec | None = None):
+                    spec: QuadratureSpec | None = None, sqrt_start: bool = False):
     """Integrate an array integrand from `start` to infinity along `direction`.
 
     integrand takes arrays, and the result has the shape, as in quad_path. The
     semi-infinite ray is mapped to [0, 1) by lambda = start + u/(1-u) *
     direction, which needs an algebraic decay rate >= 2 from the caller to
-    bound the transformed integrand at u = 1. Endpoint singularities of the
-    spec apply to the finite end.
+    bound the transformed integrand at u = 1. sqrt_start applies the
+    square-root substitution at the finite end.
     """
     if spec is None:
         spec = QuadratureSpec()
@@ -417,11 +389,8 @@ def quad_ray_to_inf(integrand, start: complex, direction: complex, decay_power: 
     def g(u: np.ndarray) -> np.ndarray:
         return _per_node(integrand(start + d * (u / (1.0 - u))), d / (1.0 - u) ** 2)
 
-    kind = spec.endpoint_singularity
-    if kind in ("inverse_sqrt_left", "log_left"):
+    if sqrt_start:
         # remove the finite-end singularity with u -> u^2 before the tail map
         return adaptive_gl(lambda v: _per_node(g(v * v), 2.0 * v), 0.0, 1.0,
                            spec.target_abs_tol, spec.max_subdivisions)
-    if kind != "none":
-        raise ValueError("only left-endpoint singularities make sense on a ray to infinity")
     return adaptive_gl(g, 0.0, 1.0, spec.target_abs_tol, spec.max_subdivisions)

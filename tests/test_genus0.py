@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -8,8 +7,6 @@ from sqnls.genus0 import (
     RegionError,
     _phi0_imagcut,
     build_band_g0,
-    exterior_stationary_point,
-    gfun_g0,
     omega_phase,
     omega_selfsimilar,
     psi_asy_g0,
@@ -43,17 +40,6 @@ class TestStationaryPoints:
             stationary_points_g0(1.5, 0.1, P)
         with pytest.raises(RegionError):
             stationary_points_g0(0.0, 0.4, P)
-
-    def test_exterior_helper(self):
-        x, t = 1.5, 0.2
-        assert abs(exterior_stationary_point(x, t, P, 0) + (x - 1.0) / (2 * t)) < 1e-14
-        # k = 1 root approaches the small-time form as t -> 0
-        t_small = 1e-4
-        xi1 = exterior_stationary_point(x, t_small, P, 1)
-        assert abs(xi1 + (x + 1.0) / (2 * t_small)) < 1.0
-        with pytest.raises(RegionError):
-            exterior_stationary_point(0.5, 0.2, P)
-
 
 class TestBandContour:
     def test_band_connects_branch_points(self):
@@ -98,43 +84,6 @@ class TestBandContour:
         assert abs(np.polyval(coef, 0.0) - xi0) < 1e-6
 
 
-class TestGFunction:
-    def test_decay_at_infinity(self):
-        band = build_band_g0(0.0, 0.2, P)
-        for ang in (0.4, 1.2, 2.5):
-            z = 1000.0 * cmath.exp(1j * ang)
-            g, _, _ = gfun_g0(z, 0.0, 0.2, P, band)
-            assert abs(g) < 5e-3  # O(1/|z|) with constant ~ q^2 |x-L| / 2
-
-    def test_schwarz_symmetry(self):
-        band = build_band_g0(0.0, 0.2, P)
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            z = complex(rng.uniform(-2, 2), rng.uniform(0.2, 2))
-            g_up, _, _ = gfun_g0(z, 0.0, 0.2, P, band)
-            g_dn, _, _ = gfun_g0(z.conjugate(), 0.0, 0.2, P, band)
-            assert abs(g_dn - g_up.conjugate()) < 1e-12 * max(1.0, abs(g_up))
-
-    def test_gap_inequality_on_ray(self):
-        # Im phi1 > 0 on a vertical ray from xi1
-        x, t = 0.0, 0.2
-        band = build_band_g0(x, t, P)
-        _, xi1 = stationary_points_g0(x, t, P)
-        for s in np.linspace(0.05, 2.0, 20):
-            _, _, phi1 = gfun_g0(complex(xi1, s), x, t, P, band)
-            assert phi1.imag > 0
-
-    def test_phi0_relation(self):
-        from sqnls.scattering import BranchCut, nu_branch
-        band = build_band_g0(0.0, 0.2, P)
-        z = 0.9 + 0.7j
-        g, phi0, phi1 = gfun_g0(z, 0.0, 0.2, P, band)
-        theta0 = 2 * 0.2 * z * z + 2 * (0.0 - 1.0) * z
-        assert abs((theta0 - 2 * g) - phi0) < 1e-12
-        nu = nu_branch(z, BranchCut("curved_polyline", polyline=tuple(band.points)), P.q)
-        assert abs(phi1 - phi0 - 4 * P.L * nu) < 1e-12
-
-
 class TestOmega:
     @pytest.mark.parametrize("x,t", [(0.0, 0.15), (0.2, 0.1), (0.5, 0.05),
                                      (-0.3, 0.2), (0.0, 0.3), (0.6, 0.08),
@@ -154,15 +103,6 @@ class TestOmega:
             w = omega_phase(x, t, P, method="dilog")
             w_ss = omega_selfsimilar(x, t, P, QuadratureSpec(1e-12))
             assert abs(w - w_ss) < 1e-8
-
-
-class TestState:
-    def test_builder(self):
-        from sqnls.genus0 import genus0_state
-        st = genus0_state(0.2, 0.15, P)
-        assert st.xi1 < 0 < st.xi0
-        assert abs(st.omega - omega_phase(0.2, 0.15, P)) == 0
-        assert abs(st.band.points[0] + 1j) < 1e-12
 
 
 class TestPsiAsy:

@@ -187,11 +187,11 @@ class TestPeriods:
         _, _, _, c_nu = period_integrals(st.alpha, Q, QUAD)
         z = 3.0 - 0.4j
         direct = abel_map(z, st.alpha, c_nu, Q, QUAD)
-        spec = QuadratureSpec(1e-12, endpoint_singularity="inverse_sqrt_left")
         from sqnls.phase_geometry import big_r
         from sqnls.specfun import quad_path
         detour = c_nu * quad_path(lambda lam: 1.0 / big_r(lam, st.alpha, Q),
-                                  [1j * Q, 6.0 + 2.0j, z], spec)
+                                  [1j * Q, 6.0 + 2.0j, z], QuadratureSpec(1e-12),
+                                  sqrt_ends="start")
         assert abs(direct - detour) < 1e-10
 
     def test_degenerate_rejected(self):

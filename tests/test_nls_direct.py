@@ -5,11 +5,9 @@ import pytest
 
 from sqnls import nls_direct
 from sqnls.nls_direct import (
-    GridField,
     InstabilityError,
     SolverConfig,
     barrier_initial_data,
-    compare_fields,
     default_config,
     evolve,
 )
@@ -192,31 +190,3 @@ class TestInstability:
             v[0] = np.nan
             return v
         self._assert_raised_at_first_step(monkeypatch, "fft", poison, "NaN detected")
-
-
-class TestCompareFields:
-    def test_identical_fields(self):
-        x = np.linspace(-1, 1, 64)
-        v = np.exp(1j * x)
-        a = GridField(x, v.copy(), 0.3)
-        b = GridField(x, v.copy(), 0.3)
-        assert compare_fields(a, b, (-0.5, 0.5)) == (0.0, 0.0)
-
-    def test_mismatched_grids_rejected(self):
-        a = GridField(np.linspace(-1, 1, 64), np.zeros(64, complex), 0.1)
-        b = GridField(np.linspace(-1, 1, 65), np.zeros(65, complex), 0.1)
-        with pytest.raises(ValueError):
-            compare_fields(a, b, (-0.5, 0.5))
-
-    def test_mismatched_times_rejected(self):
-        x = np.linspace(-1, 1, 64)
-        a = GridField(x, np.zeros(64, complex), 0.1)
-        b = GridField(x, np.zeros(64, complex), 0.2)
-        with pytest.raises(ValueError):
-            compare_fields(a, b, (-0.5, 0.5))
-
-    def test_empty_patch_rejected(self):
-        x = np.linspace(-1, 1, 64)
-        a = GridField(x, np.zeros(64, complex), 0.1)
-        with pytest.raises(ValueError):
-            compare_fields(a, a, (5.0, 6.0))

@@ -185,7 +185,7 @@ class TestBreakingTimes:
 
 
 class TestT2SearchCost:
-    """The T2 search solves the endpoint system but never reads its residuals."""
+    """The T2 search solves the endpoint once per trial time and never reads its residuals."""
 
     @staticmethod
     def _count(monkeypatch, module, name):
@@ -214,3 +214,20 @@ class TestT2SearchCost:
         second_breaking_time(0.3, P)
         assert len(bumps) > 0
         assert len(solves) == len(bumps)
+
+    @pytest.mark.parametrize("x", [0.1, 0.9])
+    def test_no_mu_solved_twice(self, monkeypatch, x):
+        # brentq evaluates its bracket ends again and the double-root polish
+        # revisits the root: each must come from the search's own cache
+        solves = self._count(monkeypatch, genus1, "solve_endpoint")
+        second_breaking_time(x, P)
+        mus = [args[0] for args in solves]
+        assert len(mus) > 0
+        assert len(set(mus)) == len(mus)
+
+    def test_no_ray_time_bumped_twice(self, monkeypatch):
+        bumps = self._count(monkeypatch, phase_geometry, "rho1_bump_max")
+        ray_breaking_time(0.9, P)
+        ts = [args[2] for args in bumps]
+        assert len(ts) > 0
+        assert len(set(ts)) == len(ts)

@@ -13,13 +13,10 @@ from sqnls.scattering import (
     connection_coefficient,
     eigenvalue_phase,
     eigenvalues,
-    harmonic_term,
     kappa_weight,
     multistep_scattering,
     nu_branch,
     nu_imag_cut,
-    r0_star,
-    reflection_coefficient,
     scattering_data,
 )
 from sqnls.specfun import QuadratureSpec, quad_path
@@ -139,50 +136,6 @@ class TestScatteringData:
             a_trig = (cmath.cos(phi) - 1j * z * cmath.sin(phi) / nu) * cmath.exp(
                 2j * p_small.L * z / p_small.eps)
             assert abs(a - a_trig) < 1e-10 * abs(a)
-
-
-class TestHarmonicExpansion:
-    def test_r0_at_origin(self):
-        r0, _ = harmonic_term(1e-14, 0, 0.0, 0.0, P)
-        assert abs(r0 + 1j) < 1e-10
-
-    def test_r1_form(self):
-        # r1 = -r0 (1 + r0 r0*); the sign is pinned by the partial-sum test below
-        z = 0.4 + 0.8j
-        r0, _ = harmonic_term(z, 0, 0.1, 0.2, P)
-        r1, _ = harmonic_term(z, 1, 0.1, 0.2, P)
-        assert abs(r1 + r0 * (1 + r0 * r0_star(z, P.q))) < 1e-14
-
-    def test_theta0_real_on_axis(self):
-        _, th0 = harmonic_term(1.3, 0, 0.4, 0.7, P)
-        assert abs(th0.imag) < 1e-14
-
-    def test_theta_k_raises_with_nu(self):
-        z = 0.5 + 1.0j
-        nu = nu_imag_cut(z, P.q)
-        _, th0 = harmonic_term(z, 0, 0.1, 0.2, P)
-        _, th2 = harmonic_term(z, 2, 0.1, 0.2, P)
-        assert abs((th2 - th0) - 8 * P.L * nu) < 1e-13
-
-    def test_partial_sums_bounded_by_tail(self):
-        # geometric tail: the K-term truncation error of r e^{i theta/eps}
-        # is controlled by the modulus of the (K+1)-th term
-        z = 0.6 + 1.1j
-        x, t, K = 1.4, 0.3, 3
-        r = reflection_coefficient(z, P)
-        _, th = harmonic_term(z, 0, x, t, P)
-        target = r * cmath.exp(1j * (2 * t * z * z + 2 * x * z) / P.eps)
-        total = 0.0
-        for k in range(K + 1):
-            rk, thk = harmonic_term(z, k, x, t, P)
-            total += rk * cmath.exp(1j * thk / P.eps)
-        r4, th4 = harmonic_term(z, K + 1, x, t, P)
-        tail_head = abs(r4 * cmath.exp(1j * th4 / P.eps))
-        r0, _ = harmonic_term(z, 0, x, t, P)
-        nu = nu_imag_cut(z, P.q)
-        ratio = abs(r0 ** 2 * cmath.exp(4j * P.L * nu / P.eps))
-        assert ratio < 1
-        assert abs(target - total) <= tail_head / (1 - ratio) + 1e-15
 
 
 class TestEigenvalues:

@@ -122,8 +122,8 @@ class TestThetaSum:
 
 class TestQuadPath:
     def test_inverse_sqrt_left(self):
-        spec = QuadratureSpec(target_abs_tol=1e-12, endpoint_singularity="inverse_sqrt_left")
-        val = quad_path(lambda z: 1.0 / np.sqrt(z), [0.0, 1.0], spec)
+        spec = QuadratureSpec(target_abs_tol=1e-12)
+        val = quad_path(lambda z: 1.0 / np.sqrt(z), [0.0, 1.0], spec, sqrt_ends="start")
         assert abs(val - 2.0) < 1e-11
 
     def test_unit_circle_residue(self):
@@ -152,8 +152,8 @@ class TestQuadPath:
         assert abs(fwd + bwd) < 1e-11
 
     def test_log_endpoint(self):
-        spec = QuadratureSpec(target_abs_tol=1e-12, endpoint_singularity="log_left")
-        val = quad_path(np.log, [0.0, 1.0], spec)
+        spec = QuadratureSpec(target_abs_tol=1e-12)
+        val = quad_path(np.log, [0.0, 1.0], spec, sqrt_ends="start")
         assert abs(val + 1.0) < 1e-10
 
     def test_convergence_error_carries_estimate(self):
@@ -167,8 +167,16 @@ class TestQuadPath:
             QuadratureSpec(target_abs_tol=-1.0)
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=0)
+
+    def test_unknown_sqrt_ends_rejected(self):
         with pytest.raises(ValueError):
-            QuadratureSpec(endpoint_singularity="cube_root")
+            quad_path(lambda z: z, [0.0, 1.0], sqrt_ends="cube_root")
+
+    def test_tail_with_inverse_sqrt_start(self):
+        # integral_0^inf lam^(-1/2) (1 + lam)^(-2) dlam = B(1/2, 3/2) = pi / 2
+        val = quad_ray_to_inf(lambda lam: 1.0 / (np.sqrt(lam) * (1.0 + lam) ** 2), 0.0, 1.0, 2,
+                              QuadratureSpec(1e-12), sqrt_start=True)
+        assert abs(val - math.pi / 2) < 1e-11
 
     def test_tail_needs_decay_rate(self):
         with pytest.raises(ValueError):
@@ -265,10 +273,11 @@ class TestAdaptiveGL:
 
     def test_vector_matches_scalar_path(self):
         f = lambda z: np.exp(z) / (1 + z * z / 9)
-        spec = QuadratureSpec(1e-12, endpoint_singularity="inverse_sqrt_both")
+        spec = QuadratureSpec(1e-12)
         path = [0.0, 0.4 + 0.4j, 1.0 + 1.0j]
-        vec = quad_path(lambda z: np.stack((f(z), 2.0 * f(z)), axis=1), path, spec)
-        one = quad_path(f, path, spec)
+        vec = quad_path(lambda z: np.stack((f(z), 2.0 * f(z)), axis=1), path, spec,
+                        sqrt_ends="both")
+        one = quad_path(f, path, spec, sqrt_ends="both")
         assert isinstance(one, complex)
         assert abs(vec[0] - one) < 1e-12
         assert abs(vec[1] - 2.0 * one) < 2e-12

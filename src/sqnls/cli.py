@@ -134,18 +134,24 @@ def main(argv: list[str] | None = None) -> int:
         nt = _pick(args, cfg, "nt", 4)
         mode = _pick(args, cfg, "mode", "asymptotic")
         res = sample_grid((x_min, x_max), (t_min, t_max), (nx, nt), p, mode)
-        lines = ["x,t,region,re_psi,im_psi,abs_psi"]
+        both = mode == "both"
+        header = "x,t,region,re_psi,im_psi,abs_psi"
+        lines = [header + ",re_num,im_num,abs_num,abs_err" if both else header]
         key = "asymptotic" if mode != "numeric" else "numeric"
-        for fld in res[key]:
+        for i, fld in enumerate(res[key]):
             for j, x in enumerate(fld.x_nodes):
                 lab = fld.region_labels[j]
                 lab_out = lab if lab != "beyond_scope" else "NA"
                 v = fld.values[j]
-                if np.isnan(v.real):
-                    lines.append(f"{_fmt(float(x))},{_fmt(fld.t)},{lab_out},,,")
-                else:
-                    lines.append(f"{_fmt(float(x))},{_fmt(fld.t)},{lab_out},"
-                                 f"{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))}")
+                row = f"{_fmt(float(x))},{_fmt(fld.t)},{lab_out},"
+                empty = np.isnan(v.real)
+                row += ",," if empty else f"{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))}"
+                if both:
+                    # the solver value next to the asymptotic one, and their distance
+                    u = res["numeric"][i].values[j]
+                    row += f",{_fmt(u.real)},{_fmt(u.imag)},{_fmt(abs(u))},"
+                    row += "" if empty else _fmt(abs(u - v))
+                lines.append(row)
         _write_lines(lines, args.out)
         errors = res["errors"]
         if errors:

@@ -16,7 +16,7 @@ import numpy as np
 from .genus0 import RegionError, psi_asy_g0
 from .genus1 import modulation_constants, psi_asy_g1, solve_endpoint
 from .nls_direct import GridField, default_config, evolve
-from .phase_geometry import first_breaking_time, second_breaking_time
+from .phase_geometry import PinchPointError, first_breaking_time, second_breaking_time
 from .scattering import BarrierParams
 
 __all__ = ["Region", "classify", "psi_asymptotic", "sample_grid", "breaking_curves"]
@@ -37,17 +37,17 @@ _T2_CACHE: dict[tuple, float | None] = {}
 
 
 def _t2_cached(x: float, p: BarrierParams) -> float | None:
-    """Memoized T2(x); None where the double-root search fails.
+    """Memoized T2(x); None where the double-root search finds no bracket.
 
     The search genuinely fails at x = 0, where the two breaking curves
     pinch together (T2(x) -> T1(0) as x -> 0) and the oscillatory window
-    has zero width.
+    has zero width, and close to |x| = L. Any other failure propagates.
     """
     key = (p.q, p.L, p.eps, round(abs(x), 12))
     if key not in _T2_CACHE:
         try:
             _T2_CACHE[key] = second_breaking_time(abs(x), p)
-        except RuntimeError:
+        except PinchPointError:
             _T2_CACHE[key] = None
     return _T2_CACHE[key]
 

@@ -24,7 +24,7 @@ from .phase_geometry import (
     trace_zero_level,
 )
 from .scattering import BarrierParams, kappa_weight, nu_imag_cut
-from .specfun import QuadratureSpec, dilog, quad_ray_to_inf
+from .specfun import QuadratureSpec, brentq, dilog, quad_ray_to_inf
 
 __all__ = [
     "RegionError",
@@ -78,8 +78,6 @@ def _leave_branch_point(phase, pnt: complex, h0: float, want) -> complex:
     discontinuities, not level crossings; they are rejected by the residual
     check (a genuine crossing drives Im phase to roundoff).
     """
-    from scipy.optimize import brentq
-
     thetas = np.linspace(-math.pi, math.pi, 241)
     vals = [phase(pnt + h0 * cmath.exp(1j * th))[0].imag for th in thetas]
     candidates = []

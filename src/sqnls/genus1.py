@@ -16,14 +16,14 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .phase_geometry import big_r, big_s, rho1_real_roots
 from .scattering import BarrierParams, _dist_to_polyline, chi_batch
-from .specfun import (QuadratureSpec, complete_elliptic, cut_sqrt, quad_path, quad_ray_to_inf,
-                      theta_sum)
+from .specfun import (QuadratureSpec, brentq, complete_elliptic, cut_sqrt, quad_path,
+                      quad_ray_to_inf, theta_sum)
 
 __all__ = [
+    "RealityError",
     "EndpointState",
     "ModulationParams",
     "elliptic_parameter",
@@ -44,6 +44,19 @@ __all__ = [
 # band (traversed alpha -> iq) and u > 0 on the lower one (-iq -> alpha*)
 _BAND1_SIDE = -1.0
 _BAND2_SIDE = +1.0
+
+
+class RealityError(RuntimeError):
+    """A period or modulation constant that must be real came out complex.
+
+    Raised when the imaginary part exceeds the relative tolerance of its
+    check, which points at a broken branch or path convention upstream.
+    `value` is the offending complex number.
+    """
+
+    def __init__(self, message: str, value: complex):
+        super().__init__(message)
+        self.value = value
 
 
 @dataclass(frozen=True)
@@ -289,7 +302,7 @@ def period_integrals(alpha: complex, q: float, quad: QuadratureSpec | None = Non
     b_per = _b_cycle(lambda z: 1.0 + 0j, alpha, q, quad)
     H_val = c_nu * b_per
     if abs(H_val.imag) > 1e-8 * max(1.0, abs(H_val)):
-        raise RuntimeError(f"b-period came out non-real: {H_val}")
+        raise RealityError(f"b-period came out non-real: {H_val}", H_val)
     H_real = H_val.real
     if H_real > 0:
         raise RuntimeError(f"b-period positive ({H_real}); orientation conventions broken")
@@ -369,8 +382,9 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams,
     """All slow constants of the oscillatory wave form at one (x, t).
 
     Assumes alpha solves the endpoint system at mu = -(x-L)/(2t). Reality of
-    Omega, eta, T0, Y0 and H is enforced to 1e-8 and violations raise, since
-    they indicate a broken branch or path convention upstream.
+    Omega, eta, T0, Y0 and H is enforced to 1e-8 and violations raise
+    RealityError, since they indicate a broken branch or path convention
+    upstream.
     """
     if quad is None:
         quad = QuadratureSpec(target_abs_tol=1e-10)
@@ -400,13 +414,13 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams,
         "band1", a, q, quad, _BAND1_SIDE)
     omega_val = loop_band1.real
     if abs(loop_band1.imag) > 1e-8 * max(1.0, abs(loop_band1)):
-        raise RuntimeError(f"gap-jump constant not real: {loop_band1}")
+        raise RealityError(f"gap-jump constant not real: {loop_band1}", loop_band1)
 
     # eta = -theta0(iq) + 2 int_inf^iq rho, up the imaginary axis
     theta0_iq = 2 * t * (1j * q) ** 2 + 2 * (x - L) * (1j * q)
     eta_val = -theta0_iq - 2.0 * quad_ray_to_inf(rho, 1j * q, 1j, 2, quad, sqrt_start=True)
     if abs(eta_val.imag) > 1e-8 * max(1.0, abs(eta_val)):
-        raise RuntimeError(f"band-jump constant not real: {eta_val}")
+        raise RealityError(f"band-jump constant not real: {eta_val}", eta_val)
 
     # holomorphic differential data
     H_real, a_period, a_inf, c_nu = period_integrals(a, q, quad)
@@ -428,12 +442,12 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams,
     gap_inv_r = gap_path_lower + gap_path_upper
     p1_slope_c = -1j * omega_val / (2 * math.pi) * gap_inv_r
     if abs(p1_slope_c.imag) > 1e-8 * max(1.0, abs(p1_slope_c)):
-        raise RuntimeError(f"p1 slope not real: {p1_slope_c}")
+        raise RealityError(f"p1 slope not real: {p1_slope_c}", p1_slope_c)
     p1_slope = p1_slope_c.real
     tau1_b_c = p1_slope * b_num
     tau1_b = tau1_b_c.real
     if abs(tau1_b_c - tau1_b) > 1e-8 * max(1.0, abs(tau1_b)):
-        raise RuntimeError("tau1 b-period not real")
+        raise RealityError("tau1 b-period not real", tau1_b_c)
 
     # p0: band pieces with the j weight, gap pieces with the constant -i pi/2;
     # the slope (j / R) and the moment ((z - Re alpha) j / R) of a band share
@@ -449,7 +463,7 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams,
     gaps_slope = (-0.5j * math.pi) * gap_inv_r
     p0_slope = (band1_slope + band2_slope + gaps_slope) / (2 * math.pi)
     if abs(p0_slope.imag) > 1e-7 * max(1.0, abs(p0_slope)):
-        raise RuntimeError(f"p0 slope not real: {p0_slope}")
+        raise RealityError(f"p0 slope not real: {p0_slope}", p0_slope)
 
     gap_mom = (-0.5j * math.pi) * (
         quad_path(lambda z: (z - a.real) / big_r(z, a, q), [ac, xi0 + 0j], quad,
@@ -461,14 +475,14 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams,
     # T0 and the tau1 consistency check against -Omega
     t0_val = p0_slope.real * b_num
     if abs(t0_val.imag) > 1e-8 * max(1.0, abs(t0_val)):
-        raise RuntimeError(f"T0 not real: {t0_val}")
+        raise RealityError(f"T0 not real: {t0_val}", t0_val)
 
     # Y0 = p0_const + p0' (iq - int_{iq}^{inf} (num2 + c_tau)/R - 1)
     resid = quad_ray_to_inf(lambda z: (num2(z) + c_tau) / big_r(z, a, q) - 1.0,
                             1j * q, 1.0, 2, quad, sqrt_start=True)
     y0_val = p0_const + p0_slope.real * (1j * q - resid)
     if abs(y0_val.imag) > 1e-7 * max(1.0, abs(y0_val)):
-        raise RuntimeError(f"Y0 not real: {y0_val}")
+        raise RealityError(f"Y0 not real: {y0_val}", y0_val)
 
     defect = max(abs(loop_band1.imag), abs(eta_val.imag), abs(t0_val.imag),
                  abs(y0_val.imag), abs(p0_slope.imag), abs(p1_slope_c.imag))

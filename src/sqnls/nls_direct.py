@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sp_fft
 
 from .scattering import BarrierParams
 
@@ -136,6 +135,10 @@ def evolve(cfg: SolverConfig) -> list[GridField]:
     discrete L2 norm is checked at every snapshot; relative drift beyond
     1e-8 or a NaN aborts with the snapshots gathered so far.
     """
+    # scipy.fft loads on the first solve, not with the package: nothing else
+    # in sqnls needs scipy
+    import scipy.fft as sp_fft
+
     p = cfg.params
     n = cfg.grid_points
     dx = cfg.dx

@@ -13,14 +13,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
-from .specfun import cut_sqrt
+from .specfun import brentq, cut_sqrt, minimize_bounded
 
 __all__ = [
     "LevelTopology",
     "TracedContour",
     "SaddleError",
+    "PinchPointError",
     "level_topology",
     "trace_zero_level",
     "rho1_real_roots",
@@ -40,6 +40,15 @@ class SaddleError(RuntimeError):
     def __init__(self, message: str, points: list[complex]):
         super().__init__(message)
         self.points = points
+
+
+class PinchPointError(RuntimeError):
+    """The double-root search finds no second breaking time at this x.
+
+    At x = 0 the two breaking curves pinch together (T2(x) -> T1(0)), so
+    rho1 has no root pair just past T1; close to |x| = L the search window
+    runs out before the bump maximum turns negative.
+    """
 
 
 @dataclass(frozen=True)
@@ -206,9 +215,8 @@ def rho1_bump_max(alpha: complex, xi0: float, t: float, L: float, q: float
     the sign of the value counts the negative roots: two, one double, none.
     """
     lam_lo, lam_hi = _rho1_window(xi0, t, L, q)
-    res = minimize_scalar(lambda u: -rho1_value(u, alpha, xi0, t, L, q),
-                          bounds=(lam_lo, lam_hi), method="bounded", options={"xatol": 1e-13})
-    lam_star = float(res.x)
+    lam_star = minimize_bounded(lambda u: -rho1_value(u, alpha, xi0, t, L, q),
+                                lam_lo, lam_hi, xatol=1e-13)
     return rho1_value(lam_star, alpha, xi0, t, L, q), lam_star
 
 
@@ -250,6 +258,8 @@ def second_breaking_time(x: float, p, tol: float = 1e-8) -> float:
     self-similar variable mu = (L - |x|)/(2t), then the bump maximum of
     rho1 is driven to zero by bisection in t. Returns T2(x) > T1(x); the
     residuals |rho1| and |rho1'| at the reported double root are below tol.
+    Raises PinchPointError where no bracket for T2 exists (x = 0, and |x|
+    close to L).
     """
     from .genus1 import solve_endpoint  # deferred: genus1 builds on this module
 
@@ -268,7 +278,7 @@ def second_breaking_time(x: float, p, tol: float = 1e-8) -> float:
     t_lo = t1 * 1.0001
     g_lo = bump_max(t_lo)[0]
     if g_lo <= 0:
-        raise RuntimeError(f"no root pair just past T1(x) at x = {x}; bump max {g_lo}")
+        raise PinchPointError(f"no root pair just past T1(x) at x = {x}; bump max {g_lo}")
     t_hi = t_lo
     window = 10.0 * t1
     while True:
@@ -279,7 +289,7 @@ def second_breaking_time(x: float, p, tol: float = 1e-8) -> float:
         if t_hi >= window:
             window *= 4.0
             if window > 1e4 * t1:
-                raise RuntimeError(f"double-root search window exhausted at x = {x}")
+                raise PinchPointError(f"double-root search window exhausted at x = {x}")
 
     t2 = brentq(lambda t: bump_max(t)[0], t_lo, t_hi, xtol=1e-13, rtol=8.9e-16)
     _, lam_star, state = bump_max(t2)

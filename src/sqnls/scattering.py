@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import log1p
 
-from .specfun import QuadratureSpec, cut_sqrt, quad_path, quad_ray_to_inf
+from .specfun import QuadratureSpec, brentq, cut_sqrt, log1p, quad_path, quad_ray_to_inf
 
 __all__ = [
     "BarrierParams",
@@ -296,9 +294,9 @@ def kappa_weight(s, q: float):
     (nu + s)^2 = q^2, as the value +q would.
     """
     nu = cut_sqrt(s, 0.0, 1j * q)
-    # scipy's complex log1p keeps the relative precision of small arguments in
-    # the tails; numpy's rounds 1 + w first (in numpy 2.4, 8e-8 relative error
-    # at w = 1e-10)
+    # specfun.log1p keeps the relative precision of small arguments in the
+    # tails; numpy's log1p rounds 1 + w first for complex w (in numpy 2.4,
+    # 8e-8 relative error at w = 1e-10)
     return -log1p(q * q / (nu + s) ** 2) / (2 * math.pi)
 
 

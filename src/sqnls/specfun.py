@@ -1,11 +1,17 @@
-"""Special functions and complex-path quadrature kernels.
+"""Special functions, scalar solvers and complex-path quadrature kernels.
 
-Everything here is self-contained: complete elliptic integrals (AGM
-production scheme plus an independent power-series scheme for
-cross-checking), the real dilogarithm, the genus-1 theta sum, the branch
-square root `cut_sqrt` cut on a straight segment, and an adaptive
-Gauss-Legendre quadrature over complex polylines with endpoint-singularity
-substitutions and semi-infinite tail maps.
+Everything here is self-contained and needs numpy only: complete elliptic
+integrals (AGM production scheme plus an independent power-series scheme
+for cross-checking), the real dilogarithm, a complex log1p, the genus-1
+theta sum, the branch square root `cut_sqrt` cut on a straight segment, the
+Brent root finder `brentq` and bounded minimizer `minimize_bounded`, and an
+adaptive Gauss-Legendre quadrature over complex polylines with
+endpoint-singularity substitutions and semi-infinite tail maps.
+
+`brentq`, `minimize_bounded` and `log1p` follow scipy's
+`scipy.optimize.brentq`, `minimize_scalar(method="bounded")` and
+`scipy.special.log1p` operation for operation, so they take the same
+iterates and round the same way.
 
 The quadrature has one adaptive loop, `adaptive_gl`, and one calling
 convention: every integrand is an array function. It takes a 1-D array of
@@ -32,8 +38,11 @@ __all__ = [
     "ellipe",
     "complete_elliptic_series",
     "dilog",
+    "log1p",
     "theta_sum",
     "cut_sqrt",
+    "brentq",
+    "minimize_bounded",
     "adaptive_gl",
     "quad_path",
     "quad_ray_to_inf",
@@ -180,6 +189,110 @@ def dilog(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# complex log1p
+# ---------------------------------------------------------------------------
+
+# Cephes log1p: log(1 + x) = x - x^2/2 + x^3 P(x)/Q(x) for 1 + x in
+# [sqrt(1/2), sqrt(2)], Q monic; log(1 + x) outside
+_LOG1P_P = (4.5270000862445199635215e-5, 4.9854102823193375972212e-1,
+            6.5787325942061044846969e0, 2.9911919328553073277375e1,
+            6.0949667980987787057556e1, 5.7112963590585538103336e1,
+            2.0039553499201281259648e1)
+_LOG1P_Q = (1.5062909083469192043167e1, 8.3047565967967209469434e1,
+            2.2176239823732856465394e2, 3.0909872225312059774938e2,
+            2.1642788614495947685003e2, 6.0118660497603843919306e1)
+
+
+def _log1p_scalar(x: float) -> float:
+    z = 1.0 + x
+    if not 0.7071067811865476 <= z <= 1.4142135623730951:
+        return math.log(z) if z else -math.inf
+    p0, p1, p2, p3, p4, p5, p6 = _LOG1P_P
+    q0, q1, q2, q3, q4, q5 = _LOG1P_Q
+    p = (((((p0 * x + p1) * x + p2) * x + p3) * x + p4) * x + p5) * x + p6
+    q = (((((x + q0) * x + q1) * x + q2) * x + q3) * x + q4) * x + q5
+    xx = x * x
+    return x + (-0.5 * xx + x * (xx * p / q))
+
+
+def _log1p_real(x: np.ndarray) -> list[float]:
+    """log(1 + x) for the elements of a float array x >= -1, rounded as Cephes log1p.
+
+    One element at a time in Python floats: the logarithm must be math.log,
+    the C library's, since numpy's vectorised log differs from it in the
+    last bit for some arguments on CPUs where numpy dispatches it to SIMD
+    code, and the 60 or so nodes a quadrature panel pair evaluates are too
+    few for a masked numpy evaluation of the rational fit to pay off.
+    """
+    return [_log1p_scalar(v) for v in x.ravel().tolist()]
+
+
+def _two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _fast_two_sum(a, b):
+    # |a| >= |b|
+    s = a + b
+    return s, b - (s - a)
+
+
+def _square_two(a):
+    # a^2 = p + e exactly, by Dekker's split of a into two 26-bit halves
+    p = a * a
+    t = 134217729.0 * a
+    hi = t - (t - a)
+    lo = a - hi
+    return p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
+
+
+def _dd_add(a, b):
+    s1, s2 = _two_sum(a[0], b[0])
+    t1, t2 = _two_sum(a[1], b[1])
+    s1, s2 = _fast_two_sum(s1, s2 + t1)
+    return _fast_two_sum(s1, s2 + t2)
+
+
+def log1p(w):
+    """log(1 + w) for complex w, a point or an array, accurate for small |w|.
+
+    The branches of scipy.special.log1p: on the real axis w >= -1 the real
+    Cephes log1p (imaginary part 0); for |w| < 0.707 the modulus part
+    log1p(|1 + w|^2 - 1) / 2 with |1 + w|^2 - 1 = |w| (|w| + 2 Re w / |w|),
+    summed as Re w^2 + Im w^2 + 2 Re w in double-double arithmetic where it
+    cancels (|1 + w| near 1, that is Re w near -(Im w)^2 / 2), and the
+    argument atan2(Im w, 1 + Re w); elsewhere log(1 + w). A point gives a
+    numpy complex scalar.
+    """
+    w = np.asarray(w, dtype=complex)
+    zr, zi = w.real, w.imag
+    real = (zi == 0.0) & (zr >= -1.0)
+    if real.all():
+        # the spectral weight's case: floats to complex keeps the real part's sign
+        return np.array(_log1p_real(zr), dtype=complex).reshape(w.shape)[()]
+    out = np.empty_like(w)
+    out.real[real] = _log1p_real(zr[real])
+    out.imag[real] = 0.0
+    az = np.hypot(zr, zi)  # the C library's hypot, as scipy's |w|; np.abs rounds differently
+    small = ~real & (az < 0.707)
+    if small.any():
+        r, i, a = zr[small], zi[small], az[small]
+        mod2 = a * (a + 2 * r / a)
+        cancel = (r < 0) & (np.abs(-r - i * i / 2) / np.where(r < 0, -r, 1.0) < 0.5)
+        if cancel.any():
+            rc = r[cancel]
+            mod2[cancel] = _dd_add(_dd_add(_square_two(rc), _square_two(i[cancel])),
+                                   (2.0 * rc, 0.0))[0]
+        out.real[small] = 0.5 * np.array(_log1p_real(mod2))
+        out.imag[small] = np.arctan2(i, r + 1.0)
+    big = ~real & ~small
+    out[big] = np.log(1.0 + w[big])
+    return out[()]
+
+
+# ---------------------------------------------------------------------------
 # genus-1 theta sum
 # ---------------------------------------------------------------------------
 
@@ -225,6 +338,160 @@ def cut_sqrt(z, c: complex, d: complex):
     mid = w == 0
     w = np.where(mid, 1.0, w)
     return np.where(mid, 1j * d, w * np.sqrt(1.0 - (d / w) ** 2))[()]
+
+
+# ---------------------------------------------------------------------------
+# scalar root and bounded minimum
+# ---------------------------------------------------------------------------
+
+_BRENT_RTOL = 4 * 2.220446049250313e-16  # four machine epsilons, the least rtol allowed
+
+
+def _not_nan(f, x: float) -> float:
+    fx = float(f(x))
+    if fx != fx:
+        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+    return fx
+
+
+def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _BRENT_RTOL,
+           maxiter: int = 100) -> float:
+    """A root of the real function f in the bracket [a, b], by Brent's method.
+
+    A line-by-line port of the C routine behind scipy.optimize.brentq
+    (Zeros/brentq.c): inverse quadratic or secant steps guarded by
+    bisection, stopping once the bracket half-width is below
+    (xtol + rtol |x|) / 2. It evaluates f at the same points and returns the
+    same float. Raises ValueError when f(a) and f(b) have the same sign or f
+    returns NaN, and RuntimeError when maxiter steps do not converge.
+    """
+    xtol, rtol = float(xtol), float(rtol)
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENT_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL:g})")
+    xpre, xcur = float(a), float(b)
+    fpre = _not_nan(f, xpre)
+    fcur = _not_nan(f, xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _not_nan(f, xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def minimize_bounded(f, lo: float, hi: float, xatol: float) -> float:
+    """The minimizer of the real function f on [lo, hi].
+
+    A port of scipy.optimize.minimize_scalar(method="bounded")
+    (_minimize_scalar_bounded in scipy/optimize/_optimize.py): Brent's
+    golden-section search with parabolic steps, stopping when x is known to
+    within 2 (sqrt(2.2e-16) |x| + xatol / 3) or after 500 evaluations of f.
+    The same steps in float arithmetic give the same x.
+    """
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("Optimization bounds must be finite scalars.")
+    if lo > hi:
+        raise ValueError("The lower bound exceeds the upper bound.")
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabolic fit through xf, nfc and fulc
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm - xf >= 0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf
 
 
 # ---------------------------------------------------------------------------

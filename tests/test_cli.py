@@ -11,7 +11,7 @@ import pytest
 import sqnls
 from sqnls.cli import endpoint_line, load_config, main
 from sqnls.field import breaking_curves, classify, sample_grid
-from sqnls.phase_geometry import first_breaking_time, second_breaking_time
+from sqnls.phase_geometry import PinchPointError, first_breaking_time, second_breaking_time
 from sqnls.scattering import BarrierParams
 
 P = BarrierParams(1.0, 1.0, 0.1)
@@ -42,6 +42,25 @@ class TestClassify:
     def test_origin_pinch(self):
         # at x = 0 the window between the breaking curves has zero width
         assert classify(0.0, 0.5, P).label == "beyond_scope"
+
+    def test_only_a_pinch_point_leaves_t2_empty(self, monkeypatch):
+        import sqnls.field
+
+        def fail(x, p):
+            raise RuntimeError("double-root residuals too large")
+
+        monkeypatch.setattr(sqnls.field, "_T2_CACHE", {})
+        monkeypatch.setattr(sqnls.field, "second_breaking_time", fail)
+        with pytest.raises(RuntimeError, match="residuals too large"):
+            classify(0.41, 0.4, P)
+        assert sqnls.field._T2_CACHE == {}
+
+        def pinch(x, p):
+            raise PinchPointError("no root pair just past T1(x)")
+
+        monkeypatch.setattr(sqnls.field, "second_breaking_time", pinch)
+        reg = classify(0.41, 0.4, P)
+        assert (reg.label, reg.T2) == ("beyond_scope", None)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -140,6 +159,28 @@ class TestCliOutput:
         assert len(lines) == 1 + 5 * 2
         regions = {line.split(",")[2] for line in lines[1:]}
         assert regions <= {"S0", "S1", "S2", "NA"}
+
+    def test_field_both_mode_compares(self, capsys):
+        args = ["--eps", "0.2", "field", "--x-min", "-1.5", "--x-max", "1.5", "--nx", "7",
+                "--t-min", "0.05", "--t-max", "0.4", "--nt", "3", "--mode"]
+        out = {}
+        for mode in ("asymptotic", "numeric", "both"):
+            assert main(args + [mode]) == 0
+            out[mode] = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+        both = out["both"]
+        assert both[0] == ["x", "t", "region", "re_psi", "im_psi", "abs_psi",
+                           "re_num", "im_num", "abs_num", "abs_err"]
+        assert len(both) == len(out["asymptotic"]) == 1 + 7 * 3
+        for row, asy, num in zip(both[1:], out["asymptotic"][1:], out["numeric"][1:]):
+            assert row[:6] == asy
+            assert row[6:9] == num[3:6]
+            if asy[3] == "":
+                assert row[9] == ""
+            else:
+                diff = complex(float(row[6]), float(row[7])) - complex(float(row[3]), float(row[4]))
+                assert abs(float(row[9]) - abs(diff)) <= 1e-15 * max(1.0, abs(diff))
+        # the grid holds beyond-scope points, whose solver values are still printed
+        assert any(row[2] == "NA" and row[9] == "" and row[6] != "" for row in both[1:])
 
     def test_determinism_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

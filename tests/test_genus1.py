@@ -6,6 +6,7 @@ import pytest
 
 from sqnls import genus1
 from sqnls.genus1 import (
+    RealityError,
     abel_map,
     alpha_from_m,
     char_speed,
@@ -197,6 +198,17 @@ class TestPeriods:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             period_integrals(1j * Q, Q)
+
+    def test_non_real_b_period_raises_reality_error(self, monkeypatch):
+        st = solve_endpoint(0.9, Q)
+        b_cycle = genus1._b_cycle
+        monkeypatch.setattr(genus1, "_b_cycle", lambda *args: (1.0 + 0.1j) * b_cycle(*args))
+        with pytest.raises(RealityError) as err:
+            period_integrals(st.alpha, Q, QUAD)
+        bad = err.value.value
+        assert isinstance(err.value, RuntimeError)
+        assert abs(bad.imag) > 0.05 * abs(bad)
+        assert str(err.value) == f"b-period came out non-real: {bad}"
 
 
 class TestModulationConstants:

@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
-from sqnls import nls_direct
 from sqnls.nls_direct import (
     InstabilityError,
     SolverConfig,
@@ -170,8 +170,10 @@ class TestInstability:
     TIMES = (0.0, 0.01, 0.02)
 
     def _assert_raised_at_first_step(self, monkeypatch, attr, corrupt, message):
-        original = getattr(nls_direct.sp_fft, attr)
-        monkeypatch.setattr(nls_direct.sp_fft, attr,
+        # evolve imports scipy.fft when it runs and calls the module's
+        # attributes, so patching the module object reaches it
+        original = getattr(scipy.fft, attr)
+        monkeypatch.setattr(scipy.fft, attr,
                             lambda *a, **kw: corrupt(original(*a, **kw)))
         cfg = default_config(P, self.TIMES[-1], self.TIMES)
         with pytest.raises(InstabilityError, match=message) as err:

@@ -7,6 +7,7 @@ import pytest
 from sqnls import field, genus1, phase_geometry
 from sqnls.genus1 import solve_endpoint
 from sqnls.phase_geometry import (
+    PinchPointError,
     SaddleError,
     big_r,
     big_s,
@@ -180,8 +181,12 @@ class TestBreakingTimes:
     def test_pinch_at_origin(self):
         # the oscillatory window has zero width at x = 0: T2 descends to
         # T1(0) only in the limit x -> 0, so the double-root search fails
-        with pytest.raises(RuntimeError):
+        with pytest.raises(PinchPointError, match="no root pair just past T1"):
             second_breaking_time(0.0, P)
+
+    def test_no_bracket_near_the_barrier_edge(self):
+        with pytest.raises(PinchPointError, match="search window exhausted"):
+            second_breaking_time(0.999 * P.L, P)
 
 
 class TestT2SearchCost:

@@ -9,12 +9,15 @@ from sqnls.specfun import (
     QuadratureConvergenceError,
     QuadratureSpec,
     adaptive_gl,
+    brentq,
     complete_elliptic,
     complete_elliptic_series,
     cut_sqrt,
     dilog,
     ellipe,
     ellipk,
+    log1p,
+    minimize_bounded,
     quad_path,
     quad_ray_to_inf,
     theta_sum,
@@ -323,3 +326,167 @@ class TestCutSqrt:
             one = cut_sqrt(complex(zj), self.C, self.D)
             assert isinstance(one, complex)
             assert abs(one - aj) <= 1e-15 * abs(aj)
+
+
+# scipy is the reference for the three ports below; the library never imports it
+
+ROOT_CASES = [
+    # (f, a, b): smooth, flat, steep and odd-order roots, brackets either way round
+    (lambda x: math.cos(x) - x, 0.0, 1.5),
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 1.0, 3.0),
+    (lambda x: math.exp(x) - 3.7, 3.0, -2.0),
+    (lambda x: 1e-6 * math.atan(x - 0.3), -5.0, 1.0),
+    (lambda x: (x - 1.1) ** 3, 0.0, 4.0),  # a triple root: neither converges in 100 steps
+    (lambda x: math.tanh(40.0 * (x - 0.123)), -1.0, 1.0),
+]
+# the tolerances the library passes, and scipy's defaults
+ROOT_TOLS = [(2e-12, 4 * np.finfo(float).eps), (1e-15, 8.9e-16), (1e-13, 8.9e-16),
+             (1e-13, 4 * np.finfo(float).eps), (1e-14, 4 * np.finfo(float).eps),
+             (1e-10, 4 * np.finfo(float).eps)]
+
+
+class TestBrentq:
+    @pytest.mark.parametrize("xtol, rtol", ROOT_TOLS)
+    def test_bit_identical_to_scipy(self, xtol, rtol):
+        from scipy.optimize import brentq as scipy_brentq
+
+        def outcome(solver, f, a, b):
+            try:
+                return solver(f, a, b, xtol=xtol, rtol=rtol)
+            except RuntimeError as exc:
+                return repr(exc)
+
+        for f, a, b in ROOT_CASES:
+            ref = outcome(scipy_brentq, f, a, b)
+            got = outcome(brentq, f, a, b)
+            assert type(got) is type(ref)
+            assert got == ref, (f, a, b)
+
+    def test_same_evaluation_points(self):
+        from scipy.optimize import brentq as scipy_brentq
+        seen = {"ref": [], "got": []}
+
+        def rec(key):
+            def f(x):
+                seen[key].append(x)
+                return x ** 3 - 2.0 * x - 5.0
+            return f
+
+        scipy_brentq(rec("ref"), 1.0, 3.0, xtol=1e-15, rtol=8.9e-16)
+        brentq(rec("got"), 1.0, 3.0, xtol=1e-15, rtol=8.9e-16)
+        assert seen["got"] == seen["ref"]
+
+    def test_root_at_bracket_end(self):
+        assert brentq(lambda x: x - 2.0, 2.0, 3.0) == 2.0
+        assert brentq(lambda x: x - 3.0, 2.0, 3.0) == 3.0
+
+    def test_same_sign_raises(self):
+        with pytest.raises(ValueError, match="different signs"):
+            brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_nan_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0)
+
+    def test_maxiter_raises(self):
+        with pytest.raises(RuntimeError, match="Failed to converge after 3 iterations."):
+            brentq(lambda x: math.cos(x) - x, 0.0, 1.5, maxiter=3)
+
+    def test_tolerances_validated(self):
+        with pytest.raises(ValueError):
+            brentq(lambda x: x, -1.0, 1.0, xtol=0.0)
+        with pytest.raises(ValueError):
+            brentq(lambda x: x, -1.0, 1.0, rtol=1e-16)
+
+
+class TestMinimizeBounded:
+    CASES = [
+        (lambda x: (x - 0.3) ** 2, -2.0, 3.0),
+        (lambda x: -math.exp(-4.0 * (x - 1.2) ** 2) + 0.1 * x, -1.0, 2.5),
+        (lambda x: abs(x + 0.7) ** 1.5, -3.0, 1.0),
+        (lambda x: math.cos(3.0 * x), 0.0, 2.0),
+        (lambda x: x, 1.0, 2.0),  # minimum on the bound
+    ]
+
+    @pytest.mark.parametrize("xatol", [1e-5, 1e-8, 1e-13])
+    def test_bit_identical_to_scipy(self, xatol):
+        from scipy.optimize import minimize_scalar
+        for f, lo, hi in self.CASES:
+            ref = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
+            assert minimize_bounded(f, lo, hi, xatol) == float(ref.x), (f, lo, hi)
+
+    @pytest.mark.parametrize("q, L, x, dt", [(1.0, 1.0, 0.3, 0.05), (2.0, 1.0, 0.6, 0.02),
+                                             (1.0, 2.0, 0.2, 0.3)])
+    def test_rho1_bump_bit_identical_to_scipy(self, q, L, x, dt):
+        # the library's one minimization: the rho1 bump on its negative-axis window
+        from scipy.optimize import minimize_scalar
+
+        from sqnls.genus1 import solve_endpoint
+        from sqnls.phase_geometry import _rho1_window, rho1_bump_max, rho1_value
+        t = (L - x) / (2.0 * math.sqrt(2.0) * q) + dt
+        mu = (L - x) / (2.0 * t)
+        state = solve_endpoint(mu, q)
+        xi0 = mu - state.alpha.real
+        lo, hi = _rho1_window(xi0, t, L, q)
+        ref = minimize_scalar(lambda u: -rho1_value(u, state.alpha, xi0, t, L, q),
+                              bounds=(lo, hi), method="bounded", options={"xatol": 1e-13})
+        assert rho1_bump_max(state.alpha, xi0, t, L, q)[1] == float(ref.x)
+
+    def test_bounds_validated(self):
+        with pytest.raises(ValueError):
+            minimize_bounded(lambda x: x * x, 1.0, -1.0, 1e-8)
+        with pytest.raises(ValueError):
+            minimize_bounded(lambda x: x * x, -math.inf, 1.0, 1e-8)
+
+
+def _ulps(a: np.ndarray, b: np.ndarray) -> float:
+    # distance in units of the last place of b, per component
+    out = 0.0
+    for x, y in ((a.real, b.real), (a.imag, b.imag)):
+        unit = np.maximum(np.spacing(np.abs(y)), np.finfo(float).smallest_subnormal)
+        out = max(out, float(np.max(np.abs(x - y) / unit)))
+    return out
+
+
+class TestLog1p:
+    RNG = np.random.default_rng(7)
+
+    def test_real_axis_bit_identical(self):
+        import scipy.special
+        x = np.concatenate([np.linspace(-1.0, 4.0, 5001), 10.0 ** np.linspace(-300, 300, 3001),
+                            -(10.0 ** np.linspace(-300, -1e-9, 3001)), [0.0, -0.0, math.inf]])
+        w = x + 0j
+        got, ref = log1p(w), scipy.special.log1p(w)
+        assert np.array_equal(got.real, ref.real)
+        assert np.array_equal(got.imag, ref.imag)
+        assert log1p(-1.0) == -math.inf
+
+    def test_small_modulus(self):
+        import scipy.special
+        r = 0.7 * np.sqrt(self.RNG.uniform(0.0, 1.0, 4000))
+        w = r * np.exp(1j * self.RNG.uniform(-math.pi, math.pi, 4000))
+        assert _ulps(log1p(w), scipy.special.log1p(w)) <= 2
+
+    def test_cancellation_curve(self):
+        # Re w = -(Im w)^2 / 2 puts 1 + w on the unit circle: |1 + w| - 1 cancels
+        import scipy.special
+        y = 10.0 ** self.RNG.uniform(-8.0, -0.3, 4000) * self.RNG.choice([-1.0, 1.0], 4000)
+        for spread in (0.0, 0.4):
+            w = -0.5 * y * y * (1.0 + self.RNG.uniform(-spread, spread, y.size)) + 1j * y
+            assert _ulps(log1p(w), scipy.special.log1p(w)) <= 2
+
+    def test_large_modulus(self):
+        import scipy.special
+        w = 10.0 ** self.RNG.uniform(-0.15, 5.0, 4000) * np.exp(
+            1j * self.RNG.uniform(-math.pi, math.pi, 4000))
+        w = np.concatenate([w, [-3.0 + 0j, -1.0 - 1e-300j]])
+        assert _ulps(log1p(w), scipy.special.log1p(w)) <= 2
+
+    def test_small_argument_keeps_relative_precision(self):
+        w = 1e-10 * (1.0 + 1j)
+        assert abs(log1p(w) - (w - w * w / 2)) <= 1e-16 * abs(w)
+
+    def test_scalar_and_array_forms(self):
+        one = log1p(0.25 + 0.5j)
+        assert isinstance(one, complex)
+        assert one == log1p(np.array([0.25 + 0.5j, 3.0]))[0]

@@ -147,7 +147,6 @@ def main(argv: list[str] | None = None) -> int:
                 empty = np.isnan(v.real)
                 row += ",," if empty else f"{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))}"
                 if both:
-                    # the solver value next to the asymptotic one, and their distance
                     u = res["numeric"][i].values[j]
                     row += f",{_fmt(u.real)},{_fmt(u.imag)},{_fmt(abs(u))},"
                     row += "" if empty else _fmt(abs(u - v))

@@ -37,11 +37,13 @@ _T2_CACHE: dict[tuple, float | None] = {}
 
 
 def _t2_cached(x: float, p: BarrierParams) -> float | None:
-    """Memoized T2(x); None where the double-root search finds no bracket.
+    """Memoized T2(x); None where the double-root search gives up.
 
-    The search genuinely fails at x = 0, where the two breaking curves
-    pinch together (T2(x) -> T1(0) as x -> 0) and the oscillatory window
-    has zero width, and close to |x| = L. Any other failure propagates.
+    The search gives up at x = 0, where the two breaking curves pinch
+    together (T2(x) -> T1(0) as x -> 0) and the oscillatory window has zero
+    width, and close to |x| = L, where its time window hits the 1e4 T1(x)
+    cap although T2 exists; both raise PinchPointError and read as no T2.
+    Any other failure propagates.
     """
     key = (p.q, p.L, p.eps, round(abs(x), 12))
     if key not in _T2_CACHE:

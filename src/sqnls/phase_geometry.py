@@ -43,11 +43,14 @@ class SaddleError(RuntimeError):
 
 
 class PinchPointError(RuntimeError):
-    """The double-root search finds no second breaking time at this x.
+    """The double-root search gives up without a second breaking time at this x.
 
-    At x = 0 the two breaking curves pinch together (T2(x) -> T1(0)), so
-    rho1 has no root pair just past T1; close to |x| = L the search window
-    runs out before the bump maximum turns negative.
+    Two exits raise it. At x = 0 the two breaking curves pinch together
+    (T2(x) -> T1(0)), so rho1 has no root pair just past T1 and no T2
+    exists. Close to |x| = L the time window hits its cap of 1e4 T1(x)
+    before the bump maximum turns negative; that exit is a limit of the
+    search, not a proof that T2 is absent: the cap shrinks to zero as
+    |x| -> L while T2 stays finite, and a larger cap finds T2 there.
     """
 
 
@@ -258,8 +261,9 @@ def second_breaking_time(x: float, p, tol: float = 1e-8) -> float:
     self-similar variable mu = (L - |x|)/(2t), then the bump maximum of
     rho1 is driven to zero by bisection in t. Returns T2(x) > T1(x); the
     residuals |rho1| and |rho1'| at the reported double root are below tol.
-    Raises PinchPointError where no bracket for T2 exists (x = 0, and |x|
-    close to L).
+    Raises PinchPointError at x = 0, where no bracket for T2 exists, and
+    close to |x| = L, where the window cap of 1e4 T1(x) stops the bracket
+    search before it reaches T2.
     """
     from .genus1 import solve_endpoint  # deferred: genus1 builds on this module
 

@@ -203,10 +203,7 @@ _LOG1P_Q = (1.5062909083469192043167e1, 8.3047565967967209469434e1,
             2.1642788614495947685003e2, 6.0118660497603843919306e1)
 
 
-def _log1p_scalar(x: float) -> float:
-    z = 1.0 + x
-    if not 0.7071067811865476 <= z <= 1.4142135623730951:
-        return math.log(z) if z else -math.inf
+def _log1p_fit(x: float) -> float:
     p0, p1, p2, p3, p4, p5, p6 = _LOG1P_P
     q0, q1, q2, q3, q4, q5 = _LOG1P_Q
     p = (((((p0 * x + p1) * x + p2) * x + p3) * x + p4) * x + p5) * x + p6
@@ -215,16 +212,19 @@ def _log1p_scalar(x: float) -> float:
     return x + (-0.5 * xx + x * (xx * p / q))
 
 
-def _log1p_real(x: np.ndarray) -> list[float]:
-    """log(1 + x) for the elements of a float array x >= -1, rounded as Cephes log1p.
+def _log1p_real(x: np.ndarray) -> np.ndarray:
+    """log(1 + x) for a float array x >= -1, rounded as Cephes log1p.
 
     One element at a time in Python floats: the logarithm must be math.log,
     the C library's, since numpy's vectorised log differs from it in the
     last bit for some arguments on CPUs where numpy dispatches it to SIMD
-    code, and the 60 or so nodes a quadrature panel pair evaluates are too
-    few for a masked numpy evaluation of the rational fit to pay off.
+    code. Evaluating the rational fit in numpy on the elements in its range
+    measured slower than this loop on the spectral weight's 45- and 60-node
+    arrays, where one call in six has any such element.
     """
-    return [_log1p_scalar(v) for v in x.ravel().tolist()]
+    return np.array([_log1p_fit(v) if 0.7071067811865476 <= 1.0 + v <= 1.4142135623730951
+                     else math.log(1.0 + v) if v != -1.0 else -math.inf
+                     for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _two_sum(a, b):
@@ -271,7 +271,7 @@ def log1p(w):
     real = (zi == 0.0) & (zr >= -1.0)
     if real.all():
         # the spectral weight's case: floats to complex keeps the real part's sign
-        return np.array(_log1p_real(zr), dtype=complex).reshape(w.shape)[()]
+        return _log1p_real(zr).astype(complex)[()]
     out = np.empty_like(w)
     out.real[real] = _log1p_real(zr[real])
     out.imag[real] = 0.0
@@ -285,7 +285,7 @@ def log1p(w):
             rc = r[cancel]
             mod2[cancel] = _dd_add(_dd_add(_square_two(rc), _square_two(i[cancel])),
                                    (2.0 * rc, 0.0))[0]
-        out.real[small] = 0.5 * np.array(_log1p_real(mod2))
+        out.real[small] = 0.5 * _log1p_real(mod2)
         out.imag[small] = np.arctan2(i, r + 1.0)
     big = ~real & ~small
     out[big] = np.log(1.0 + w[big])
@@ -345,6 +345,7 @@ def cut_sqrt(z, c: complex, d: complex):
 # ---------------------------------------------------------------------------
 
 _BRENT_RTOL = 4 * 2.220446049250313e-16  # four machine epsilons, the least rtol allowed
+_BRENT_MAXITER = 100
 
 
 def _not_nan(f, x: float) -> float:
@@ -354,8 +355,7 @@ def _not_nan(f, x: float) -> float:
     return fx
 
 
-def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _BRENT_RTOL,
-           maxiter: int = 100) -> float:
+def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _BRENT_RTOL) -> float:
     """A root of the real function f in the bracket [a, b], by Brent's method.
 
     A line-by-line port of the C routine behind scipy.optimize.brentq
@@ -363,7 +363,8 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _BRENT_RTOL
     bisection, stopping once the bracket half-width is below
     (xtol + rtol |x|) / 2. It evaluates f at the same points and returns the
     same float. Raises ValueError when f(a) and f(b) have the same sign or f
-    returns NaN, and RuntimeError when maxiter steps do not converge.
+    returns NaN, and RuntimeError when 100 steps (scipy's default maxiter) do
+    not converge.
     """
     xtol, rtol = float(xtol), float(rtol)
     if xtol <= 0:
@@ -380,7 +381,7 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _BRENT_RTOL
     if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -412,7 +413,7 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _BRENT_RTOL
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = _not_nan(f, xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
 
 
 def minimize_bounded(f, lo: float, hi: float, xatol: float) -> float:

@@ -185,6 +185,8 @@ class TestBreakingTimes:
             second_breaking_time(0.0, P)
 
     def test_no_bracket_near_the_barrier_edge(self):
+        # T2(0.999 L) exists (about 0.99 at q = L = 1), but the time window's
+        # 1e4 T1(x) cap is reached first; lifting the cap changes this exit
         with pytest.raises(PinchPointError, match="search window exhausted"):
             second_breaking_time(0.999 * P.L, P)
 

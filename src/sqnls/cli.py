@@ -17,7 +17,7 @@ import numpy as np
 from .field import _fmt, breaking_curves, classify, sample_grid
 from .genus0 import psi_asy_g0
 from .genus1 import modulation_constants, solve_endpoint
-from .nls_direct import default_config, evolve
+from .nls_direct import evolve, validation_config
 from .phase_geometry import first_breaking_time, ray_breaking_time
 from .scattering import BarrierParams
 
@@ -171,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
         runs = []
         for eps in eps_list:
             pe = BarrierParams(p.q, p.L, eps)
-            cfg_run = default_config(pe, times[-1], times, refine=2, dt_divisor=32.0)
+            cfg_run = validation_config(pe, times[-1], times)
             x = cfg_run.x_nodes
             s1 = np.array([abs(xx) <= 0.5 * pe.L and t_s1 < first_breaking_time(float(xx), pe)
                            for xx in x])

@@ -14,14 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .genus0 import RegionError, psi_asy_g0
-from .genus1 import modulation_constants, psi_asy_g1, solve_endpoint
-from .nls_direct import GridField, default_config, evolve
+from .genus1 import RealityError, modulation_constants, psi_asy_g1, solve_endpoint
+from .nls_direct import GridField, evolve, validation_config
 from .phase_geometry import PinchPointError, first_breaking_time, second_breaking_time
 from .scattering import BarrierParams
+from .specfun import QuadratureConvergenceError
 
 __all__ = ["Region", "classify", "psi_asymptotic", "sample_grid", "breaking_curves"]
 
 _BOUNDARY_RTOL = 1e-12
+_POINT_ERRORS = (QuadratureConvergenceError, RealityError, RegionError)
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,10 @@ def sample_grid(x_range: tuple[float, float], t_range: tuple[float, float],
     Returns a dict with keys 'x', 't', 'regions', and per-mode entries:
     'asymptotic' and/or 'numeric' (lists of GridField, one per t), plus a
     'report' of per-region comparison rows in 'both' mode and an 'errors'
-    list of per-point failures (never aborting the grid).
+    list of per-point failures. A QuadratureConvergenceError, RealityError
+    or RegionError at one point is recorded there and leaves that point
+    empty; any other error propagates. The numeric fields come from the
+    validation_config solver run, interpolated linearly onto the grid.
     """
     if mode not in ("asymptotic", "numeric", "both"):
         raise ValueError("mode must be 'asymptotic', 'numeric' or 'both'")
@@ -124,7 +129,7 @@ def sample_grid(x_range: tuple[float, float], t_range: tuple[float, float],
                     continue  # null marker, never a guess
                 try:
                     vals[j] = psi_asymptotic(float(x), float(t), p, reg)
-                except Exception as exc:  # noqa: BLE001 - recorded, not fatal
+                except _POINT_ERRORS as exc:
                     out["errors"].append({"x": float(x), "t": float(t), "error": repr(exc)})
             fields.append(GridField(xs.copy(), vals, float(t),
                                     region_labels=[r.label for r in regions[i]]))
@@ -132,8 +137,7 @@ def sample_grid(x_range: tuple[float, float], t_range: tuple[float, float],
 
     if mode in ("numeric", "both"):
         t_final = float(ts[-1])
-        cfg = default_config(p, t_final, [float(t) for t in ts])
-        raw = evolve(cfg)
+        raw = evolve(validation_config(p, t_final, [float(t) for t in ts]))
         fields = []
         for i, snap in enumerate(raw):
             re = np.interp(xs, snap.x_nodes, snap.values.real)

@@ -17,7 +17,7 @@ import numpy as np
 from .scattering import BarrierParams
 
 __all__ = ["SolverConfig", "GridField", "InstabilityError", "evolve", "barrier_initial_data",
-           "default_config"]
+           "default_config", "validation_config"]
 
 
 class InstabilityError(RuntimeError):
@@ -105,10 +105,8 @@ def default_config(p: BarrierParams, t_final: float, snapshot_times, refine: int
     """Desk-scale configuration: half-width max(4, L + 4 q t_final) and the
     smallest power-of-two grid resolving eps.
 
-    For validation runs against the asymptotics pass refine = 2 and
-    dt_divisor = 32: the plane wave is modulationally unstable and the
-    splitting error grows like exp(q^2 t / eps), so the default dt = dx/4
-    is not accuracy-converged at small eps even though it conserves.
+    The defaults conserve but are not accuracy-converged at small eps; runs
+    compared with the asymptotics use validation_config.
     """
     half_width = max(4.0, p.L + 4.0 * p.q * t_final)
     n = 2
@@ -119,6 +117,17 @@ def default_config(p: BarrierParams, t_final: float, snapshot_times, refine: int
     return SolverConfig(params=p, half_width=half_width, grid_points=n,
                         dt=dx / dt_divisor, t_final=t_final,
                         snapshot_times=tuple(snapshot_times))
+
+
+def validation_config(p: BarrierParams, t_final: float, snapshot_times) -> SolverConfig:
+    """The solver configuration every comparison with the asymptotics uses.
+
+    default_config with the grid refined twice and dt = dx/32: the plane
+    wave is modulationally unstable and the splitting error grows like
+    exp(q^2 t / eps), so the default dt = dx/4 is not accuracy-converged at
+    small eps even though it conserves.
+    """
+    return default_config(p, t_final, snapshot_times, refine=2, dt_divisor=32.0)
 
 
 def evolve(cfg: SolverConfig) -> list[GridField]:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .specfun import QuadratureSpec, brentq, cut_sqrt, log1p, quad_path, quad_ray_to_inf
+from .specfun import QuadratureSpec, brentq, cut_sqrt, quad_path, quad_ray_to_inf
 
 __all__ = [
     "BarrierParams",
@@ -294,10 +294,14 @@ def kappa_weight(s, q: float):
     (nu + s)^2 = q^2, as the value +q would.
     """
     nu = cut_sqrt(s, 0.0, 1j * q)
-    # specfun.log1p keeps the relative precision of small arguments in the
-    # tails; numpy's log1p rounds 1 + w first for complex w (in numpy 2.4,
-    # 8e-8 relative error at w = 1e-10)
-    return -log1p(q * q / (nu + s) ** 2) / (2 * math.pi)
+    w = q * q / (nu + s) ** 2
+    # log(1 + w) = log|1 + w| + i arg(1 + w), with |1 + w|^2 - 1 summed from
+    # w itself so that the small w of the ray tails keeps its relative
+    # precision; np.log(1 + w), and numpy's complex ufunc for it, round
+    # 1 + w first and lose it
+    wr, wi = w.real, w.imag
+    log_1pw = 0.5 * np.log1p(wr * (wr + 2.0) + wi * wi) + 1j * np.arctan2(wi, 1.0 + wr)
+    return -log_1pw[()] / (2 * math.pi)
 
 
 def chi_batch(z, a: float, q: float, quad: QuadratureSpec | None = None) -> np.ndarray:

@@ -2,16 +2,15 @@
 
 Everything here is self-contained and needs numpy only: complete elliptic
 integrals (AGM production scheme plus an independent power-series scheme
-for cross-checking), the real dilogarithm, a complex log1p, the genus-1
-theta sum, the branch square root `cut_sqrt` cut on a straight segment, the
-Brent root finder `brentq` and bounded minimizer `minimize_bounded`, and an
+for cross-checking), the real dilogarithm, the genus-1 theta sum, the
+branch square root `cut_sqrt` cut on a straight segment, the Brent root
+finder `brentq` and bounded minimizer `minimize_bounded`, and an
 adaptive Gauss-Legendre quadrature over complex polylines with
 endpoint-singularity substitutions and semi-infinite tail maps.
 
-`brentq`, `minimize_bounded` and `log1p` follow scipy's
-`scipy.optimize.brentq`, `minimize_scalar(method="bounded")` and
-`scipy.special.log1p` operation for operation, so they take the same
-iterates and round the same way.
+`brentq` and `minimize_bounded` follow scipy's `scipy.optimize.brentq` and
+`minimize_scalar(method="bounded")` operation for operation, so they take
+the same iterates.
 
 The quadrature has one adaptive loop, `adaptive_gl`, and one calling
 convention: every integrand is an array function. It takes a 1-D array of
@@ -38,7 +37,6 @@ __all__ = [
     "ellipe",
     "complete_elliptic_series",
     "dilog",
-    "log1p",
     "theta_sum",
     "cut_sqrt",
     "brentq",
@@ -189,114 +187,10 @@ def dilog(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# complex log1p
-# ---------------------------------------------------------------------------
-
-# Cephes log1p: log(1 + x) = x - x^2/2 + x^3 P(x)/Q(x) for 1 + x in
-# [sqrt(1/2), sqrt(2)], Q monic; log(1 + x) outside
-_LOG1P_P = (4.5270000862445199635215e-5, 4.9854102823193375972212e-1,
-            6.5787325942061044846969e0, 2.9911919328553073277375e1,
-            6.0949667980987787057556e1, 5.7112963590585538103336e1,
-            2.0039553499201281259648e1)
-_LOG1P_Q = (1.5062909083469192043167e1, 8.3047565967967209469434e1,
-            2.2176239823732856465394e2, 3.0909872225312059774938e2,
-            2.1642788614495947685003e2, 6.0118660497603843919306e1)
-
-
-def _log1p_fit(x: float) -> float:
-    p0, p1, p2, p3, p4, p5, p6 = _LOG1P_P
-    q0, q1, q2, q3, q4, q5 = _LOG1P_Q
-    p = (((((p0 * x + p1) * x + p2) * x + p3) * x + p4) * x + p5) * x + p6
-    q = (((((x + q0) * x + q1) * x + q2) * x + q3) * x + q4) * x + q5
-    xx = x * x
-    return x + (-0.5 * xx + x * (xx * p / q))
-
-
-def _log1p_real(x: np.ndarray) -> np.ndarray:
-    """log(1 + x) for a float array x >= -1, rounded as Cephes log1p.
-
-    One element at a time in Python floats: the logarithm must be math.log,
-    the C library's, since numpy's vectorised log differs from it in the
-    last bit for some arguments on CPUs where numpy dispatches it to SIMD
-    code. Evaluating the rational fit in numpy on the elements in its range
-    measured slower than this loop on the spectral weight's 45- and 60-node
-    arrays, where one call in six has any such element.
-    """
-    return np.array([_log1p_fit(v) if 0.7071067811865476 <= 1.0 + v <= 1.4142135623730951
-                     else math.log(1.0 + v) if v != -1.0 else -math.inf
-                     for v in x.ravel().tolist()]).reshape(x.shape)
-
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _fast_two_sum(a, b):
-    # |a| >= |b|
-    s = a + b
-    return s, b - (s - a)
-
-
-def _square_two(a):
-    # a^2 = p + e exactly, by Dekker's split of a into two 26-bit halves
-    p = a * a
-    t = 134217729.0 * a
-    hi = t - (t - a)
-    lo = a - hi
-    return p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo
-
-
-def _dd_add(a, b):
-    s1, s2 = _two_sum(a[0], b[0])
-    t1, t2 = _two_sum(a[1], b[1])
-    s1, s2 = _fast_two_sum(s1, s2 + t1)
-    return _fast_two_sum(s1, s2 + t2)
-
-
-def log1p(w):
-    """log(1 + w) for complex w, a point or an array, accurate for small |w|.
-
-    The branches of scipy.special.log1p: on the real axis w >= -1 the real
-    Cephes log1p (imaginary part 0); for |w| < 0.707 the modulus part
-    log1p(|1 + w|^2 - 1) / 2 with |1 + w|^2 - 1 = |w| (|w| + 2 Re w / |w|),
-    summed as Re w^2 + Im w^2 + 2 Re w in double-double arithmetic where it
-    cancels (|1 + w| near 1, that is Re w near -(Im w)^2 / 2), and the
-    argument atan2(Im w, 1 + Re w); elsewhere log(1 + w). A point gives a
-    numpy complex scalar.
-    """
-    w = np.asarray(w, dtype=complex)
-    zr, zi = w.real, w.imag
-    real = (zi == 0.0) & (zr >= -1.0)
-    if real.all():
-        # the spectral weight's case: floats to complex keeps the real part's sign
-        return _log1p_real(zr).astype(complex)[()]
-    out = np.empty_like(w)
-    out.real[real] = _log1p_real(zr[real])
-    out.imag[real] = 0.0
-    az = np.hypot(zr, zi)  # the C library's hypot, as scipy's |w|; np.abs rounds differently
-    small = ~real & (az < 0.707)
-    if small.any():
-        r, i, a = zr[small], zi[small], az[small]
-        mod2 = a * (a + 2 * r / a)
-        cancel = (r < 0) & (np.abs(-r - i * i / 2) / np.where(r < 0, -r, 1.0) < 0.5)
-        if cancel.any():
-            rc = r[cancel]
-            mod2[cancel] = _dd_add(_dd_add(_square_two(rc), _square_two(i[cancel])),
-                                   (2.0 * rc, 0.0))[0]
-        out.real[small] = 0.5 * _log1p_real(mod2)
-        out.imag[small] = np.arctan2(i, r + 1.0)
-    big = ~real & ~small
-    out[big] = np.log(1.0 + w[big])
-    return out[()]
-
-
-# ---------------------------------------------------------------------------
 # genus-1 theta sum
 # ---------------------------------------------------------------------------
 
-def theta_sum(w: complex, H: float, n_override: int | None = None) -> complex:
+def theta_sum(w: complex, H: float) -> complex:
     """Theta(w; H) = sum_n exp(n^2 H / 2 - n w), H < 0.
 
     The truncation index N is the smallest integer with
@@ -308,11 +202,8 @@ def theta_sum(w: complex, H: float, n_override: int | None = None) -> complex:
     w = complex(w)
     if not (math.isfinite(w.real) and math.isfinite(w.imag)):
         raise ValueError("theta_sum requires finite w")
-    if n_override is None:
-        big = max(abs(w.real), abs(H))
-        n_trunc = int(math.ceil((big + math.sqrt(big * big + 2.0 * abs(H) * _LN_INV_EPS)) / abs(H))) + 2
-    else:
-        n_trunc = int(n_override)
+    big = max(abs(w.real), abs(H))
+    n_trunc = int(math.ceil((big + math.sqrt(big * big + 2.0 * abs(H) * _LN_INV_EPS)) / abs(H))) + 2
     if n_trunc > 2_000_000:
         raise QuadratureConvergenceError(
             f"theta truncation index {n_trunc} exceeds hard cap", 0.0, math.inf

@@ -11,8 +11,10 @@ import pytest
 import sqnls
 from sqnls.cli import endpoint_line, load_config, main
 from sqnls.field import breaking_curves, classify, sample_grid
+from sqnls.nls_direct import evolve, validation_config
 from sqnls.phase_geometry import PinchPointError, first_breaking_time, second_breaking_time
 from sqnls.scattering import BarrierParams
+from sqnls.specfun import QuadratureConvergenceError
 
 P = BarrierParams(1.0, 1.0, 0.1)
 
@@ -108,6 +110,26 @@ class TestSampleGrid:
         for row in res["report"]:
             assert row["region"] == "S1"
             assert row["linf"] < 0.5
+
+    def test_numeric_mode_uses_validation_config(self):
+        p = BarrierParams(1.0, 1.0, 0.2)
+        xs = np.linspace(-1.5, 1.5, 7)
+        res = sample_grid((-1.5, 1.5), (0.05, 0.1), (7, 2), p, "numeric")
+        snaps = evolve(validation_config(p, 0.1, [0.05, 0.1]))
+        for fld, snap in zip(res["numeric"], snaps):
+            ref = (np.interp(xs, snap.x_nodes, snap.values.real)
+                   + 1j * np.interp(xs, snap.x_nodes, snap.values.imag))
+            assert np.array_equal(fld.values, ref)
+
+    def test_untyped_point_error_propagates(self, monkeypatch):
+        import sqnls.field
+
+        def broken(x, t, p, region=None):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(sqnls.field, "psi_asymptotic", broken)
+        with pytest.raises(RuntimeError, match="injected fault"):
+            sample_grid((-0.4, 0.4), (0.05, 0.1), (3, 2), P, "asymptotic")
 
     def test_order_independence(self):
         res1 = sample_grid((-0.4, 0.4), (0.05, 0.1), (5, 2), P, "asymptotic")
@@ -251,7 +273,7 @@ class TestCliOutput:
 
         def failing(x, t, p, region=None):
             if x == 0.0 and t == 0.05:
-                raise RuntimeError("injected failure")
+                raise QuadratureConvergenceError("injected failure", 0j, math.inf)
             return orig(x, t, p, region)
 
         args = ["--eps", "0.2", "field", "--x-min", "-1.5", "--x-max", "1.5", "--nx", "5",

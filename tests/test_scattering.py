@@ -288,6 +288,20 @@ class TestImagCutForms:
             assert abs(kj.real - ref) <= 1e-15 * abs(ref)
         assert kappa_weight(0.0, q) == -math.log(2.0) / (2 * math.pi)
 
+    def test_kappa_small_w_keeps_relative_precision(self):
+        # far out on the ray w = q^2 / (nu + s)^2 is small, where log(1 + w)
+        # loses w's relative precision if 1 + w is rounded first
+        q = self.Q
+        mod = 10.0 ** np.linspace(3.0, 8.0, 21)
+        s_real = np.concatenate((-mod, mod))
+        s_off = (mod[:, None] * np.exp(1j * np.linspace(-3.0, 3.0, 7))[None, :]).ravel()
+        for s in (s_real, s_off):
+            for sj, kj in zip(s, kappa_weight(s, q)):
+                w = q * q / (self._nu_cmath(complex(sj), q) + sj) ** 2
+                assert abs(w) <= 1e-6
+                ref = -(w - w * w / 2 + w ** 3 / 3) / (2 * math.pi)
+                assert abs(kj - ref) <= 1e-15 * abs(ref)
+
 
 def _kappa_real(s: float, q: float) -> float:
     # kappa on the real axis from |nu + s| = |s| + sqrt(s^2 + q^2)

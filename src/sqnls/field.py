@@ -43,9 +43,8 @@ def _t2_cached(x: float, p: BarrierParams) -> float | None:
 
     The search gives up at x = 0, where the two breaking curves pinch
     together (T2(x) -> T1(0) as x -> 0) and the oscillatory window has zero
-    width, and close to |x| = L, where its time window hits the 1e4 T1(x)
-    cap although T2 exists; both raise PinchPointError and read as no T2.
-    Any other failure propagates.
+    width; it raises PinchPointError there, which reads as no T2. Any other
+    failure propagates.
     """
     key = (p.q, p.L, p.eps, round(abs(x), 12))
     if key not in _T2_CACHE:

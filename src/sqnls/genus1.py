@@ -366,15 +366,35 @@ def _segments_too_close(a0: complex, a1: complex, b0: complex, b1: complex,
 # the full set of modulation constants
 # ---------------------------------------------------------------------------
 
-def _weight_j(z: np.ndarray, on_band: int, xi0: float, xi1: float, q: float,
-              chi_quad: QuadratureSpec) -> np.ndarray:
-    """Band weight log-term minus twice the spectral chi transforms, at an array of band points."""
-    if on_band == 1:
-        logterm = np.log(2.0 * (z + 1j * q) / q)
-    else:
-        logterm = np.log(q / (2.0 * (z - 1j * q)))
-    chi = chi_batch(z, xi1, q, chi_quad) + chi_batch(z, xi0, q, chi_quad)
-    return logterm - 2.0 * chi
+def _p0_band_integrals(alpha: complex, xi0: float, xi1: float, q: float,
+                       quad: QuadratureSpec, chi_quad: QuadratureSpec) -> np.ndarray:
+    """Slope and moment integrals of the p0 weight j over both bands, in one pass.
+
+    j = (log term) - 2 (chi(z, xi1) + chi(z, xi0)). The result is (slope 1,
+    moment 1, slope 2, moment 2): the oriented integrals of j / R and
+    (z - Re alpha) j / R along band 1 (alpha -> iq) and band 2 (-iq ->
+    alpha*). Band 2 is band 1's mirror image, so each node s of the shared
+    cut parameter maps to one point on each band, and the chi transforms run
+    once per xi over all of them.
+    """
+    c1, d1 = _cut1(alpha, q)
+    c2, d2 = _cut2(alpha, q)
+    # band 1 runs against increasing s: sign -1
+    scale = np.array([-d1, d2])
+
+    def terms(s: np.ndarray) -> np.ndarray:
+        z1, r1 = _r_on_cut(s.real, c1, d1, c2, d2, _BAND1_SIDE)
+        z2, r2 = _r_on_cut(s.real, c2, d2, c1, d1, _BAND2_SIDE)
+        z = np.concatenate((z1, z2))
+        logterm = np.concatenate((np.log(2.0 * (z1 + 1j * q) / q),
+                                  np.log(q / (2.0 * (z2 - 1j * q)))))
+        chi = chi_batch(z, xi1, q, chi_quad) + chi_batch(z, xi0, q, chi_quad)
+        j_over_r = ((logterm - 2.0 * chi) / np.concatenate((r1, r2))).reshape(2, s.size)
+        z_rel = z.reshape(2, s.size) - alpha.real
+        cols = np.stack((j_over_r, z_rel * j_over_r), axis=2) * scale[:, None, None]
+        return cols.transpose(1, 0, 2).reshape(s.size, 4)
+
+    return quad_path(terms, [-1.0, 1.0], quad, sqrt_ends="both")
 
 
 def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams,
@@ -449,17 +469,9 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams,
     if abs(tau1_b_c - tau1_b) > 1e-8 * max(1.0, abs(tau1_b)):
         raise RealityError("tau1 b-period not real", tau1_b_c)
 
-    # p0: band pieces with the j weight, gap pieces with the constant -i pi/2;
-    # the slope (j / R) and the moment ((z - Re alpha) j / R) of a band share
-    # one pass, so the chi transforms run once per band node
-    def j_terms(band: int):
-        def g(z: np.ndarray, r_side: np.ndarray) -> np.ndarray:
-            j_over_r = _weight_j(z, band, xi0, xi1, q, chi_quad) / r_side
-            return np.stack((j_over_r, (z - a.real) * j_over_r), axis=1)
-        return g
-
-    band1_slope, band1_mom = -_cut_integral(j_terms(1), "band1", a, q, quad, _BAND1_SIDE)
-    band2_slope, band2_mom = _cut_integral(j_terms(2), "band2", a, q, quad, _BAND2_SIDE)
+    # p0: band pieces with the j weight, gap pieces with the constant -i pi/2
+    band1_slope, band1_mom, band2_slope, band2_mom = _p0_band_integrals(
+        a, xi0, xi1, q, quad, chi_quad)
     gaps_slope = (-0.5j * math.pi) * gap_inv_r
     p0_slope = (band1_slope + band2_slope + gaps_slope) / (2 * math.pi)
     if abs(p0_slope.imag) > 1e-7 * max(1.0, abs(p0_slope)):

@@ -45,12 +45,8 @@ class SaddleError(RuntimeError):
 class PinchPointError(RuntimeError):
     """The double-root search gives up without a second breaking time at this x.
 
-    Two exits raise it. At x = 0 the two breaking curves pinch together
-    (T2(x) -> T1(0)), so rho1 has no root pair just past T1 and no T2
-    exists. Close to |x| = L the time window hits its cap of 1e4 T1(x)
-    before the bump maximum turns negative; that exit is a limit of the
-    search, not a proof that T2 is absent: the cap shrinks to zero as
-    |x| -> L while T2 stays finite, and a larger cap finds T2 there.
+    At x = 0 the two breaking curves pinch together (T2(x) -> T1(0)), so
+    rho1 has no root pair just past T1 and no T2 exists.
     """
 
 
@@ -261,9 +257,10 @@ def second_breaking_time(x: float, p, tol: float = 1e-8) -> float:
     self-similar variable mu = (L - |x|)/(2t), then the bump maximum of
     rho1 is driven to zero by bisection in t. Returns T2(x) > T1(x); the
     residuals |rho1| and |rho1'| at the reported double root are below tol.
-    Raises PinchPointError at x = 0, where no bracket for T2 exists, and
-    close to |x| = L, where the window cap of 1e4 T1(x) stops the bracket
-    search before it reaches T2.
+    Raises PinchPointError at x = 0, where no bracket for T2 exists. The
+    bracket search starts from a window of 10 T1(x) and grows it 4x at a
+    time up to 1e4 L/q, a cap that stays put as |x| -> L, where T1 -> 0 and
+    T2 -> L/q; RuntimeError if the bump maximum is still positive there.
     """
     from .genus1 import solve_endpoint  # deferred: genus1 builds on this module
 
@@ -292,8 +289,8 @@ def second_breaking_time(x: float, p, tol: float = 1e-8) -> float:
             break
         if t_hi >= window:
             window *= 4.0
-            if window > 1e4 * t1:
-                raise PinchPointError(f"double-root search window exhausted at x = {x}")
+            if window > 1e4 * L / q:
+                raise RuntimeError(f"double-root search window exhausted at x = {x}")
 
     t2 = brentq(lambda t: bump_max(t)[0], t_lo, t_hi, xtol=1e-13, rtol=8.9e-16)
     _, lam_star, state = bump_max(t2)

@@ -480,15 +480,36 @@ def _segment_quad(f, z0: complex, z1: complex, tol: float, max_panels: int,
     sqrt_left / sqrt_right select the substitution u -> u^2 at that end. It
     removes half-integer powers, +1/2 and -1/2 alike, and after its extra
     Jacobian factor u it also regularizes u log u terms.
+
+    With both ends substituted the segment splits at its midpoint zm into the
+    halves z0 + (zm - z0) u^2 and z1 + (zm - z1) u^2, u in [0, 1]. They run
+    as two components of one adaptive pass, so f sees both halves' nodes in
+    one call; each half is held to tol / 2, and the pass has the two halves'
+    panel budgets, 2 max_panels.
     """
     d = z1 - z0
     if not sqrt_left and not sqrt_right:
         return adaptive_gl(lambda s: f(z0 + s * d) * d, 0.0, 1.0, tol, max_panels)
     if sqrt_left and sqrt_right:
-        # split at the midpoint and substitute from each end
         zm = z0 + 0.5 * d
-        return (_segment_quad(f, z0, zm, 0.5 * tol, max_panels, sqrt_left=True)
-                + _segment_quad(f, zm, z1, 0.5 * tol, max_panels, sqrt_right=True))
+        ends = np.array([z0, z1])
+        h = np.array([zm - z0, zm - z1])
+        # dz = 2 h u du, and the right half runs z1 -> zm, against the segment
+        jac = 2.0 * np.array([zm - z0, z1 - zm])
+
+        def halves(u: np.ndarray) -> np.ndarray:
+            # values of shape (n, 2) or (n, 2, k): half i of node j at [j, i]
+            vals = np.asarray(f((ends[:, None] + h[:, None] * u * u).ravel()))
+            vals = vals.reshape(2, u.size, *vals.shape[1:])
+            w = jac[:, None] * u
+            return np.moveaxis(vals * w.reshape(w.shape + (1,) * (vals.ndim - 2)), 0, 1)
+
+        try:
+            return adaptive_gl(halves, 0.0, 1.0, 0.5 * tol, 2 * max_panels).sum(axis=0)
+        except QuadratureConvergenceError as err:
+            raise QuadratureConvergenceError(
+                str(err), np.sum(err.estimate, axis=0)[()],
+                np.sum(err.error_bound, axis=0)[()]) from None
     if sqrt_right:
         # mirror so the singular endpoint sits on the left
         return _segment_quad(f, z1, z0, tol, max_panels, sqrt_left=True) * -1.0

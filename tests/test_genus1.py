@@ -235,6 +235,51 @@ class TestModulationConstants:
         assert abs(m1.Omega / t1v - m2.Omega / t2v) < 1e-8 * max(1.0, abs(m1.Omega / t1v))
         assert abs(m1.eta / t1v - m2.eta / t2v) < 1e-8 * max(1.0, abs(m1.eta / t1v))
 
+    def test_chi_transforms_run_once_per_xi(self, monkeypatch):
+        # one band pass carries both bands, and its first panels converge:
+        # chi_batch runs once per xi, on all 180 band points
+        p, x, t, st = _s2_point()
+        sizes = []
+        chi_batch = genus1.chi_batch
+
+        def counting(z, *args):
+            sizes.append(z.size)
+            return chi_batch(z, *args)
+
+        monkeypatch.setattr(genus1, "chi_batch", counting)
+        modulation_constants(st.alpha, x, t, p)
+        assert sizes == [180, 180]
+
+    def test_band_pass_matches_per_band_route(self):
+        # the p0 band integrals against each band on its own cut, with its
+        # own log term and chi transforms
+        from sqnls.phase_geometry import rho1_real_roots
+        from sqnls.scattering import chi_batch
+
+        p, x, t, st = _s2_point()
+        a, q = st.alpha, p.q
+        xi0 = st.mu - a.real
+        xi1 = rho1_real_roots(a, xi0, t, p.L, q)[0]
+        quad, chi_quad = QuadratureSpec(1e-10), QuadratureSpec(1e-11)
+
+        def terms(band):
+            def g(z, r_side):
+                if band == 1:
+                    logterm = np.log(2.0 * (z + 1j * q) / q)
+                else:
+                    logterm = np.log(q / (2.0 * (z - 1j * q)))
+                j = logterm - 2.0 * (chi_batch(z, xi1, q, chi_quad)
+                                     + chi_batch(z, xi0, q, chi_quad))
+                return np.stack((j / r_side, (z - a.real) * j / r_side), axis=1)
+            return g
+
+        per_band = np.concatenate((
+            -genus1._cut_integral(terms(1), "band1", a, q, quad, genus1._BAND1_SIDE),
+            genus1._cut_integral(terms(2), "band2", a, q, quad, genus1._BAND2_SIDE)))
+        one_pass = genus1._p0_band_integrals(a, xi0, xi1, q, quad, chi_quad)
+        assert one_pass.shape == (4,)
+        assert np.max(np.abs(one_pass - per_band)) < 1e-12
+
     def test_xi0_positive_on_grid(self):
         for mu in np.linspace(0.05, 1.4, 10):
             st = solve_endpoint(float(mu), Q)

@@ -184,11 +184,26 @@ class TestBreakingTimes:
         with pytest.raises(PinchPointError, match="no root pair just past T1"):
             second_breaking_time(0.0, P)
 
-    def test_no_bracket_near_the_barrier_edge(self):
-        # T2(0.999 L) exists (about 0.99 at q = L = 1), but the time window's
-        # 1e4 T1(x) cap is reached first; lifting the cap changes this exit
-        with pytest.raises(PinchPointError, match="search window exhausted"):
-            second_breaking_time(0.999 * P.L, P)
+    def test_pinch_limit_slope(self):
+        # T2(x) - T1(0) ~ x / (2 sqrt2 q) as x -> 0, with an error linear in
+        # x: the window closes continuously at the pinch, where criterion 7
+        # finds no T2
+        for q in (1.0, 2.0):
+            p = BarrierParams(q, 1.0, 0.1)
+            limit = 1.0 / (2.0 * math.sqrt(2.0) * q)
+            errs = [abs((second_breaking_time(x, p) - first_breaking_time(0.0, p)) / x - limit)
+                    for x in (1e-3, 3e-4)]
+            assert errs[1] < 1.5e-4 * limit
+            assert errs[1] < 0.5 * errs[0]
+
+    @pytest.mark.parametrize("q,L", [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0)])
+    def test_t2_near_the_barrier_edge(self, q, L):
+        # T1 -> 0 as |x| -> L while T2 -> L/q; the search window's cap is a
+        # multiple of L/q, so the bracket is found right up to the edge
+        p = BarrierParams(q, L, 0.1)
+        for x_frac, t2_unit in ((0.999, 0.99159), (0.9999, 0.99815)):
+            t2 = second_breaking_time(x_frac * L, p)
+            assert t2 == pytest.approx(t2_unit * L / q, abs=1e-5 * L / q)
 
 
 class TestT2SearchCost:

@@ -19,7 +19,7 @@ from sqnls.scattering import (
     nu_imag_cut,
     scattering_data,
 )
-from sqnls.specfun import QuadratureSpec, quad_path
+from sqnls.specfun import QuadratureSpec, quad_path, quad_ray_to_inf
 
 P = BarrierParams(1.0, 1.0, 0.2)
 IMAG_CUT = BranchCut("imaginary_segment")
@@ -350,6 +350,22 @@ class TestChiBatch:
     def test_real_point_below_a_rejected(self):
         with pytest.raises(BranchBoundaryError):
             chi_batch(np.array([0.3 + 0.5j, -2.0 + 0j]), 1.2, 1.0)
+
+    def test_ray_rule_misses_the_kink_at_zero(self):
+        # kappa depends on |s| on the real axis, so for a > 0 its kink at
+        # s = 0 falls inside a ray panel, where the panel error estimate does
+        # not see it: chi_batch stops ~4e-9 away at any tolerance. Splitting
+        # the ray at s = 0 agrees with scipy's quad; moving chi_batch onto
+        # the split changes |psi| of perfbench's s2_field points by up to
+        # ~4e-9 relative, beyond its 1e-10 reference gate
+        z, a, q = np.array([0.38 + 0.81j]), 0.4544, 1.0
+        f = lambda s: kappa_weight(s, q)[:, None] / (s[:, None] - z)
+        spec = QuadratureSpec(1e-13)
+        split = -1j * (quad_path(f, [a, 0.0], spec) + quad_ray_to_inf(f, 0.0, -1.0, 2, spec))
+        assert abs(split[0] - _chi_reference(z[0], a, q)) < 1e-14
+        for tol in (1e-11, 1e-14):
+            miss = abs(chi_batch(z, a, q, QuadratureSpec(tol))[0] - split[0])
+            assert 1e-9 < miss < 1e-8
 
 
 class TestMultistep:

@@ -165,6 +165,53 @@ class TestQuadPath:
             quad_path(lambda z: 1.0 / np.sqrt(np.abs(z.real) + 1e-30), [-1.0, 1.0], spec)
         assert err.value.error_bound > 0
 
+    def test_both_ends_match_two_runs(self):
+        # the halves of a both-ended segment run as two components of one
+        # pass; here the left half carries a narrow peak and needs more panels
+        # than the right, and the sum matches the two halves run one by one
+        tol, w = 1e-11, 1e-2
+        spec, half_spec = QuadratureSpec(tol), QuadratureSpec(0.5 * tol)
+        calls = []
+
+        def f(z):
+            calls.append(z.size)
+            return np.stack((1.0 / np.sqrt(z * (1.0 - z)),
+                             w / (((z - 0.15) ** 2 + w * w) * np.sqrt(1.0 - z))), axis=1)
+
+        joint = quad_path(f, [0.0, 1.0], spec, sqrt_ends="both")
+        assert calls[0] == 90 and set(calls[1:]) == {120}
+        calls.clear()
+        left = quad_path(f, [0.0, 0.5], half_spec, sqrt_ends="start")
+        n_left = len(calls)
+        right = -quad_path(f, [1.0, 0.5], half_spec, sqrt_ends="start")
+        assert n_left > len(calls) - n_left
+        assert joint.shape == (2,)
+        assert np.all(np.abs(joint - (left + right)) <= tol)
+        assert abs(joint[0] - math.pi) <= tol
+
+    def test_both_ends_convergence_error(self):
+        # the error is raised once the halves' combined budget of
+        # 2 max_subdivisions panels is spent, with the whole segment's
+        # estimate and bound in the integrand's shape
+        nodes = []
+
+        def f(z):
+            nodes.append(z.size)
+            return np.stack((1.0 / np.sqrt(np.abs(z.real - 0.3) + 1e-30), np.ones(z.size)),
+                            axis=1)
+
+        spec = QuadratureSpec(target_abs_tol=1e-13, max_subdivisions=3)
+        with pytest.raises(QuadratureConvergenceError) as err:
+            quad_path(f, [0.0, 1.0], spec, sqrt_ends="both")
+        assert nodes == [90] + [120] * 5
+        assert err.value.estimate.shape == (2,) and err.value.error_bound.shape == (2,)
+        assert abs(err.value.estimate[1] - 1.0) < 1e-13
+        assert err.value.error_bound[0] > 1e-13
+        with pytest.raises(QuadratureConvergenceError) as err:
+            quad_path(lambda z: f(z)[:, 0], [0.0, 1.0], spec, sqrt_ends="both")
+        assert isinstance(err.value.estimate, complex)
+        assert isinstance(err.value.error_bound, float)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(target_abs_tol=-1.0)

@@ -499,10 +499,11 @@ def _segment_quad(f, z0: complex, z1: complex, tol: float, max_panels: int,
 
         def halves(u: np.ndarray) -> np.ndarray:
             # values of shape (n, 2) or (n, 2, k): half i of node j at [j, i]
-            vals = np.asarray(f((ends[:, None] + h[:, None] * u * u).ravel()))
-            vals = vals.reshape(2, u.size, *vals.shape[1:])
-            w = jac[:, None] * u
-            return np.moveaxis(vals * w.reshape(w.shape + (1,) * (vals.ndim - 2)), 0, 1)
+            u = u[:, None]
+            vals = np.asarray(f((ends + h * u * u).ravel()))
+            vals = vals.reshape(u.size, 2, *vals.shape[1:])
+            w = jac * u
+            return vals * w.reshape(w.shape + (1,) * (vals.ndim - 2))
 
         try:
             return adaptive_gl(halves, 0.0, 1.0, 0.5 * tol, 2 * max_panels).sum(axis=0)

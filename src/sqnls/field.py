@@ -43,8 +43,9 @@ def _t2_cached(x: float, p: BarrierParams) -> float | None:
 
     The search gives up at x = 0, where the two breaking curves pinch
     together (T2(x) -> T1(0) as x -> 0) and the oscillatory window has zero
-    width; it raises PinchPointError there, which reads as no T2. Any other
-    failure propagates.
+    width, and within ~3.7e-6 L of |x| = L, where mu at T2 falls below the
+    endpoint solver's floor; both raise PinchPointError and read as no T2.
+    Any other failure propagates.
     """
     key = (p.q, p.L, p.eps, round(abs(x), 12))
     if key not in _T2_CACHE:

@@ -29,6 +29,7 @@ __all__ = [
     "elliptic_parameter",
     "alpha_from_m",
     "mu_from_m",
+    "endpoint_mu_floor",
     "solve_endpoint",
     "endpoint_residuals",
     "char_speed",
@@ -145,6 +146,19 @@ def mu_from_m(m: float, q: float) -> float:
     return (2 * a * a - b * b + q * q) / (2 * a)
 
 
+# the m bracket that solve_endpoint inverts mu(m) on; mu falls with m
+_M_BRACKET = (1e-14, 1.0 - 1e-14)
+
+
+def endpoint_mu_floor(q: float) -> float:
+    """Smallest mu that solve_endpoint inverts, mu(1 - 1e-14) ~ 1.84e-6 q.
+
+    Below it the root m lies past the top of the m bracket, and
+    solve_endpoint raises RuntimeError.
+    """
+    return mu_from_m(_M_BRACKET[1], q)
+
+
 def solve_endpoint(mu: float, q: float) -> EndpointState:
     """Invert mu(m) on (0, 1) and package the endpoint alpha(m).
 
@@ -154,7 +168,7 @@ def solve_endpoint(mu: float, q: float) -> EndpointState:
     """
     if not (0 < mu < math.sqrt(2.0) * q):
         raise ValueError(f"mu = {mu} outside the oscillatory window (0, sqrt2 q)")
-    m_lo, m_hi = 1e-14, 1.0 - 1e-14
+    m_lo, m_hi = _M_BRACKET
     f_lo = mu_from_m(m_lo, q) - mu
     f_hi = mu_from_m(m_hi, q) - mu
     if f_lo * f_hi > 0:
@@ -375,10 +389,12 @@ def _p0_band_integrals(alpha: complex, xi0: float, xi1: float, q: float,
     (z - Re alpha) j / R along band 1 (alpha -> iq) and band 2 (-iq ->
     alpha*). Band 2 is band 1's mirror image, so each node s of the shared
     cut parameter maps to one point on each band, and the chi transforms run
-    once per xi over all of them.
+    once per xi over all of them. The pass has both bands' panel budgets,
+    2 quad.max_subdivisions, which the both-ended segment doubles again.
     """
     c1, d1 = _cut1(alpha, q)
     c2, d2 = _cut2(alpha, q)
+    quad = replace(quad, max_subdivisions=2 * quad.max_subdivisions)
     # band 1 runs against increasing s: sign -1
     scale = np.array([-d1, d2])
 

@@ -45,8 +45,14 @@ class SaddleError(RuntimeError):
 class PinchPointError(RuntimeError):
     """The double-root search gives up without a second breaking time at this x.
 
-    At x = 0 the two breaking curves pinch together (T2(x) -> T1(0)), so
-    rho1 has no root pair just past T1 and no T2 exists.
+    Two exits raise it. At x = 0 the two breaking curves pinch together
+    (T2(x) -> T1(0)), so rho1 has no root pair just past T1 and no T2
+    exists. Close to |x| = L the time window reaches its cap before the bump
+    maximum turns negative. The cap is where mu = (L - |x|)/(2t) meets the
+    floor of the endpoint solver, ~1.84e-6 q, or 1e4 L/q if that is
+    smaller; as T2 -> L/q at the edge, mu at T2 falls below that floor for
+    |x| > (1 - 3.7e-6) L. That exit is a limit of the endpoint solver, not a
+    proof that T2 is absent.
     """
 
 
@@ -259,10 +265,13 @@ def second_breaking_time(x: float, p, tol: float = 1e-8) -> float:
     residuals |rho1| and |rho1'| at the reported double root are below tol.
     Raises PinchPointError at x = 0, where no bracket for T2 exists. The
     bracket search starts from a window of 10 T1(x) and grows it 4x at a
-    time up to 1e4 L/q, a cap that stays put as |x| -> L, where T1 -> 0 and
-    T2 -> L/q; RuntimeError if the bump maximum is still positive there.
+    time up to a cap: 1e4 L/q, or the t at which mu meets the endpoint
+    solver's floor, if that is sooner. As |x| -> L, T1 -> 0 while T2 -> L/q,
+    so the cap stays put down to |x| ~ (1 - 3.7e-6) L and then shrinks with
+    L - |x|; PinchPointError if the bump maximum is still positive at it.
     """
-    from .genus1 import solve_endpoint  # deferred: genus1 builds on this module
+    # deferred: genus1 builds on this module
+    from .genus1 import endpoint_mu_floor, solve_endpoint
 
     x = abs(x)
     t1 = first_breaking_time(x, p)
@@ -280,6 +289,8 @@ def second_breaking_time(x: float, p, tol: float = 1e-8) -> float:
     g_lo = bump_max(t_lo)[0]
     if g_lo <= 0:
         raise PinchPointError(f"no root pair just past T1(x) at x = {x}; bump max {g_lo}")
+    # the 1e-9 margin keeps mu at t_cap above the floor through rounding
+    t_cap = min(1e4 * L / q, (L - x) / (2.0 * endpoint_mu_floor(q) * (1.0 + 1e-9)))
     t_hi = t_lo
     window = 10.0 * t1
     while True:
@@ -287,10 +298,10 @@ def second_breaking_time(x: float, p, tol: float = 1e-8) -> float:
         g_hi = bump_max(t_hi)[0]
         if g_hi < 0:
             break
+        if t_hi >= t_cap:
+            raise PinchPointError(f"double-root search window exhausted at x = {x}")
         if t_hi >= window:
-            window *= 4.0
-            if window > 1e4 * L / q:
-                raise RuntimeError(f"double-root search window exhausted at x = {x}")
+            window = min(4.0 * window, t_cap)
 
     t2 = brentq(lambda t: bump_max(t)[0], t_lo, t_hi, xtol=1e-13, rtol=8.9e-16)
     _, lam_star, state = bump_max(t2)

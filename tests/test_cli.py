@@ -45,6 +45,21 @@ class TestClassify:
         # at x = 0 the window between the breaking curves has zero width
         assert classify(0.0, 0.5, P).label == "beyond_scope"
 
+    @pytest.mark.parametrize("gap", [1e-6, 1e-9])
+    def test_barrier_edge_without_t2(self, monkeypatch, gap):
+        # within 3.7e-6 L of |x| = L the T2 search stops at the endpoint
+        # solver's floor: T2 reads as empty and past T1 is beyond scope
+        import sqnls.field
+
+        monkeypatch.setattr(sqnls.field, "_T2_CACHE", {})
+        x = (1.0 - gap) * P.L
+        t1 = first_breaking_time(x, P)
+        assert classify(x, 0.5 * t1, P).label == "S1"
+        reg = classify(x, 0.5, P)
+        assert (reg.label, reg.T2) == ("beyond_scope", None)
+        row = breaking_curves(x, x, 1, P)[1]
+        assert row.endswith(",") and float(row.split(",")[1]) == t1
+
     def test_only_a_pinch_point_leaves_t2_empty(self, monkeypatch):
         import sqnls.field
 

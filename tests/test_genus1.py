@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
-from sqnls import genus1
+from sqnls import genus1, specfun
 from sqnls.genus1 import (
     RealityError,
     abel_map,
@@ -250,17 +250,23 @@ class TestModulationConstants:
         modulation_constants(st.alpha, x, t, p)
         assert sizes == [180, 180]
 
-    def test_band_pass_matches_per_band_route(self):
+    @pytest.mark.parametrize("x,frac,tol", [
+        (0.25, 0.5, 1e-10),
+        # near mu = sqrt2 q (t just past T1) and near t = T2, where the
+        # shared heap must refine both bands at once
+        (0.05, 0.001, 1e-12), (0.95, 0.001, 1e-12),
+        (0.05, 0.999, 1e-12), (0.95, 0.999, 1e-12)])
+    def test_band_pass_matches_per_band_route(self, x, frac, tol):
         # the p0 band integrals against each band on its own cut, with its
         # own log term and chi transforms
         from sqnls.phase_geometry import rho1_real_roots
         from sqnls.scattering import chi_batch
 
-        p, x, t, st = _s2_point()
+        p, x, t, st = _s2_point(x, frac)
         a, q = st.alpha, p.q
         xi0 = st.mu - a.real
         xi1 = rho1_real_roots(a, xi0, t, p.L, q)[0]
-        quad, chi_quad = QuadratureSpec(1e-10), QuadratureSpec(1e-11)
+        quad, chi_quad = QuadratureSpec(tol), QuadratureSpec(1e-11)
 
         def terms(band):
             def g(z, r_side):
@@ -279,6 +285,28 @@ class TestModulationConstants:
         one_pass = genus1._p0_band_integrals(a, xi0, xi1, q, quad, chi_quad)
         assert one_pass.shape == (4,)
         assert np.max(np.abs(one_pass - per_band)) < 1e-12
+
+    def test_band_pass_budget(self, monkeypatch):
+        # one pass carries two bands, so it gets twice the panel budget of a
+        # per-band run; the both-ended segment doubles it again for its halves
+        budgets = []
+        adaptive_gl = specfun.adaptive_gl
+
+        def recording(f, a, b, tol, max_panels):
+            budgets.append(max_panels)
+            return adaptive_gl(f, a, b, tol, max_panels)
+
+        monkeypatch.setattr(specfun, "adaptive_gl", recording)
+        from sqnls.phase_geometry import rho1_real_roots
+
+        p, x, t, st = _s2_point()
+        xi0 = st.mu - st.alpha.real
+        xi1 = rho1_real_roots(st.alpha, xi0, t, p.L, p.q)[0]
+        genus1._p0_band_integrals(st.alpha, xi0, xi1, p.q, QuadratureSpec(1e-10, 7),
+                                  QuadratureSpec(1e-11, 50))
+        # the band pass comes first; the chi transforms run inside it
+        assert budgets[0] == 4 * 7
+        assert set(budgets[1:]) == {50}
 
     def test_xi0_positive_on_grid(self):
         for mu in np.linspace(0.05, 1.4, 10):

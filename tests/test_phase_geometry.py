@@ -198,12 +198,22 @@ class TestBreakingTimes:
 
     @pytest.mark.parametrize("q,L", [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0)])
     def test_t2_near_the_barrier_edge(self, q, L):
-        # T1 -> 0 as |x| -> L while T2 -> L/q; the search window's cap is a
-        # multiple of L/q, so the bracket is found right up to the edge
+        # T1 -> 0 as |x| -> L while T2 -> L/q; the search window's cap does
+        # not shrink with T1, so the bracket is found up to (1 - 1e-5) L
         p = BarrierParams(q, L, 0.1)
-        for x_frac, t2_unit in ((0.999, 0.99159), (0.9999, 0.99815)):
+        for x_frac, t2_unit in ((0.999, 0.99159), (0.9999, 0.99815), (0.99999, 0.99960)):
             t2 = second_breaking_time(x_frac * L, p)
             assert t2 == pytest.approx(t2_unit * L / q, abs=1e-5 * L / q)
+
+    @pytest.mark.parametrize("q,L", [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0)])
+    @pytest.mark.parametrize("gap", [1e-6, 1e-9])
+    def test_endpoint_floor_ends_the_search_at_the_edge(self, q, L, gap):
+        # mu at T2 ~ L/q is (L - |x|) q / (2L), below the endpoint solver's
+        # floor for L - |x| < 3.7e-6 L: the window stops at that floor
+        p = BarrierParams(q, L, 0.1)
+        assert genus1.endpoint_mu_floor(q) == pytest.approx(1.84e-6 * q, rel=1e-3)
+        with pytest.raises(PinchPointError, match="search window exhausted"):
+            second_breaking_time((1.0 - gap) * L, p)
 
 
 class TestT2SearchCost:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .phase_geometry import big_r, big_s, rho1_real_roots
 from .scattering import BarrierParams, _dist_to_polyline, chi_batch
-from .specfun import (QuadratureSpec, brentq, complete_elliptic, cut_sqrt, quad_path,
-                      quad_ray_to_inf, theta_sum)
+from .specfun import (QuadratureSpec, brentq, complete_elliptic, complete_elliptic_m1, cut_sqrt,
+                      quad_path, quad_ray_to_inf, theta_sum)
 
 __all__ = [
     "RealityError",
@@ -116,23 +116,40 @@ def elliptic_parameter(alpha: complex, q: float) -> float:
     return 1.0 - abs(alpha - 1j * q) ** 2 / abs(alpha + 1j * q) ** 2
 
 
-def _cap_a(m: float) -> float:
-    # helper ((2-m)E - 2(1-m)K)/(m^2 E); removable singularity at m = 0
+def _endpoint(m1: float, q: float) -> tuple[complex, float]:
+    """(alpha, mu) at the complementary parameter m1 = 1 - m, without cancellation.
+
+    alpha = q (sqrt(4A - (1+mA)^2) + i m A) with A = ((2-m)E - 2(1-m)K)/(m^2 E),
+    and mu = (2 a^2 - b^2 + q^2) / (2 a) from the moment relation, alpha = a + ib.
+    Near m = 1 the radicand and q^2 - b^2 both vanish like m1; they are
+    written as m1 times factors that do not cancel, through
+    D = (A - 1)/m1 = ((3 - m1)E - 2K)/(m^2 E):
+      4A - (1+mA)^2 = m1 (A - m1 D^2/(1 + sqrt A)^2)(2 sqrt A + 1 + mA),
+      q^2 - b^2     = q^2 m1 (1 - D + m1 D)(1 + mA).
+    """
+    m = 1.0 - m1
     if m < 1e-4:
-        return 0.375 + 0.1875 * m
-    K, E = complete_elliptic(m)
-    return ((2.0 - m) * E - 2.0 * (1.0 - m) * K) / (m * m * E)
+        # removable singularity of A at m = 0
+        A = 0.375 + 0.1875 * m
+        D = (A - 1.0) / m1
+    else:
+        K, E = complete_elliptic_m1(m1)
+        D = ((3.0 - m1) * E - 2.0 * K) / (m * m * E)
+        A = 1.0 + m1 * D
+    s_a = math.sqrt(A)
+    rad = m1 * (A - m1 * D * D / (1.0 + s_a) ** 2) * (2.0 * s_a + 1.0 + m * A)
+    if rad < -1e-12:
+        raise ValueError(f"negative radicand {rad} in the endpoint formula")
+    a = q * math.sqrt(max(rad, 0.0))
+    b2_gap = q * q * m1 * (1.0 - D + m1 * D) * (1.0 + m * A)
+    return complex(a, q * m * A), (2.0 * a * a + b2_gap) / (2.0 * a)
 
 
 def alpha_from_m(m: float, q: float) -> complex:
     """Band endpoint alpha = q (sqrt(4A - (1+mA)^2) + i m A) from the parameter m."""
     if not (0 < m < 1):
         raise ValueError("m must lie in (0, 1)")
-    A = _cap_a(m)
-    rad = 4.0 * A - (1.0 + m * A) ** 2
-    if rad < -1e-12:
-        raise ValueError(f"negative radicand {rad} in the endpoint formula")
-    return q * (math.sqrt(max(rad, 0.0)) + 1j * m * A)
+    return _endpoint(1.0 - m, q)[0]
 
 
 def mu_from_m(m: float, q: float) -> float:
@@ -141,9 +158,9 @@ def mu_from_m(m: float, q: float) -> float:
     From the moment relation: mu = (2 a^2 - b^2 + q^2) / (2 a) with
     alpha = a + ib.
     """
-    al = alpha_from_m(m, q)
-    a, b = al.real, al.imag
-    return (2 * a * a - b * b + q * q) / (2 * a)
+    if not (0 < m < 1):
+        raise ValueError("m must lie in (0, 1)")
+    return _endpoint(1.0 - m, q)[1]
 
 
 # the m bracket that solve_endpoint inverts mu(m) on; mu falls with m
@@ -151,7 +168,7 @@ _M_BRACKET = (1e-14, 1.0 - 1e-14)
 
 
 def endpoint_mu_floor(q: float) -> float:
-    """Smallest mu that solve_endpoint inverts, mu(1 - 1e-14) ~ 1.84e-6 q.
+    """Smallest mu that solve_endpoint inverts, mu(1 - 1e-14) ~ 1.85e-6 q.
 
     Below it the root m lies past the top of the m bracket, and
     solve_endpoint raises RuntimeError.

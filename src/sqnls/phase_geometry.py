@@ -47,12 +47,12 @@ class PinchPointError(RuntimeError):
 
     Two exits raise it. At x = 0 the two breaking curves pinch together
     (T2(x) -> T1(0)), so rho1 has no root pair just past T1 and no T2
-    exists. Close to |x| = L the time window reaches its cap before the bump
-    maximum turns negative. The cap is where mu = (L - |x|)/(2t) meets the
-    floor of the endpoint solver, ~1.84e-6 q, or 1e4 L/q if that is
-    smaller; as T2 -> L/q at the edge, mu at T2 falls below that floor for
-    |x| > (1 - 3.7e-6) L. That exit is a limit of the endpoint solver, not a
-    proof that T2 is absent.
+    exists. Close to |x| = L the search window ends before the bump maximum
+    turns negative. The window ends at the endpoint solver's floor
+    m = 1 - 1e-14, where mu = (L - |x|)/(2t) is ~1.85e-6 q, or at
+    t = 1e4 L/q if that comes first; as T2 -> L/q at the edge, mu at T2
+    falls below that floor for |x| > (1 - 3.7e-6) L. That exit is a limit of
+    the endpoint solver, not a proof that T2 is absent.
     """
 
 
@@ -259,58 +259,63 @@ def first_breaking_time(x: float, p) -> float:
 def second_breaking_time(x: float, p, tol: float = 1e-8) -> float:
     """The time at which the two negative roots of rho1 coalesce.
 
-    At each trial t the endpoint alpha and xi0 are re-solved from the
-    self-similar variable mu = (L - |x|)/(2t), then the bump maximum of
-    rho1 is driven to zero by bisection in t. Returns T2(x) > T1(x); the
-    residuals |rho1| and |rho1'| at the reported double root are below tol.
-    Raises PinchPointError at x = 0, where no bracket for T2 exists. The
-    bracket search starts from a window of 10 T1(x) and grows it 4x at a
-    time up to a cap: 1e4 L/q, or the t at which mu meets the endpoint
-    solver's floor, if that is sooner. As |x| -> L, T1 -> 0 while T2 -> L/q,
-    so the cap stays put down to |x| ~ (1 - 3.7e-6) L and then shrinks with
-    L - |x|; PinchPointError if the bump maximum is still positive at it.
+    The search runs in the complementary elliptic parameter m1 = 1 - m of
+    the endpoint, through w = (log m1)^2. A trial w gives alpha and
+    mu = (L - |x|)/(2t) in closed form, hence t, and then the bump maximum
+    of rho1, which brentq drives to zero in w; only the start point
+    t = 1.0001 T1(x) is solved for m. The bump maximum is close to linear
+    in w: near the pinch both w and T2 - T1 go like m^2. Returns
+    T2(x) > T1(x); the residuals |rho1| and |rho1'| at the reported double
+    root are below tol. Raises PinchPointError at x = 0, where no bracket
+    for T2 exists, and when the bump maximum is still positive where the
+    window ends: the bracket grows in steps of 10, 20, 40, ... in w up to
+    the endpoint solver's floor m = 1 - 1e-14 or t = 1e4 L/q.
     """
     # deferred: genus1 builds on this module
-    from .genus1 import endpoint_mu_floor, solve_endpoint
+    from .genus1 import _M_BRACKET, _endpoint, solve_endpoint
 
     x = abs(x)
     t1 = first_breaking_time(x, p)
     q, L = p.q, p.L
 
     @functools.cache
-    def bump_max(t: float):
-        # (value, lam_star, endpoint state) at trial time t; brentq re-evaluates
-        # the bracket ends, and the closing call repeats its last point
-        mu = (L - x) / (2.0 * t)
-        state = solve_endpoint(mu, q)
-        return (*rho1_bump_max(state.alpha, mu - state.alpha.real, t, L, q), state)
+    def bump_max(w: float):
+        # (value, lam_star, alpha, xi0, t) at w = (log m1)^2; brentq
+        # re-evaluates the bracket ends, and the closing call repeats its last point
+        alpha, mu = _endpoint(math.exp(-math.sqrt(w)), q)
+        t = (L - x) / (2.0 * mu)
+        xi0 = mu - alpha.real
+        return (*rho1_bump_max(alpha, xi0, t, L, q), alpha, xi0, t)
 
-    t_lo = t1 * 1.0001
-    g_lo = bump_max(t_lo)[0]
+    w_lo = math.log1p(-solve_endpoint((L - x) / (2.0 * 1.0001 * t1), q).m) ** 2
+    g_lo = bump_max(w_lo)[0]
     if g_lo <= 0:
         raise PinchPointError(f"no root pair just past T1(x) at x = {x}; bump max {g_lo}")
-    # the 1e-9 margin keeps mu at t_cap above the floor through rounding
-    t_cap = min(1e4 * L / q, (L - x) / (2.0 * endpoint_mu_floor(q) * (1.0 + 1e-9)))
-    t_hi = t_lo
-    window = 10.0 * t1
+    w_floor = math.log(1.0 - _M_BRACKET[1]) ** 2
+    t_cap = 1e4 * L / q
+    w_hi, step = w_lo, 10.0
     while True:
-        t_hi = min(t_hi * 1.5, window)
-        g_hi = bump_max(t_hi)[0]
+        w_prev, w_hi = w_hi, min(w_hi + step, w_floor)
+        step *= 2.0
+        g_hi, _, _, _, t_hi = bump_max(w_hi)
         if g_hi < 0:
             break
-        if t_hi >= t_cap:
+        if w_hi >= w_floor or t_hi >= t_cap:
             raise PinchPointError(f"double-root search window exhausted at x = {x}")
-        if t_hi >= window:
-            window = min(4.0 * window, t_cap)
 
-    t2 = brentq(lambda t: bump_max(t)[0], t_lo, t_hi, xtol=1e-13, rtol=8.9e-16)
-    _, lam_star, state = bump_max(t2)
-    xi0 = state.mu - state.alpha.real
+    def gap(w: float) -> float:
+        # rho1's terms are O(4L): a bump maximum within a few ulps of them is
+        # a root, and brentq stops there instead of stepping to confirm it
+        g = bump_max(w)[0]
+        return 0.0 if abs(g) <= 4e-15 * L else g
+
+    w2 = brentq(gap, w_prev, w_hi, xtol=1e-12, rtol=8.9e-16)
+    _, lam_star, alpha, xi0, t2 = bump_max(w2)
     h = 1e-6 * max(1.0, abs(lam_star))
 
     def d_rho1(lam: float) -> float:
-        return (rho1_value(lam + h, state.alpha, xi0, t2, L, q)
-                - rho1_value(lam - h, state.alpha, xi0, t2, L, q)) / (2 * h)
+        return (rho1_value(lam + h, alpha, xi0, t2, L, q)
+                - rho1_value(lam - h, alpha, xi0, t2, L, q)) / (2 * h)
 
     # polish the critical point: the bounded minimizer leaves O(1e-8) slack
     for _ in range(4):
@@ -319,7 +324,7 @@ def second_breaking_time(x: float, p, tol: float = 1e-8) -> float:
         if d2 == 0 or abs(d1 / d2) < 1e-14 * max(1.0, abs(lam_star)):
             break
         lam_star -= d1 / d2
-    g_res = rho1_value(lam_star, state.alpha, xi0, t2, L, q)
+    g_res = rho1_value(lam_star, alpha, xi0, t2, L, q)
     dres = d_rho1(lam_star)
     if abs(g_res) > tol or abs(dres) > tol:
         raise RuntimeError(

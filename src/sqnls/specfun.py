@@ -33,6 +33,7 @@ __all__ = [
     "QuadratureSpec",
     "QuadratureConvergenceError",
     "complete_elliptic",
+    "complete_elliptic_m1",
     "ellipk",
     "ellipe",
     "complete_elliptic_series",
@@ -80,43 +81,52 @@ class QuadratureSpec:
 # complete elliptic integrals
 # ---------------------------------------------------------------------------
 
-def ellipk(m: float) -> float:
-    """K(m) by the arithmetic-geometric mean, parameter convention m = k^2."""
+def _check_m(m: float) -> None:
     if not (isinstance(m, (int, float)) and math.isfinite(m)):
         raise ValueError("m must be a finite real number")
-    if m < 0 or m >= 1:
-        raise ValueError("K(m) requires 0 <= m < 1 (K diverges logarithmically at m = 1)")
-    a, b = 1.0, math.sqrt(1.0 - m)
+
+
+def complete_elliptic_m1(m1: float) -> tuple[float, float]:
+    """(K, E) at the complementary parameter m1 = 1 - m, from one AGM pass.
+
+    The pass starts from b0 = sqrt(m1), so K and E keep their relative
+    precision as m -> 1, where m1 carries digits that 1 - m has lost.
+    E = K (1 - sum 2^(n-1) c_n^2) with c0^2 = m (Abramowitz-Stegun 17.6;
+    DLMF 19.8). Requires 0 < m1 <= 1; K diverges logarithmically at m1 = 0.
+    """
+    a, b = 1.0, math.sqrt(m1)
+    e_sum, pow2 = 0.5 * (1.0 + m1), 1.0  # 1 - c0^2 / 2
     for _ in range(64):
         if abs(a - b) <= 4e-16 * a:
             break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
-
-
-def ellipe(m: float) -> float:
-    """E(m) by the AGM with the c_n correction sum; defined for 0 <= m <= 1."""
-    if not (isinstance(m, (int, float)) and math.isfinite(m)):
-        raise ValueError("m must be a finite real number")
-    if m < 0 or m > 1:
-        raise ValueError("E(m) requires 0 <= m <= 1")
-    if m == 1.0:
-        return 1.0
-    a, b, c = 1.0, math.sqrt(1.0 - m), math.sqrt(m)
-    csum = 0.5 * c * c
-    pow2 = 1.0
-    for _ in range(64):
-        if abs(c) <= 4e-16 * a:
-            break
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         pow2 *= 2.0
-        csum += 0.5 * pow2 * c * c
-    return math.pi / (2.0 * a) * (1.0 - csum)
+        e_sum -= 0.5 * pow2 * c * c
+    k = math.pi / (2.0 * a)
+    return k, k * e_sum
 
 
 def complete_elliptic(m: float) -> tuple[float, float]:
     """Return (K(m), E(m)); rejects m >= 1 since K diverges there."""
-    return ellipk(m), ellipe(m)
+    _check_m(m)
+    if m < 0 or m >= 1:
+        raise ValueError("K(m) requires 0 <= m < 1 (K diverges logarithmically at m = 1)")
+    return complete_elliptic_m1(1.0 - m)
+
+
+def ellipk(m: float) -> float:
+    """K(m) by the arithmetic-geometric mean, parameter convention m = k^2."""
+    return complete_elliptic(m)[0]
+
+
+def ellipe(m: float) -> float:
+    """E(m) by the AGM with the c_n correction sum; defined for 0 <= m <= 1."""
+    _check_m(m)
+    if m < 0 or m > 1:
+        raise ValueError("E(m) requires 0 <= m <= 1")
+    if m == 1.0:
+        return 1.0
+    return complete_elliptic_m1(1.0 - m)[1]
 
 
 def complete_elliptic_series(m: float, rel_tol: float = 1e-16) -> tuple[float, float]:
@@ -390,7 +400,16 @@ def minimize_bounded(f, lo: float, hi: float, xatol: float) -> float:
 # adaptive Gauss-Legendre over complex polylines
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# the 15-point Gauss-Legendre rule, equal bit for bit to numpy's leggauss(15)
+# but written out, so importing the module does not start LAPACK
+_GL_HALF_NODES = (0.20119409399743451, 0.3941513470775634, 0.5709721726085388,
+                  0.7244177313601701, 0.8482065834104272, 0.9372733924007058,
+                  0.9879925180204854)
+_GL_HALF_WEIGHTS = (0.1984314853271116, 0.1861610000155622, 0.16626920581699398,
+                    0.13957067792615444, 0.10715922046717141, 0.0703660474881084,
+                    0.030753241996117203)
+_GL_NODES = np.array([-v for v in _GL_HALF_NODES[::-1]] + [0.0] + list(_GL_HALF_NODES))
+_GL_WEIGHTS = np.array(_GL_HALF_WEIGHTS[::-1] + (0.2025782419255613,) + _GL_HALF_WEIGHTS)
 
 
 def _gl_sums(f, lo, hi) -> np.ndarray:

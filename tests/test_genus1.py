@@ -61,6 +61,32 @@ class TestEndpointFromM:
             alpha_from_m(1.0, Q)
 
 
+class TestEndpointPrecision:
+    # (m1, Re alpha, Im alpha, mu) at q = 1, computed once with mpmath at 50
+    # digits from A = ((2-m)E - 2(1-m)K)/(m^2 E), alpha = sqrt(4A - (1+mA)^2) + i m A
+    # and mu = (2a^2 - b^2 + 1)/(2a), with m = 1 - m1 taken exactly
+    REFERENCE = [
+        (1e-2, 0.18818143770642658, 0.94671795031591816, 0.46378014662755732),
+        (1e-5, 0.006323005083038042, 0.99987714806709791, 0.025751170170698043),
+        (1e-8, 0.00019999988971131054, 0.99999980806731364, 0.0011596637586265),
+        (1e-11, 6.3245553141571336e-6, 0.99999999973898975, 4.759389907618377e-5),
+        (1e-14, 1.999999999996956e-7, 0.99999999999966991, 1.850439001209628e-6),
+    ]
+
+    @pytest.mark.parametrize("m1,a_ref,b_ref,mu_ref", REFERENCE)
+    def test_no_cancellation_near_m_one(self, m1, a_ref, b_ref, mu_ref):
+        alpha, mu = genus1._endpoint(m1, 1.0)
+        assert abs(alpha.real - a_ref) <= 1e-13 * a_ref
+        assert abs(alpha.imag - b_ref) <= 1e-13 * b_ref
+        assert abs(mu - mu_ref) <= 1e-13 * mu_ref
+
+    @pytest.mark.parametrize("m", [1e-5, 0.037, 0.5, 0.9])
+    def test_from_m_is_the_m1_form(self, m):
+        alpha, mu = genus1._endpoint(1.0 - m, Q)
+        assert alpha_from_m(m, Q) == alpha
+        assert mu_from_m(m, Q) == mu
+
+
 class TestSolveEndpoint:
     def test_mu_monotone(self):
         ms = np.linspace(1e-6, 1 - 1e-6, 50)

@@ -209,15 +209,16 @@ class TestBreakingTimes:
     @pytest.mark.parametrize("gap", [1e-6, 1e-9])
     def test_endpoint_floor_ends_the_search_at_the_edge(self, q, L, gap):
         # mu at T2 ~ L/q is (L - |x|) q / (2L), below the endpoint solver's
-        # floor for L - |x| < 3.7e-6 L: the window stops at that floor
+        # floor for L - |x| < 3.7e-6 L: the window stops at that floor.
+        # mu(m) at the floating-point m = 1 - 1e-14 is 1.8497e-6 q (mpmath, 50 digits)
         p = BarrierParams(q, L, 0.1)
-        assert genus1.endpoint_mu_floor(q) == pytest.approx(1.84e-6 * q, rel=1e-3)
+        assert genus1.endpoint_mu_floor(q) == pytest.approx(1.8497e-6 * q, rel=1e-3)
         with pytest.raises(PinchPointError, match="search window exhausted"):
             second_breaking_time((1.0 - gap) * L, p)
 
 
 class TestT2SearchCost:
-    """The T2 search solves the endpoint once per trial time and never reads its residuals."""
+    """The T2 search solves the endpoint at most once and never reads its residuals."""
 
     @staticmethod
     def _count(monkeypatch, module, name):
@@ -240,12 +241,21 @@ class TestT2SearchCost:
         assert field.classify(0.3, 1.5 * t1, P).T2 is not None
         assert calls == []
 
-    def test_one_endpoint_solve_per_bump_search(self, monkeypatch):
+    def test_one_endpoint_solve_per_search(self, monkeypatch):
+        # the trial times come from the closed-form endpoint in m1 = 1 - m:
+        # only the start point is solved for m, and the search makes no
+        # more bump searches than the nested design did (7, 9 and 21 at
+        # x = 0.1, 0.5 and 0.9, one endpoint solve per bump search)
         solves = self._count(monkeypatch, genus1, "solve_endpoint")
         bumps = self._count(monkeypatch, phase_geometry, "rho1_bump_max")
-        second_breaking_time(0.3, P)
-        assert len(bumps) > 0
-        assert len(solves) == len(bumps)
+        for x, nested_bumps in ((0.1, 7), (0.5, 9), (0.9, 21)):
+            solves.clear()
+            bumps.clear()
+            second_breaking_time(x, P)
+            assert len(solves) <= 1
+            assert 0 < len(bumps) <= nested_bumps
+            # brentq's repeated bracket ends come from the search's cache
+            assert len({args[2] for args in bumps}) == len(bumps)
 
     @pytest.mark.parametrize("x", [0.1, 0.9])
     def test_no_mu_solved_twice(self, monkeypatch, x):

@@ -5,12 +5,14 @@ import re
 import numpy as np
 import pytest
 
+from sqnls import specfun
 from sqnls.specfun import (
     QuadratureConvergenceError,
     QuadratureSpec,
     adaptive_gl,
     brentq,
     complete_elliptic,
+    complete_elliptic_m1,
     complete_elliptic_series,
     cut_sqrt,
     dilog,
@@ -57,6 +59,23 @@ class TestCompleteElliptic:
         for bad in (-0.1, 1.5, math.inf, math.nan):
             with pytest.raises(ValueError):
                 ellipk(bad)
+
+    def test_wrappers_share_one_agm_pass(self):
+        for m in (0.0, 0.3, 0.9, 1.0 - 1e-9):
+            K, E = complete_elliptic_m1(1.0 - m)
+            assert complete_elliptic(m) == (K, E)
+            assert (ellipk(m), ellipe(m)) == (K, E)
+
+    @pytest.mark.parametrize("m1,k_ref,e_ref", [
+        # K(1 - m1) and E(1 - m1) from mpmath at 50 digits
+        (1e-8, 10.59663475708766, 1.0000000504831738),
+        (1e-14, 17.504390012078252, 1.000000000000085),
+    ])
+    def test_precision_near_m_one(self, m1, k_ref, e_ref):
+        # the pass starts from sqrt(m1), so no digit of m1 is lost to 1 - m
+        K, E = complete_elliptic_m1(m1)
+        assert abs(K - k_ref) <= 2e-15 * k_ref
+        assert abs(E - e_ref) <= 2e-15 * e_ref
 
 
 class TestDilog:
@@ -234,6 +253,12 @@ class TestQuadPath:
 
 
 class TestAdaptiveGL:
+    def test_rule_literals_match_leggauss(self):
+        # the written-out 15-point rule is numpy's, bit for bit
+        nodes, weights = np.polynomial.legendre.leggauss(15)
+        assert np.array_equal(specfun._GL_NODES, nodes)
+        assert np.array_equal(specfun._GL_WEIGHTS, weights)
+
     def test_components_meet_tolerance_each(self):
         # a smooth component of size ~1e6 and a narrow peak of size ~1: one
         # error norm over both would let the peak stop short

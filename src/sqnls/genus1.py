@@ -2,10 +2,9 @@
 
 The moving band endpoint alpha depends on (x, t) only through the
 self-similar variable mu = -(x-L)/(2t) and solves a pair of elliptic
-integral equations. All Abelian periods are reduced to integrals along the
-straight cuts [iq, alpha], [alpha*, -iq] (homotopy invariance makes the
-straight-cut realization canonical); boundary values on the cuts are closed
-forms, so no quadrature path ever hugs a singularity.
+integral equations. Every modulation constant is an Abelian integral over
+the band cut [iq, alpha] (closed-form boundary values), the segment
+alpha* -> alpha or the ray iq -> i inf, and each contour takes one pass.
 """
 
 from __future__ import annotations
@@ -163,7 +162,7 @@ def mu_from_m(m: float, q: float) -> float:
     return _endpoint(1.0 - m, q)[1]
 
 
-# the m bracket that solve_endpoint inverts mu(m) on; mu falls with m
+# the m bracket that solve_endpoint inverts mu on, in v = -log(1 - m); mu falls with m
 _M_BRACKET = (1e-14, 1.0 - 1e-14)
 
 
@@ -176,22 +175,27 @@ def endpoint_mu_floor(q: float) -> float:
     return mu_from_m(_M_BRACKET[1], q)
 
 
+def _v_from_mu(mu: float, q: float) -> float:
+    """v = -log(1 - m) at mu by brentq on _endpoint(exp(-v)): v resolves m near 1."""
+    if not (0 < mu < math.sqrt(2.0) * q):
+        raise ValueError(f"mu = {mu} outside the oscillatory window (0, sqrt2 q)")
+    v_lo, v_hi = (-math.log1p(-m) for m in _M_BRACKET)
+    f = lambda v: _endpoint(math.exp(-v), q)[1] - mu
+    f_lo, f_hi = f(v_lo), f(v_hi)
+    if f_lo * f_hi > 0:
+        raise RuntimeError(f"no sign change for mu = {mu}: [{f_lo}, {f_hi}]")
+    return brentq(f, v_lo, v_hi, xtol=1e-15, rtol=8.9e-16)
+
+
 def solve_endpoint(mu: float, q: float) -> EndpointState:
-    """Invert mu(m) on (0, 1) and package the endpoint alpha(m).
+    """Invert mu in v = -log(1 - m) and package the endpoint alpha(m).
 
     No quadrature runs here: the residuals of the moment and gap functions
     at the reference point t = 1 are computed when the returned state's
     res_moment or res_gap is first read.
     """
-    if not (0 < mu < math.sqrt(2.0) * q):
-        raise ValueError(f"mu = {mu} outside the oscillatory window (0, sqrt2 q)")
-    m_lo, m_hi = _M_BRACKET
-    f_lo = mu_from_m(m_lo, q) - mu
-    f_hi = mu_from_m(m_hi, q) - mu
-    if f_lo * f_hi > 0:
-        raise RuntimeError(f"no sign change for mu = {mu}: [{f_lo}, {f_hi}]")
-    m = brentq(lambda mm: mu_from_m(mm, q) - mu, m_lo, m_hi, xtol=1e-15, rtol=8.9e-16)
-    return EndpointState(mu=mu, m=m, alpha=alpha_from_m(m, q), q=q)
+    m1 = math.exp(-_v_from_mu(mu, q))
+    return EndpointState(mu=mu, m=1.0 - m1, alpha=_endpoint(m1, q)[0], q=q)
 
 
 def endpoint_residuals(alpha: complex, x_minus_l: float, t: float, q: float,
@@ -288,13 +292,6 @@ def _cut_integral(g, cut: str, alpha: complex, q: float, quad: QuadratureSpec,
     return quad_path(param_integrand, [-1.0, 1.0], quad, sqrt_ends="both")
 
 
-def _a_cycle(num, alpha: complex, q: float, quad: QuadratureSpec) -> complex:
-    """a-period of num(z)/R(z) dz: twice the straight-segment integral alpha -> alpha*."""
-    val = quad_path(lambda z: num(z) / big_r(z, alpha, q), [alpha, alpha.conjugate()], quad,
-                    sqrt_ends="both")
-    return 2.0 * val
-
-
 def _b_cycle(num, alpha: complex, q: float, quad: QuadratureSpec) -> complex:
     """b-period of num(z)/R(z) dz as a collapsed two-sided integral over [iq, alpha].
 
@@ -308,12 +305,24 @@ def seg_integral_inv_r(alpha: complex, q: float, quad: QuadratureSpec | None = N
     """integral_{alpha*}^{alpha} dz / R(z) along the straight segment.
 
     Matches 2i K(m) / |alpha + iq| (elliptic reduction of the endpoint
-    Jacobian); used as the production value behind the a-period.
+    Jacobian); period_integrals takes its a-period from it.
     """
     if quad is None:
         quad = QuadratureSpec(target_abs_tol=1e-12)
     return quad_path(lambda z: 1.0 / big_r(z, alpha, q), [alpha.conjugate(), alpha], quad,
                      sqrt_ends="both")
+
+
+def _normalize(seg_inv_r: complex, b_inv_r: complex) -> tuple[float, complex, complex]:
+    """(H, a_period, c_nu) from int_{alpha*}^{alpha} dz/R and the b-period of dz/R."""
+    a_period = -2.0 * seg_inv_r  # alpha -> alpha* orientation
+    c_nu = 2j * math.pi / a_period
+    H_val = c_nu * b_inv_r
+    if abs(H_val.imag) > 1e-8 * max(1.0, abs(H_val)):
+        raise RealityError(f"b-period came out non-real: {H_val}", H_val)
+    if H_val.real > 0:
+        raise RuntimeError(f"b-period positive ({H_val.real}); orientation conventions broken")
+    return H_val.real, a_period, c_nu
 
 
 def period_integrals(alpha: complex, q: float, quad: QuadratureSpec | None = None
@@ -328,15 +337,8 @@ def period_integrals(alpha: complex, q: float, quad: QuadratureSpec | None = Non
         quad = QuadratureSpec(target_abs_tol=1e-11)
     if abs(alpha - 1j * q) < 1e-12 * q:
         raise ValueError("alpha = iq: the surface degenerates")
-    a_period = -2.0 * seg_integral_inv_r(alpha, q, quad)  # alpha -> alpha* orientation
-    c_nu = 2j * math.pi / a_period
-    b_per = _b_cycle(lambda z: 1.0 + 0j, alpha, q, quad)
-    H_val = c_nu * b_per
-    if abs(H_val.imag) > 1e-8 * max(1.0, abs(H_val)):
-        raise RealityError(f"b-period came out non-real: {H_val}", H_val)
-    H_real = H_val.real
-    if H_real > 0:
-        raise RuntimeError(f"b-period positive ({H_real}); orientation conventions broken")
+    H_real, a_period, c_nu = _normalize(seg_integral_inv_r(alpha, q, quad),
+                                        _b_cycle(lambda z: 1.0 + 0j, alpha, q, quad))
     a_inf = c_nu * quad_ray_to_inf(lambda z: 1.0 / big_r(z, alpha, q), 1j * q, 1j, 2, quad,
                                    sqrt_start=True)
     return H_real, a_period, a_inf, c_nu
@@ -452,79 +454,76 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams,
         raise ValueError("rho1 has no real roots here: (x, t) is past the second breaking time")
     xi1 = roots[0]
 
-    def rho(z: np.ndarray) -> np.ndarray:
-        # (2tz + x - L) - S (t (2z + a + a*) + x - L), with 1 - S written as
-        # (1 - S^2) / (1 + S): the direct form cancels two terms of size 2t|z|
-        # to a result of order 1/|z|^2, and the ray map amplifies that roundoff
-        s_val = big_s(z, a, q)
-        one_minus_s = ((2.0 * a.real * z + q * q - abs(a) ** 2)
-                       / ((z * z + q * q) * (1.0 + s_val)))
-        return (2.0 * t * z + (x - L)) * one_minus_s - s_val * t * (a + ac)
+    # one adaptive pass per contour, each integrand a column; (num2 + c_tau)/R
+    # with num2 = z^2 - Re(alpha) z has a zero a-period. Band 1 carries the
+    # Omega loop and the b-periods of 1/R and num2/R
+    def band1_terms(z: np.ndarray, r: np.ndarray) -> np.ndarray:
+        loop = (r / (z * z + q * q)) * (t * (2 * z + a + ac) + (x - L))
+        return np.stack((loop, 1.0 / r, z * (z - a.real) / r), axis=1)
 
+    band1 = _cut_integral(band1_terms, "band1", a, q, quad, _BAND1_SIDE)
     # Omega: real part of the collapsed loop integral around the upper band
-    loop_band1 = -2.0 * _cut_integral(
-        lambda z, r: (r / (z * z + q * q)) * (t * (2 * z + a + ac) + (x - L)),
-        "band1", a, q, quad, _BAND1_SIDE)
-    omega_val = loop_band1.real
+    loop_band1 = -2.0 * band1[0]
     if abs(loop_band1.imag) > 1e-8 * max(1.0, abs(loop_band1)):
         raise RealityError(f"gap-jump constant not real: {loop_band1}", loop_band1)
 
-    # eta = -theta0(iq) + 2 int_inf^iq rho, up the imaginary axis
-    theta0_iq = 2 * t * (1j * q) ** 2 + 2 * (x - L) * (1j * q)
-    eta_val = -theta0_iq - 2.0 * quad_ray_to_inf(rho, 1j * q, 1j, 2, quad, sqrt_start=True)
+    # the ray iq -> i inf carries rho (eta), 1/R (A_inf) and num2/R - 1 (Y0)
+    def ray_terms(z: np.ndarray) -> np.ndarray:
+        # rho = (2tz + x - L) - S (t (2z + a + a*) + x - L), 1 - S as (1 - S^2)/(1 + S):
+        # the direct form cancels terms of size 2t|z| to O(1/|z|^2), and the ray map amplifies it
+        s_val = big_s(z, a, q)
+        one_minus_s = ((2.0 * a.real * z + q * q - abs(a) ** 2)
+                       / ((z * z + q * q) * (1.0 + s_val)))
+        rho = (2.0 * t * z + (x - L)) * one_minus_s - s_val * t * (a + ac)
+        inv_r = 1.0 / big_r(z, a, q)
+        return np.stack((rho, inv_r, z * (z - a.real) * inv_r - 1.0), axis=1)
+
+    ray = quad_ray_to_inf(ray_terms, 1j * q, 1j, 2, quad, sqrt_start=True)
+    # eta = -theta0(iq) + 2 int_inf^iq rho, theta0(iq) = 2t (iq)^2 + 2 (x - L) iq
+    eta_val = 2 * t * q * q - 2j * (x - L) * q - 2.0 * ray[0]
     if abs(eta_val.imag) > 1e-8 * max(1.0, abs(eta_val)):
         raise RealityError(f"band-jump constant not real: {eta_val}", eta_val)
 
-    # holomorphic differential data
-    H_real, a_period, a_inf, c_nu = period_integrals(a, q, quad)
-    k_riemann = 1j * math.pi + 0.5 * H_real
+    # the segment alpha* -> alpha carries 1/R, (z - Re alpha)/R and num2/R; it
+    # and the gap path alpha* -> xi0 -> alpha enclose no cut, so they agree
+    def seg_terms(z: np.ndarray) -> np.ndarray:
+        z_rel = z - a.real
+        return np.stack((np.ones_like(z), z_rel, z * z_rel), axis=1) / big_r(z, a, q)[:, None]
 
-    # second-kind differential: numerator z^2 - Re(alpha) z + c_tau, a-period zero
-    num2 = lambda z: z * z - a.real * z
-    c_tau = -_a_cycle(num2, a, q, quad) / a_period
-    b_num = _b_cycle(lambda z: num2(z) + c_tau, a, q, quad)
+    gap_inv_r, gap_rel, seg_num2 = quad_path(seg_terms, [ac, a], quad, sqrt_ends="both")
+
+    H_real, _, c_nu = _normalize(gap_inv_r, 2.0 * band1[1])
+    c_tau = -seg_num2 / gap_inv_r
+    b_num = 2.0 * (band1[2] + c_tau * band1[1])
 
     # slopes of the real linear polynomials in the essential singularity of s;
     # expanding the Cauchy integrals of s0, s1 at infinity gives
     # p' = (1/2 pi i) * (oriented weight integral), real since the gap
     # integral of 1/R is imaginary and the band integrals pair up
-    gap_path_lower = quad_path(lambda z: 1.0 / big_r(z, a, q), [ac, xi0 + 0j], quad,
-                               sqrt_ends="both")
-    gap_path_upper = quad_path(lambda z: 1.0 / big_r(z, a, q), [xi0 + 0j, a], quad,
-                               sqrt_ends="both")
-    gap_inv_r = gap_path_lower + gap_path_upper
-    p1_slope_c = -1j * omega_val / (2 * math.pi) * gap_inv_r
+    p1_slope_c = -1j * loop_band1.real / (2 * math.pi) * gap_inv_r
     if abs(p1_slope_c.imag) > 1e-8 * max(1.0, abs(p1_slope_c)):
         raise RealityError(f"p1 slope not real: {p1_slope_c}", p1_slope_c)
-    p1_slope = p1_slope_c.real
-    tau1_b_c = p1_slope * b_num
-    tau1_b = tau1_b_c.real
-    if abs(tau1_b_c - tau1_b) > 1e-8 * max(1.0, abs(tau1_b)):
+    tau1_b_c = p1_slope_c.real * b_num
+    if abs(tau1_b_c.imag) > 1e-8 * max(1.0, abs(tau1_b_c.real)):
         raise RealityError("tau1 b-period not real", tau1_b_c)
 
     # p0: band pieces with the j weight, gap pieces with the constant -i pi/2
     band1_slope, band1_mom, band2_slope, band2_mom = _p0_band_integrals(
         a, xi0, xi1, q, quad, chi_quad)
-    gaps_slope = (-0.5j * math.pi) * gap_inv_r
-    p0_slope = (band1_slope + band2_slope + gaps_slope) / (2 * math.pi)
+    p0_slope = (band1_slope + band2_slope - 0.5j * math.pi * gap_inv_r) / (2 * math.pi)
     if abs(p0_slope.imag) > 1e-7 * max(1.0, abs(p0_slope)):
         raise RealityError(f"p0 slope not real: {p0_slope}", p0_slope)
 
-    gap_mom = (-0.5j * math.pi) * (
-        quad_path(lambda z: (z - a.real) / big_r(z, a, q), [ac, xi0 + 0j], quad,
-                  sqrt_ends="both")
-        + quad_path(lambda z: (z - a.real) / big_r(z, a, q), [xi0 + 0j, a], quad,
-                    sqrt_ends="both"))
-    p0_const = (band1_mom + band2_mom + gap_mom) / (2 * math.pi) + math.pi / 4.0
+    p0_const = (band1_mom + band2_mom - 0.5j * math.pi * gap_rel) / (2 * math.pi) + math.pi / 4.0
 
     # T0 and the tau1 consistency check against -Omega
     t0_val = p0_slope.real * b_num
     if abs(t0_val.imag) > 1e-8 * max(1.0, abs(t0_val)):
         raise RealityError(f"T0 not real: {t0_val}", t0_val)
 
-    # Y0 = p0_const + p0' (iq - int_{iq}^{inf} (num2 + c_tau)/R - 1)
-    resid = quad_ray_to_inf(lambda z: (num2(z) + c_tau) / big_r(z, a, q) - 1.0,
-                            1j * q, 1.0, 2, quad, sqrt_start=True)
+    # Y0 = p0_const + p0' (iq - int_{iq}^{inf} ((num2 + c_tau)/R - 1)), up the
+    # imaginary axis: no cut lies in Re z > 0, Im z > q, since Im alpha < q
+    resid = ray[2] + c_tau * ray[1]
     y0_val = p0_const + p0_slope.real * (1j * q - resid)
     if abs(y0_val.imag) > 1e-7 * max(1.0, abs(y0_val)):
         raise RealityError(f"Y0 not real: {y0_val}", y0_val)
@@ -532,16 +531,16 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams,
     defect = max(abs(loop_band1.imag), abs(eta_val.imag), abs(t0_val.imag),
                  abs(y0_val.imag), abs(p0_slope.imag), abs(p1_slope_c.imag))
     return ModulationParams(
-        Omega=float(omega_val),
+        Omega=float(loop_band1.real),
         eta=float(eta_val.real),
         H=float(H_real),
-        K_riemann=k_riemann,
-        A_inf=a_inf,
+        K_riemann=1j * math.pi + 0.5 * H_real,
+        A_inf=c_nu * ray[1],
         T0=float(t0_val.real),
         Y0=float(y0_val.real),
         c_nu=c_nu,
         c_tau=c_tau,
-        tau1_b_period=float(tau1_b),
+        tau1_b_period=float(tau1_b_c.real),
         reality_defect=float(defect),
     )
 

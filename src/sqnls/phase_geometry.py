@@ -263,7 +263,8 @@ def second_breaking_time(x: float, p, tol: float = 1e-8) -> float:
     the endpoint, through w = (log m1)^2. A trial w gives alpha and
     mu = (L - |x|)/(2t) in closed form, hence t, and then the bump maximum
     of rho1, which brentq drives to zero in w; only the start point
-    t = 1.0001 T1(x) is solved for m. The bump maximum is close to linear
+    t = 1.0001 T1(x) is inverted for w, by the endpoint solver's inversion
+    in v = -log m1 = sqrt(w). The bump maximum is close to linear
     in w: near the pinch both w and T2 - T1 go like m^2. Returns
     T2(x) > T1(x); the residuals |rho1| and |rho1'| at the reported double
     root are below tol. Raises PinchPointError at x = 0, where no bracket
@@ -272,7 +273,7 @@ def second_breaking_time(x: float, p, tol: float = 1e-8) -> float:
     the endpoint solver's floor m = 1 - 1e-14 or t = 1e4 L/q.
     """
     # deferred: genus1 builds on this module
-    from .genus1 import _M_BRACKET, _endpoint, solve_endpoint
+    from .genus1 import _M_BRACKET, _endpoint, _v_from_mu
 
     x = abs(x)
     t1 = first_breaking_time(x, p)
@@ -287,7 +288,7 @@ def second_breaking_time(x: float, p, tol: float = 1e-8) -> float:
         xi0 = mu - alpha.real
         return (*rho1_bump_max(alpha, xi0, t, L, q), alpha, xi0, t)
 
-    w_lo = math.log1p(-solve_endpoint((L - x) / (2.0 * 1.0001 * t1), q).m) ** 2
+    w_lo = _v_from_mu((L - x) / (2.0 * 1.0001 * t1), q) ** 2
     g_lo = bump_max(w_lo)[0]
     if g_lo <= 0:
         raise PinchPointError(f"no root pair just past T1(x) at x = {x}; bump max {g_lo}")

@@ -235,6 +235,11 @@ class TestCliOutput:
         assert mu == 0.9
         assert 0 < m < 1
         assert h < 0
+        # recorded values: Y0 enters psi only as a phase, so a wrong gap
+        # moment or Y0 residue leaves every |psi| check unmoved
+        ref = (-0.62410694218366525, 0.25393310309603201, -0.22604680112709505,
+               1.7064617693078767, -3.6338133795756793)
+        assert np.max(np.abs(np.array([omega, eta, t0, y0, h]) - ref)) < 1e-11
 
     def test_validate_command(self, tmp_path):
         out = tmp_path / "val.csv"

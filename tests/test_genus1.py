@@ -80,6 +80,25 @@ class TestEndpointPrecision:
         assert abs(alpha.imag - b_ref) <= 1e-13 * b_ref
         assert abs(mu - mu_ref) <= 1e-13 * mu_ref
 
+    # (mu, m1, Re alpha, Im alpha) at q = 1: the root of mu(m1) = mu and its
+    # endpoint, computed once with mpmath at 50 digits from the formulas above
+    SOLVED = [
+        (1e-2, 1.1783741409172078e-6, 0.002170975152716503, 0.99998300323714157),
+        (1e-3, 7.2324560228776267e-9, 0.00017008762533335116, 0.999999858842165),
+        (1e-4, 4.9220720262314858e-11, 1.4031495977492118e-5, 0.99999999879373328),
+        (1e-5, 3.5789707315929088e-13, 1.1964899884711304e-6, 0.99999999998946669),
+    ]
+
+    @pytest.mark.parametrize("mu,m1_ref,a_ref,b_ref", SOLVED)
+    def test_solved_endpoint_belongs_to_mu(self, mu, m1_ref, a_ref, b_ref):
+        # inverted in v = -log m1, the endpoint keeps its precision where m
+        # is spaced 1.1e-16 apart (an inversion over m missed Re alpha by
+        # 5e-4 relative at mu = 1e-5)
+        st = solve_endpoint(mu, 1.0)
+        assert abs(st.alpha.real - a_ref) <= 1e-13 * a_ref
+        assert abs(st.alpha.imag - b_ref) <= 1e-15
+        assert abs((1.0 - st.m) - m1_ref) <= 1.2e-16
+
     @pytest.mark.parametrize("m", [1e-5, 0.037, 0.5, 0.9])
     def test_from_m_is_the_m1_form(self, m):
         alpha, mu = genus1._endpoint(1.0 - m, Q)
@@ -276,6 +295,58 @@ class TestModulationConstants:
         modulation_constants(st.alpha, x, t, p)
         assert sizes == [180, 180]
 
+    def test_one_quadrature_pass_per_contour(self, monkeypatch):
+        # band 1, the segment alpha* -> alpha, the ray iq -> i inf and the
+        # p0 band pass; the chi transforms run in scattering's namespace
+        calls = []
+        for name in ("quad_path", "quad_ray_to_inf"):
+            def counting(*args, _quad=getattr(genus1, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _quad(*args, **kwargs)
+
+            monkeypatch.setattr(genus1, name, counting)
+        p, x, t, st = _s2_point()
+        modulation_constants(st.alpha, x, t, p)
+        assert sorted(calls) == ["quad_path"] * 3 + ["quad_ray_to_inf"]
+
+    @pytest.mark.parametrize("x,frac", [(0.25, 0.5), (0.05, 0.001), (0.95, 0.999), (0.6, 0.3)])
+    def test_holomorphic_data_matches_period_integrals(self, x, frac):
+        # period_integrals runs its own three quadratures
+        p, x, t, st = _s2_point(x, frac)
+        mods = modulation_constants(st.alpha, x, t, p)
+        H, _, a_inf, c_nu = period_integrals(st.alpha, p.q)
+        assert abs(mods.H - H) <= 1e-11
+        assert abs(mods.A_inf - a_inf) <= 1e-11
+        assert abs(mods.c_nu - c_nu) <= 1e-11
+
+    @pytest.mark.parametrize("mu", [0.3, 0.5, 0.9, 1.35])
+    def test_paths_enclose_no_cut(self, mu):
+        # the gap integrals over alpha* -> xi -> alpha equal the segment's for
+        # xi = xi0 (right of Re alpha) and its mirror image (left of it); the
+        # Y0 ray iq -> +inf equals the ray iq -> i inf
+        from sqnls.phase_geometry import big_r
+        from sqnls.specfun import quad_path, quad_ray_to_inf
+
+        a = solve_endpoint(mu, Q).alpha
+        quad = QuadratureSpec(1e-11)
+
+        def gap_terms(z):
+            return np.stack((np.ones_like(z), z - a.real), axis=1) / big_r(z, a, Q)[:, None]
+
+        segment = quad_path(gap_terms, [a.conjugate(), a], quad, sqrt_ends="both")
+        xi0 = mu - a.real
+        for xi in (xi0, 2 * a.real - xi0):
+            split = (quad_path(gap_terms, [a.conjugate(), xi + 0j], quad, sqrt_ends="both")
+                     + quad_path(gap_terms, [xi + 0j, a], quad, sqrt_ends="both"))
+            assert np.max(np.abs(split - segment)) <= 1e-12
+
+        def ray_terms(z):
+            inv_r = 1.0 / big_r(z, a, Q)
+            return np.stack((inv_r, z * (z - a.real) * inv_r - 1.0), axis=1)
+
+        rays = [quad_ray_to_inf(ray_terms, 1j * Q, d, 2, quad, sqrt_start=True) for d in (1.0, 1j)]
+        assert np.max(np.abs(rays[0] - rays[1])) <= 1e-12
+
     @pytest.mark.parametrize("x,frac,tol", [
         (0.25, 0.5, 1e-10),
         # near mu = sqrt2 q (t just past T1) and near t = T2, where the
@@ -339,7 +410,9 @@ class TestModulationConstants:
             st = solve_endpoint(float(mu), Q)
             assert mu - st.alpha.real > 0
 
-    @pytest.mark.parametrize("L,x_frac,t_frac", [(2.0, 0.7404, 0.7021), (1.0, 0.75, 0.6)])
+    @pytest.mark.parametrize("L,x_frac,t_frac", [
+        (2.0, 0.7404, 0.7021), (1.0, 0.75, 0.6), (2.0, 0.7341, 0.7292),
+        (2.0, 0.7150, 0.6902), (1.0, 0.7819, 0.7043), (2.0, 0.7181, 0.7139)])
     def test_eta_ray_converges_far_out(self, L, x_frac, t_frac):
         # the eta ray integrand used to cancel two terms of size 2t|z|, and
         # the ray map amplified that roundoff past the tolerance at these points
@@ -350,6 +423,8 @@ class TestModulationConstants:
         t1 = first_breaking_time(x, p)
         t = t1 + t_frac * (second_breaking_time(x, p) - t1)
         assert math.isfinite(abs(psi_asymptotic(x, t, p)))
+        st = solve_endpoint((p.L - x) / (2 * t), p.q)
+        assert modulation_constants(st.alpha, x, t, p).reality_defect < 1e-8
 
     def test_beyond_t2_rejected(self):
         p = BarrierParams(1.0, 1.0, 0.05)

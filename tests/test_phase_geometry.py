@@ -243,10 +243,10 @@ class TestT2SearchCost:
 
     def test_one_endpoint_solve_per_search(self, monkeypatch):
         # the trial times come from the closed-form endpoint in m1 = 1 - m:
-        # only the start point is solved for m, and the search makes no
+        # only the start point inverts mu, and the search makes no
         # more bump searches than the nested design did (7, 9 and 21 at
         # x = 0.1, 0.5 and 0.9, one endpoint solve per bump search)
-        solves = self._count(monkeypatch, genus1, "solve_endpoint")
+        solves = self._count(monkeypatch, genus1, "_v_from_mu")
         bumps = self._count(monkeypatch, phase_geometry, "rho1_bump_max")
         for x, nested_bumps in ((0.1, 7), (0.5, 9), (0.9, 21)):
             solves.clear()
@@ -261,7 +261,7 @@ class TestT2SearchCost:
     def test_no_mu_solved_twice(self, monkeypatch, x):
         # brentq evaluates its bracket ends again and the double-root polish
         # revisits the root: each must come from the search's own cache
-        solves = self._count(monkeypatch, genus1, "solve_endpoint")
+        solves = self._count(monkeypatch, genus1, "_v_from_mu")
         second_breaking_time(x, P)
         mus = [args[0] for args in solves]
         assert len(mus) > 0

@@ -101,13 +101,14 @@ def sample_grid(x_range: tuple[float, float], t_range: tuple[float, float],
                 resolution: tuple[int, int], p: BarrierParams, mode: str) -> dict:
     """Evaluate fields on a rectangular (x, t) grid.
 
-    Returns a dict with keys 'x', 't', 'regions', and per-mode entries:
-    'asymptotic' and/or 'numeric' (lists of GridField, one per t), plus a
-    'report' of per-region comparison rows in 'both' mode and an 'errors'
-    list of per-point failures. A QuadratureConvergenceError, RealityError
-    or RegionError at one point is recorded there and leaves that point
-    empty; any other error propagates. The numeric fields come from the
-    validation_config solver run, interpolated linearly onto the grid.
+    Returns a dict with keys 'x', 't', 'regions' and 'errors', and the
+    per-mode entries 'asymptotic' and/or 'numeric' (lists of GridField, one
+    per t; 'both' mode gives both, and a caller compares them point by
+    point). 'errors' lists the per-point failures: a
+    QuadratureConvergenceError, RealityError or RegionError at one point is
+    recorded there and leaves that point empty; any other error propagates.
+    The numeric fields come from the validation_config solver run,
+    interpolated linearly onto the grid.
     """
     if mode not in ("asymptotic", "numeric", "both"):
         raise ValueError("mode must be 'asymptotic', 'numeric' or 'both'")
@@ -146,27 +147,6 @@ def sample_grid(x_range: tuple[float, float], t_range: tuple[float, float],
                                     region_labels=[r.label for r in regions[i]]))
         out["numeric"] = fields
 
-    if mode == "both":
-        report = []
-        for i, t in enumerate(ts):
-            labels = np.array([r.label for r in regions[i]])
-            for lab in ("S0", "S1", "S2"):
-                mask = labels == lab
-                if not np.any(mask):
-                    continue
-                sub_x = xs[mask]
-                num = out["numeric"][i]
-                asy = out["asymptotic"][i]
-                if np.any(np.isnan(asy.values[mask].real)):
-                    continue
-                diff = np.abs(num.values[mask] - asy.values[mask])
-                report.append({
-                    "t": float(t), "region": lab,
-                    "patch_lo": float(sub_x[0]), "patch_hi": float(sub_x[-1]),
-                    "linf": float(np.max(diff)),
-                    "l2": float(math.sqrt(np.mean(diff ** 2))),
-                })
-        out["report"] = report
     return out
 
 

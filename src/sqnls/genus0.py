@@ -94,16 +94,14 @@ def _leave_branch_point(phase, pnt: complex, h0: float, want) -> complex:
     raise SaddleError(f"no level branch leaves {pnt} in the wanted direction", [])
 
 
-def build_band_g0(x: float, t: float, p: BarrierParams, base_step: float | None = None,
-                  corrector_tol: float = 1e-10) -> TracedContour:
+def build_band_g0(x: float, t: float, p: BarrierParams) -> TracedContour:
     """Trace the finite band of Im phi0 = 0 from -iq to +iq.
 
     The upper half is marched from just off +iq down to the real crossing
     point (known in closed form); the lower half is its conjugate mirror.
     """
     q = p.q
-    if base_step is None:
-        base_step = 1e-2 * q
+    base_step = 1e-2 * q
     topo = level_topology(x - p.L, t, q)
     if topo.case != "pre_break":
         raise RegionError("band exists only for 0 < t < T1(x)")
@@ -126,11 +124,11 @@ def build_band_g0(x: float, t: float, p: BarrierParams, base_step: float | None 
         return None
 
     upper = trace_zero_level(phase, seed, stop, direction=complex(side, -1.0),
-                             base_step=base_step, corrector_tol=corrector_tol)
+                             base_step=base_step)
     up_pts = list(upper.points) + [complex(z0)]
     lower = [pt.conjugate() for pt in reversed(up_pts)]
     band_pts = np.array([-1j * q] + lower[:-1] + up_pts[::-1][1:] + [1j * q], dtype=complex)
-    return TracedContour(band_pts, ("branch_point", "branch_point"), base_step)
+    return TracedContour(band_pts, ("branch_point", "branch_point"))
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +158,8 @@ def omega_phase(x: float, t: float, p: BarrierParams, quad: QuadratureSpec | Non
     if method != "integral":
         raise ValueError("method must be 'integral' or 'dilog'")
     f = lambda lam: _omega_density(lam, q)
-    left = quad_ray_to_inf(f, xi1, -1.0, 3, quad)   # = -int_{-inf}^{xi1}
-    right = quad_ray_to_inf(f, xi0, +1.0, 3, quad)  # = +int_{xi0}^{inf}
+    left = quad_ray_to_inf(f, xi1, -1.0, quad)   # = -int_{-inf}^{xi1}
+    right = quad_ray_to_inf(f, xi0, +1.0, quad)  # = +int_{xi0}^{inf}
     return float(((left + right) / math.pi).real)
 
 
@@ -173,26 +171,22 @@ def _dilog_of_r0sq(xi: float, q: float) -> float:
     return dilog(min(arg, 0.0))
 
 
-def omega_selfsimilar(x: float, t: float, p: BarrierParams,
-                      quad: QuadratureSpec | None = None) -> float:
+def omega_selfsimilar(x: float, t: float, p: BarrierParams, quad: QuadratureSpec) -> float:
     """omega rebuilt from its self-similar form F((x+L)/t) + F((x-L)/t) - omega0."""
-    if quad is None:
-        quad = QuadratureSpec(target_abs_tol=1e-11)
     q = p.q
 
     f = lambda lam: _omega_density(lam, q)
 
     def F(zeta: float) -> float:
         lam_c = -zeta / 4 * (1 + math.sqrt(1 - 8 * q * q / (zeta * zeta)))
-        return float((quad_ray_to_inf(f, lam_c, -1.0, 3, quad) / math.pi).real)
+        return float((quad_ray_to_inf(f, lam_c, -1.0, quad) / math.pi).real)
 
-    omega0 = float(((quad_ray_to_inf(f, 0.0, -1.0, 3, quad)
-                     - quad_ray_to_inf(f, 0.0, +1.0, 3, quad)) / math.pi).real)
+    omega0 = float(((quad_ray_to_inf(f, 0.0, -1.0, quad)
+                     - quad_ray_to_inf(f, 0.0, +1.0, quad)) / math.pi).real)
     return F((x + p.L) / t) + F((x - p.L) / t) - omega0
 
 
-def psi_asy_g0(x: float, t: float, p: BarrierParams,
-               quad: QuadratureSpec | None = None) -> complex:
+def psi_asy_g0(x: float, t: float, p: BarrierParams) -> complex:
     """Leading-order wave form in S0 (zero) and S1 (nearly plane wave)."""
     if abs(x) > p.L:
         return 0.0 + 0.0j
@@ -204,7 +198,7 @@ def psi_asy_g0(x: float, t: float, p: BarrierParams,
         raise RegionError("t past the first breaking time; use the genus-1 evaluator")
     if t == 0:
         return complex(p.q)
-    omega = omega_phase(x, t, p, quad, method="dilog")
+    omega = omega_phase(x, t, p, method="dilog")
     return p.q * cmath.exp(1j * (p.q ** 2 * t / p.eps + omega))
 
 

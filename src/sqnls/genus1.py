@@ -115,6 +115,13 @@ def elliptic_parameter(alpha: complex, q: float) -> float:
     return 1.0 - abs(alpha - 1j * q) ** 2 / abs(alpha + 1j * q) ** 2
 
 
+# Taylor coefficients of A(m) = ((2-m)E - 2(1-m)K)/(m^2 E) at m = 0, from the
+# hypergeometric series of K and E; the terms left out add < 1e-17 at m = 0.03
+_A_TAYLOR = (3 / 8, 3 / 16, 111 / 1024, 141 / 2048, 1533 / 32768, 2193 / 65536,
+             836103 / 33554432, 1286193 / 67108864, 16254219 / 1073741824,
+             26249379 / 2147483648)
+
+
 def _endpoint(m1: float, q: float) -> tuple[complex, float]:
     """(alpha, mu) at the complementary parameter m1 = 1 - m, without cancellation.
 
@@ -127,9 +134,11 @@ def _endpoint(m1: float, q: float) -> tuple[complex, float]:
       q^2 - b^2     = q^2 m1 (1 - D + m1 D)(1 + mA).
     """
     m = 1.0 - m1
-    if m < 1e-4:
-        # removable singularity of A at m = 0
-        A = 0.375 + 0.1875 * m
+    if m < 0.03:
+        # near its removable singularity at m = 0 A's closed form cancels like 1e-16 / m^2
+        A = 0.0
+        for c in reversed(_A_TAYLOR):
+            A = A * m + c
         D = (A - 1.0) / m1
     else:
         K, E = complete_elliptic_m1(m1)
@@ -198,15 +207,13 @@ def solve_endpoint(mu: float, q: float) -> EndpointState:
     return EndpointState(mu=mu, m=1.0 - m1, alpha=_endpoint(m1, q)[0], q=q)
 
 
-def endpoint_residuals(alpha: complex, x_minus_l: float, t: float, q: float,
-                       quad: QuadratureSpec | None = None) -> tuple[complex, complex]:
+def endpoint_residuals(alpha: complex, x_minus_l: float, t: float, q: float
+                       ) -> tuple[complex, complex]:
     """Moment and gap functions (F_M, F_G) at a trial endpoint.
 
     F_M is the closed quadratic form; F_G integrates S(lam) times the linear
     factor along the straight segment from alpha* to alpha.
     """
-    if quad is None:
-        quad = QuadratureSpec(target_abs_tol=1e-12)
     a = complex(alpha)
     ac = a.conjugate()
     f_m = t / 4.0 * (3 * a * a + 2 * a * ac + 3 * ac * ac + 4 * q * q) \
@@ -218,7 +225,7 @@ def endpoint_residuals(alpha: complex, x_minus_l: float, t: float, q: float,
     def integrand(lam: np.ndarray) -> np.ndarray:
         return big_s(lam, a, q) * (t * (2 * lam + a + ac) + x_minus_l)
 
-    f_g = quad_path(integrand, [ac, a], quad, sqrt_ends="both")
+    f_g = quad_path(integrand, [ac, a], QuadratureSpec(target_abs_tol=1e-12))
     return f_m, f_g
 
 
@@ -289,7 +296,7 @@ def _cut_integral(g, cut: str, alpha: complex, q: float, quad: QuadratureSpec,
         z, r_side = _r_on_cut(s.real, c, d, co, do, u_sign)
         return g(z, r_side) * d
 
-    return quad_path(param_integrand, [-1.0, 1.0], quad, sqrt_ends="both")
+    return quad_path(param_integrand, [-1.0, 1.0], quad)
 
 
 def _b_cycle(num, alpha: complex, q: float, quad: QuadratureSpec) -> complex:
@@ -301,16 +308,13 @@ def _b_cycle(num, alpha: complex, q: float, quad: QuadratureSpec) -> complex:
     return 2.0 * _cut_integral(lambda z, r: num(z) / r, "band1", alpha, q, quad, _BAND1_SIDE)
 
 
-def seg_integral_inv_r(alpha: complex, q: float, quad: QuadratureSpec | None = None) -> complex:
+def seg_integral_inv_r(alpha: complex, q: float, quad: QuadratureSpec) -> complex:
     """integral_{alpha*}^{alpha} dz / R(z) along the straight segment.
 
     Matches 2i K(m) / |alpha + iq| (elliptic reduction of the endpoint
     Jacobian); period_integrals takes its a-period from it.
     """
-    if quad is None:
-        quad = QuadratureSpec(target_abs_tol=1e-12)
-    return quad_path(lambda z: 1.0 / big_r(z, alpha, q), [alpha.conjugate(), alpha], quad,
-                     sqrt_ends="both")
+    return quad_path(lambda z: 1.0 / big_r(z, alpha, q), [alpha.conjugate(), alpha], quad)
 
 
 def _normalize(seg_inv_r: complex, b_inv_r: complex) -> tuple[float, complex, complex]:
@@ -339,36 +343,29 @@ def period_integrals(alpha: complex, q: float, quad: QuadratureSpec | None = Non
         raise ValueError("alpha = iq: the surface degenerates")
     H_real, a_period, c_nu = _normalize(seg_integral_inv_r(alpha, q, quad),
                                         _b_cycle(lambda z: 1.0 + 0j, alpha, q, quad))
-    a_inf = c_nu * quad_ray_to_inf(lambda z: 1.0 / big_r(z, alpha, q), 1j * q, 1j, 2, quad,
+    a_inf = c_nu * quad_ray_to_inf(lambda z: 1.0 / big_r(z, alpha, q), 1j * q, 1j, quad,
                                    sqrt_start=True)
     return H_real, a_period, a_inf, c_nu
 
 
 def abel_map(z: complex, alpha: complex, c_nu: complex, q: float,
-             quad: QuadratureSpec | None = None) -> complex:
+             quad: QuadratureSpec) -> complex:
     """A(z) = int_{iq}^{z} c_nu / R on a cut-avoiding path.
 
     Straight segment when it clears both cuts; otherwise a detour through a
     waypoint with large positive real part (the cuts live in Re <= Re alpha).
+    Every segment takes the square-root substitution at both ends, so z may
+    be a branch point.
     """
-    if quad is None:
-        quad = QuadratureSpec(target_abs_tol=1e-11)
     z = complex(z)
     start = 1j * q
-    ends = "both" if _is_cut_end(z, alpha, q) else "start"
     path = [start, z]
     if not _path_clears_cuts(path, alpha, q):
         w = max(alpha.real, z.real) + 2.0 * (q + abs(alpha)) + 0.5j * (q + z.imag)
         path = [start, w, z]
         if not _path_clears_cuts(path, alpha, q):
             raise ValueError(f"no cut-avoiding two-leg path from iq to {z}")
-    return c_nu * quad_path(lambda lam: 1.0 / big_r(lam, alpha, q), path, quad,
-                            sqrt_ends=ends)
-
-
-def _is_cut_end(z: complex, alpha: complex, q: float) -> bool:
-    return min(abs(z - alpha), abs(z - alpha.conjugate()),
-               abs(z - 1j * q), abs(z + 1j * q)) < 1e-12 * q
+    return c_nu * quad_path(lambda lam: 1.0 / big_r(lam, alpha, q), path, quad)
 
 
 def _path_clears_cuts(path: list[complex], alpha: complex, q: float) -> bool:
@@ -429,11 +426,10 @@ def _p0_band_integrals(alpha: complex, xi0: float, xi1: float, q: float,
         cols = np.stack((j_over_r, z_rel * j_over_r), axis=2) * scale[:, None, None]
         return cols.transpose(1, 0, 2).reshape(s.size, 4)
 
-    return quad_path(terms, [-1.0, 1.0], quad, sqrt_ends="both")
+    return quad_path(terms, [-1.0, 1.0], quad)
 
 
-def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams,
-                         quad: QuadratureSpec | None = None) -> ModulationParams:
+def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams) -> ModulationParams:
     """All slow constants of the oscillatory wave form at one (x, t).
 
     Assumes alpha solves the endpoint system at mu = -(x-L)/(2t). Reality of
@@ -441,9 +437,8 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams,
     RealityError, since they indicate a broken branch or path convention
     upstream.
     """
-    if quad is None:
-        quad = QuadratureSpec(target_abs_tol=1e-10)
-    chi_quad = replace(quad, target_abs_tol=min(1e-11, quad.target_abs_tol))
+    quad = QuadratureSpec(target_abs_tol=1e-10)
+    chi_quad = QuadratureSpec(target_abs_tol=1e-11)
     q, L = p.q, p.L
     a = complex(alpha)
     ac = a.conjugate()
@@ -478,7 +473,7 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams,
         inv_r = 1.0 / big_r(z, a, q)
         return np.stack((rho, inv_r, z * (z - a.real) * inv_r - 1.0), axis=1)
 
-    ray = quad_ray_to_inf(ray_terms, 1j * q, 1j, 2, quad, sqrt_start=True)
+    ray = quad_ray_to_inf(ray_terms, 1j * q, 1j, quad, sqrt_start=True)
     # eta = -theta0(iq) + 2 int_inf^iq rho, theta0(iq) = 2t (iq)^2 + 2 (x - L) iq
     eta_val = 2 * t * q * q - 2j * (x - L) * q - 2.0 * ray[0]
     if abs(eta_val.imag) > 1e-8 * max(1.0, abs(eta_val)):
@@ -490,7 +485,7 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams,
         z_rel = z - a.real
         return np.stack((np.ones_like(z), z_rel, z * z_rel), axis=1) / big_r(z, a, q)[:, None]
 
-    gap_inv_r, gap_rel, seg_num2 = quad_path(seg_terms, [ac, a], quad, sqrt_ends="both")
+    gap_inv_r, gap_rel, seg_num2 = quad_path(seg_terms, [ac, a], quad)
 
     H_real, _, c_nu = _normalize(gap_inv_r, 2.0 * band1[1])
     c_tau = -seg_num2 / gap_inv_r

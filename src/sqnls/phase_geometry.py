@@ -77,11 +77,6 @@ class TracedContour:
 
     points: np.ndarray
     endpoints: tuple[str, str]
-    step_bound: float = 0.0
-
-    def conjugate(self) -> "TracedContour":
-        return TracedContour(np.conj(self.points[::-1]),
-                             (self.endpoints[1], self.endpoints[0]), self.step_bound)
 
 
 def quartic_surd(b: float, t: float, q: float) -> float:
@@ -110,14 +105,14 @@ def level_topology(b: float, t: float, q: float) -> LevelTopology:
 
 
 def trace_zero_level(phase, seed: complex, stop, *, direction: complex,
-                     base_step: float, corrector_tol: float = 1e-10,
-                     max_steps: int = 20000) -> TracedContour:
+                     base_step: float, max_steps: int = 20000) -> TracedContour:
     """Predictor-corrector march along Im phase = 0 starting at `seed`.
 
     phase(z) must return (value, derivative). `stop(z)` returns a terminus
     label (string) once the trace should end, else None. `direction` picks
     the branch leaving the seed. The corrector is a Newton step in the
-    normal direction, driven below corrector_tol at every accepted point.
+    normal direction, driven below 1e-10 at every accepted point, where
+    |Im phase| must then be below 1e-9.
     """
     pts: list[complex] = []
     z = complex(seed)
@@ -147,13 +142,13 @@ def trace_zero_level(phase, seed: complex, stop, *, direction: complex,
                     raise SaddleError(f"gradient degenerate near {z_try}", pts)
                 corr = -val.imag / abs(der)
                 z_try = z_try + 1j * corr * der.conjugate() / abs(der)
-                if abs(corr) < corrector_tol:
+                if abs(corr) < 1e-10:
                     break
             else:
                 ok = False
             if ok:
                 val, der = phase(z_try)
-                if abs(val.imag) > 10 * corrector_tol:
+                if abs(val.imag) > 1e-9:
                     ok = False
             if ok:
                 accepted = True
@@ -170,7 +165,7 @@ def trace_zero_level(phase, seed: complex, stop, *, direction: complex,
         h = min(base_step, h * 1.5)
     else:
         raise RuntimeError("trace exceeded max_steps without hitting a terminus")
-    return TracedContour(np.array(pts, dtype=complex), ("seed", label), base_step)
+    return TracedContour(np.array(pts, dtype=complex), ("seed", label))
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +251,21 @@ def first_breaking_time(x: float, p) -> float:
     return (p.L - abs(x)) / (2.0 * math.sqrt(2.0) * p.q)
 
 
+# w = (log m1)^2 of the search's start t = 1.0001 T1(x), where mu = (L - |x|)/(2t)
+# is sqrt2 q / 1.0001 for every x, and m depends on mu/q only (mpmath, 50 digits)
+_W_START = 0.001422189960133937
+
+
 def second_breaking_time(x: float, p, tol: float = 1e-8) -> float:
     """The time at which the two negative roots of rho1 coalesce.
 
     The search runs in the complementary elliptic parameter m1 = 1 - m of
     the endpoint, through w = (log m1)^2. A trial w gives alpha and
     mu = (L - |x|)/(2t) in closed form, hence t, and then the bump maximum
-    of rho1, which brentq drives to zero in w; only the start point
-    t = 1.0001 T1(x) is inverted for w, by the endpoint solver's inversion
-    in v = -log m1 = sqrt(w). The bump maximum is close to linear
-    in w: near the pinch both w and T2 - T1 go like m^2. Returns
+    of rho1, which brentq drives to zero in w. The search starts at
+    t = 1.0001 T1(x), whose w is the same for every x and q (_W_START), so
+    no mu is inverted. The bump maximum is close to linear in w: near the
+    pinch both w and T2 - T1 go like m^2. Returns
     T2(x) > T1(x); the residuals |rho1| and |rho1'| at the reported double
     root are below tol. Raises PinchPointError at x = 0, where no bracket
     for T2 exists, and when the bump maximum is still positive where the
@@ -273,10 +273,10 @@ def second_breaking_time(x: float, p, tol: float = 1e-8) -> float:
     the endpoint solver's floor m = 1 - 1e-14 or t = 1e4 L/q.
     """
     # deferred: genus1 builds on this module
-    from .genus1 import _M_BRACKET, _endpoint, _v_from_mu
+    from .genus1 import _M_BRACKET, _endpoint
 
     x = abs(x)
-    t1 = first_breaking_time(x, p)
+    first_breaking_time(x, p)  # rejects |x| >= L
     q, L = p.q, p.L
 
     @functools.cache
@@ -288,13 +288,12 @@ def second_breaking_time(x: float, p, tol: float = 1e-8) -> float:
         xi0 = mu - alpha.real
         return (*rho1_bump_max(alpha, xi0, t, L, q), alpha, xi0, t)
 
-    w_lo = _v_from_mu((L - x) / (2.0 * 1.0001 * t1), q) ** 2
-    g_lo = bump_max(w_lo)[0]
+    g_lo = bump_max(_W_START)[0]
     if g_lo <= 0:
         raise PinchPointError(f"no root pair just past T1(x) at x = {x}; bump max {g_lo}")
     w_floor = math.log(1.0 - _M_BRACKET[1]) ** 2
     t_cap = 1e4 * L / q
-    w_hi, step = w_lo, 10.0
+    w_hi, step = _W_START, 10.0
     while True:
         w_prev, w_hi = w_hi, min(w_hi + step, w_floor)
         step *= 2.0

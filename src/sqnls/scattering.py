@@ -43,13 +43,13 @@ class BarrierParams:
     """Barrier amplitude q, half-width L, and dispersion parameter eps.
 
     eps must stay a guard distance away from the eigenvalue-birth values
-    eps_n = 4 L q / ((2n+1) pi) where a zero of a(z) crosses the origin.
+    eps_n = 4 L q / ((2n+1) pi) where a zero of a(z) crosses the origin:
+    |eps - eps_n| >= 1e-9 eps_n.
     """
 
     q: float
     L: float
     eps: float
-    birth_guard: float = 1e-9
 
     def __post_init__(self):
         for name in ("q", "L", "eps"):
@@ -61,7 +61,7 @@ class BarrierParams:
         n_near = round(ratio - 0.5)
         if n_near >= 0:
             eps_n = 4 * self.L * self.q / ((2 * n_near + 1) * math.pi)
-            if abs(self.eps - eps_n) < self.birth_guard * eps_n:
+            if abs(self.eps - eps_n) < 1e-9 * eps_n:
                 raise ValueError(
                     f"eps = {self.eps} is within the guard distance of the "
                     f"eigenvalue-birth value eps_{n_near} = {eps_n}"
@@ -87,11 +87,11 @@ class BranchCut:
             if self.polyline is None or len(self.polyline) < 2:
                 raise ValueError("curved cut needs a polyline with >= 2 vertices")
 
-    def validate_endpoints(self, q: float, tol: float = 1e-9):
+    def validate_endpoints(self, q: float):
         if self.kind != "curved_polyline":
             return
         p = self.polyline
-        if abs(p[0] + 1j * q) > tol * q or abs(p[-1] - 1j * q) > tol * q:
+        if abs(p[0] + 1j * q) > 1e-9 * q or abs(p[-1] - 1j * q) > 1e-9 * q:
             raise ValueError("cut polyline must run from -iq to +iq")
 
 
@@ -321,7 +321,7 @@ def chi_batch(z, a: float, q: float, quad: QuadratureSpec | None = None) -> np.n
     def f(s: np.ndarray) -> np.ndarray:
         return kappa_weight(s, q)[:, None] / (s[:, None] - z)
 
-    return -1j * quad_ray_to_inf(f, a, -1.0, 2, quad)
+    return -1j * quad_ray_to_inf(f, a, -1.0, quad)
 
 
 def chi_integral(z: complex, a: float, q: float, quad: QuadratureSpec | None = None,
@@ -347,7 +347,7 @@ def chi_integral(z: complex, a: float, q: float, quad: QuadratureSpec | None = N
         # detour into the half-plane opposite the requested side: below z for
         # the +-side limit, above z for the --side limit
         arc = [z + d * cmath.exp(1j * math.pi * (1 + side * k / 16)) for k in range(17)]
-        tail = -quad_ray_to_inf(f, z.real - d, -1.0, 2, quad)
+        tail = -quad_ray_to_inf(f, z.real - d, -1.0, quad)
         mid = quad_path(f, arc, quad)
         head = quad_path(f, [z.real + d, a], quad)
         return 1j * (tail + mid + head)

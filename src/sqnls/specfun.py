@@ -5,8 +5,7 @@ integrals (AGM production scheme plus an independent power-series scheme
 for cross-checking), the real dilogarithm, the genus-1 theta sum, the
 branch square root `cut_sqrt` cut on a straight segment, the Brent root
 finder `brentq` and bounded minimizer `minimize_bounded`, and an
-adaptive Gauss-Legendre quadrature over complex polylines with
-endpoint-singularity substitutions and semi-infinite tail maps.
+adaptive Gauss-Legendre quadrature over complex polylines and rays.
 
 `brentq` and `minimize_bounded` follow scipy's `scipy.optimize.brentq` and
 `minimize_scalar(method="bounded")` operation for operation, so they take
@@ -19,6 +18,9 @@ per node, shape (n, k). All k components share the panels, and each keeps
 its own error sum, so each meets the absolute tolerance by itself.
 `quad_path` and `quad_ray_to_inf` map polylines and rays onto it; they
 return a complex scalar for an (n,) integrand and a (k,) array otherwise.
+Every polyline segment takes the square-root substitution u -> u^2 at both
+of its ends, which absorbs a half-integer power singularity at any vertex;
+a ray takes it at its finite end when the caller asks (sqrt_start).
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ def ellipe(m: float) -> float:
     return complete_elliptic_m1(1.0 - m)[1]
 
 
-def complete_elliptic_series(m: float, rel_tol: float = 1e-16) -> tuple[float, float]:
+def complete_elliptic_series(m: float) -> tuple[float, float]:
     """Independent evaluation of (K, E) by the hypergeometric power series.
 
     Kept as the verification scheme for the AGM production code; converges
@@ -146,7 +148,7 @@ def complete_elliptic_series(m: float, rel_tol: float = 1e-16) -> tuple[float, f
         coeff *= ((2 * n - 1) / (2 * n)) ** 2 * m
         k_sum += coeff
         e_sum -= coeff / (2 * n - 1)
-        if coeff < rel_tol * k_sum and n > 4:
+        if coeff < 1e-16 * k_sum and n > 4:
             break
         if n > 100000:
             raise QuadratureConvergenceError("elliptic series did not converge", k_sum, coeff)
@@ -492,67 +494,52 @@ def _per_node(vals: np.ndarray, w) -> np.ndarray:
     return vals * np.reshape(w, np.shape(w) + (1,) * (vals.ndim - 1))
 
 
-def _segment_quad(f, z0: complex, z1: complex, tol: float, max_panels: int,
-                  sqrt_left: bool = False, sqrt_right: bool = False) -> np.ndarray:
+def _segment_quad(f, z0: complex, z1: complex, tol: float, max_panels: int) -> np.ndarray:
     """Integrate the array integrand f along the straight segment z0 -> z1.
 
-    sqrt_left / sqrt_right select the substitution u -> u^2 at that end. It
-    removes half-integer powers, +1/2 and -1/2 alike, and after its extra
-    Jacobian factor u it also regularizes u log u terms.
-
-    With both ends substituted the segment splits at its midpoint zm into the
-    halves z0 + (zm - z0) u^2 and z1 + (zm - z1) u^2, u in [0, 1]. They run
-    as two components of one adaptive pass, so f sees both halves' nodes in
-    one call; each half is held to tol / 2, and the pass has the two halves'
-    panel budgets, 2 max_panels.
+    The segment splits at its midpoint zm into the halves z0 + (zm - z0) u^2
+    and z1 + (zm - z1) u^2, u in [0, 1]. The substitution u -> u^2 at each
+    end removes half-integer powers there, +1/2 and -1/2 alike, and after
+    its extra Jacobian factor u it also regularizes u log u terms; at a
+    regular end it only clusters the nodes. The halves run as two components
+    of one adaptive pass, so f sees both halves' nodes in one call; each half
+    is held to tol / 2, and the pass has the two halves' panel budgets,
+    2 max_panels.
     """
-    d = z1 - z0
-    if not sqrt_left and not sqrt_right:
-        return adaptive_gl(lambda s: f(z0 + s * d) * d, 0.0, 1.0, tol, max_panels)
-    if sqrt_left and sqrt_right:
-        zm = z0 + 0.5 * d
-        ends = np.array([z0, z1])
-        h = np.array([zm - z0, zm - z1])
-        # dz = 2 h u du, and the right half runs z1 -> zm, against the segment
-        jac = 2.0 * np.array([zm - z0, z1 - zm])
+    zm = z0 + 0.5 * (z1 - z0)
+    ends = np.array([z0, z1])
+    h = np.array([zm - z0, zm - z1])
+    # dz = 2 h u du, and the right half runs z1 -> zm, against the segment
+    jac = 2.0 * np.array([zm - z0, z1 - zm])
 
-        def halves(u: np.ndarray) -> np.ndarray:
-            # values of shape (n, 2) or (n, 2, k): half i of node j at [j, i]
-            u = u[:, None]
-            vals = np.asarray(f((ends + h * u * u).ravel()))
-            vals = vals.reshape(u.size, 2, *vals.shape[1:])
-            w = jac * u
-            return vals * w.reshape(w.shape + (1,) * (vals.ndim - 2))
+    def halves(u: np.ndarray) -> np.ndarray:
+        # values of shape (n, 2) or (n, 2, k): half i of node j at [j, i]
+        u = u[:, None]
+        vals = np.asarray(f((ends + h * u * u).ravel()))
+        vals = vals.reshape(u.size, 2, *vals.shape[1:])
+        w = jac * u
+        return vals * w.reshape(w.shape + (1,) * (vals.ndim - 2))
 
-        try:
-            return adaptive_gl(halves, 0.0, 1.0, 0.5 * tol, 2 * max_panels).sum(axis=0)
-        except QuadratureConvergenceError as err:
-            raise QuadratureConvergenceError(
-                str(err), np.sum(err.estimate, axis=0)[()],
-                np.sum(err.error_bound, axis=0)[()]) from None
-    if sqrt_right:
-        # mirror so the singular endpoint sits on the left
-        return _segment_quad(f, z1, z0, tol, max_panels, sqrt_left=True) * -1.0
-    # singular endpoint at z0: lambda = z0 + d u^2, d lambda = 2 d u du
-    return adaptive_gl(lambda u: _per_node(f(z0 + d * u * u), 2.0 * d * u), 0.0, 1.0,
-                       tol, max_panels)
+    try:
+        return adaptive_gl(halves, 0.0, 1.0, 0.5 * tol, 2 * max_panels).sum(axis=0)
+    except QuadratureConvergenceError as err:
+        raise QuadratureConvergenceError(
+            str(err), np.sum(err.estimate, axis=0)[()],
+            np.sum(err.error_bound, axis=0)[()]) from None
 
 
-def quad_path(integrand, path, spec: QuadratureSpec | None = None, sqrt_ends: str = "none"):
+def quad_path(integrand, path, spec: QuadratureSpec):
     """Integrate an array integrand along a polyline.
 
     integrand maps a 1-D complex array of n nodes to values of shape (n,)
     or (n, k); the result is a numpy complex scalar (a subclass of complex)
     or a (k,) array, and every component meets the tolerance on its own.
     path is a sequence of complex vertices; consecutive vertices are joined
-    by straight segments. sqrt_ends is 'none', 'start' (the first vertex)
-    or 'both' (the first and the last vertex): the ends that get the
-    square-root substitution of a half-integer power singularity.
+    by straight segments, each split at its midpoint with the square-root
+    substitution at both of its ends (_segment_quad). A half-integer power
+    singularity may therefore sit at any vertex, the first, the last or one
+    in between.
     """
-    if sqrt_ends not in ("none", "start", "both"):
-        raise ValueError(f"sqrt_ends must be 'none', 'start' or 'both', not {sqrt_ends!r}")
-    if spec is None:
-        spec = QuadratureSpec()
     pts = [complex(p) for p in path]
     if len(pts) < 2:
         raise ValueError("path needs at least two vertices")
@@ -560,27 +547,21 @@ def quad_path(integrand, path, spec: QuadratureSpec | None = None, sqrt_ends: st
     tol_per = spec.target_abs_tol / nseg
     total = 0.0 + 0.0j
     for i in range(nseg):
-        total = total + _segment_quad(
-            integrand, pts[i], pts[i + 1], tol_per, spec.max_subdivisions,
-            sqrt_left=i == 0 and sqrt_ends != "none",
-            sqrt_right=i == nseg - 1 and sqrt_ends == "both")
+        total = total + _segment_quad(integrand, pts[i], pts[i + 1], tol_per,
+                                      spec.max_subdivisions)
     return total
 
 
-def quad_ray_to_inf(integrand, start: complex, direction: complex, decay_power: float,
-                    spec: QuadratureSpec | None = None, sqrt_start: bool = False):
+def quad_ray_to_inf(integrand, start: complex, direction: complex, spec: QuadratureSpec,
+                    sqrt_start: bool = False):
     """Integrate an array integrand from `start` to infinity along `direction`.
 
     integrand takes arrays, and the result has the shape, as in quad_path. The
     semi-infinite ray is mapped to [0, 1) by lambda = start + u/(1-u) *
-    direction, which needs an algebraic decay rate >= 2 from the caller to
-    bound the transformed integrand at u = 1. sqrt_start applies the
+    direction, so the integrand must decay at least like |lambda|^-2 to keep
+    the transformed integrand bounded at u = 1. sqrt_start applies the
     square-root substitution at the finite end.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    if decay_power < 2:
-        raise ValueError("tail map requires integrand decay at least |lambda|^-2")
     d = complex(direction)
     if d == 0:
         raise ValueError("direction must be nonzero")

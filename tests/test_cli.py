@@ -118,13 +118,12 @@ class TestSampleGrid:
         j = list(fld.region_labels).index("beyond_scope")
         assert math.isnan(fld.values[j].real)
 
-    def test_both_mode_report(self):
+    def test_both_mode_fields_agree_in_s1(self):
         p = BarrierParams(1.0, 1.0, 0.2)
         res = sample_grid((-0.4, 0.4), (0.05, 0.1), (5, 2), p, "both")
-        assert res["report"]
-        for row in res["report"]:
-            assert row["region"] == "S1"
-            assert row["linf"] < 0.5
+        for asy, num in zip(res["asymptotic"], res["numeric"]):
+            assert set(asy.region_labels) == {"S1"}
+            assert np.max(np.abs(num.values - asy.values)) < 0.5
 
     def test_numeric_mode_uses_validation_config(self):
         p = BarrierParams(1.0, 1.0, 0.2)

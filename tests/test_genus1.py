@@ -80,6 +80,28 @@ class TestEndpointPrecision:
         assert abs(alpha.imag - b_ref) <= 1e-13 * b_ref
         assert abs(mu - mu_ref) <= 1e-13 * mu_ref
 
+    # (m, Re alpha, Im alpha, mu) at q = 1 and m1 = 1.0 - m in floats, from
+    # the same formulas at 50 digits with m = 1 - m1 taken exactly
+    SMALL_M = [
+        (1e-6, 0.7071067811864895194897, 3.750001875108917834833e-7, 1.414213562372995611811),
+        (9.9e-5, 0.7071067806179856719029, 3.712683779267059455074e-5, 1.414213561398417587335),
+        (1.01e-4, 0.7071067805947802498392, 3.787691279919683737773e-5, 1.414213561358636863794),
+        (2e-4, 0.7071067788658892801674, 7.500750086728940951124e-5, 1.414213558394823772285),
+        (1e-3, 0.707106723123639718485, 3.75187608467332306585e-4, 1.414213462836681236328),
+        (1e-2, 0.7071009221945220810553, 3.768859091626124225193e-3, 1.414203518382378084194),
+        (0.029, 0.7070565483524803611246, 1.103538090405754674623e-2, 1.414127448620732420016),
+        (0.031, 0.7070492633186772293338, 1.180848174987872142876e-2, 1.414114959891018686458),
+        (0.1, 0.7064632979337954809989, 3.949078720003085390299e-2, 1.413110395275212035123),
+    ]
+
+    @pytest.mark.parametrize("m,a_ref,b_ref,mu_ref", SMALL_M)
+    def test_no_cancellation_near_m_zero(self, m, a_ref, b_ref, mu_ref):
+        # A has a removable singularity at m = 0, where its closed form
+        # cancels like 1e-16 / m^2
+        alpha, mu = genus1._endpoint(1.0 - m, 1.0)
+        assert abs(alpha - complex(a_ref, b_ref)) <= 1e-12 * abs(complex(a_ref, b_ref))
+        assert abs(mu - mu_ref) <= 1e-12 * mu_ref
+
     # (mu, m1, Re alpha, Im alpha) at q = 1: the root of mu(m1) = mu and its
     # endpoint, computed once with mpmath at 50 digits from the formulas above
     SOLVED = [
@@ -236,8 +258,7 @@ class TestPeriods:
         from sqnls.phase_geometry import big_r
         from sqnls.specfun import quad_path
         detour = c_nu * quad_path(lambda lam: 1.0 / big_r(lam, st.alpha, Q),
-                                  [1j * Q, 6.0 + 2.0j, z], QuadratureSpec(1e-12),
-                                  sqrt_ends="start")
+                                  [1j * Q, 6.0 + 2.0j, z], QuadratureSpec(1e-12))
         assert abs(direct - detour) < 1e-10
 
     def test_degenerate_rejected(self):
@@ -333,18 +354,18 @@ class TestModulationConstants:
         def gap_terms(z):
             return np.stack((np.ones_like(z), z - a.real), axis=1) / big_r(z, a, Q)[:, None]
 
-        segment = quad_path(gap_terms, [a.conjugate(), a], quad, sqrt_ends="both")
+        segment = quad_path(gap_terms, [a.conjugate(), a], quad)
         xi0 = mu - a.real
         for xi in (xi0, 2 * a.real - xi0):
-            split = (quad_path(gap_terms, [a.conjugate(), xi + 0j], quad, sqrt_ends="both")
-                     + quad_path(gap_terms, [xi + 0j, a], quad, sqrt_ends="both"))
+            split = (quad_path(gap_terms, [a.conjugate(), xi + 0j], quad)
+                     + quad_path(gap_terms, [xi + 0j, a], quad))
             assert np.max(np.abs(split - segment)) <= 1e-12
 
         def ray_terms(z):
             inv_r = 1.0 / big_r(z, a, Q)
             return np.stack((inv_r, z * (z - a.real) * inv_r - 1.0), axis=1)
 
-        rays = [quad_ray_to_inf(ray_terms, 1j * Q, d, 2, quad, sqrt_start=True) for d in (1.0, 1j)]
+        rays = [quad_ray_to_inf(ray_terms, 1j * Q, d, quad, sqrt_start=True) for d in (1.0, 1j)]
         assert np.max(np.abs(rays[0] - rays[1])) <= 1e-12
 
     @pytest.mark.parametrize("x,frac,tol", [

@@ -241,18 +241,18 @@ class TestT2SearchCost:
         assert field.classify(0.3, 1.5 * t1, P).T2 is not None
         assert calls == []
 
-    def test_one_endpoint_solve_per_search(self, monkeypatch):
-        # the trial times come from the closed-form endpoint in m1 = 1 - m:
-        # only the start point inverts mu, and the search makes no
-        # more bump searches than the nested design did (7, 9 and 21 at
-        # x = 0.1, 0.5 and 0.9, one endpoint solve per bump search)
+    def test_no_endpoint_inversion_per_search(self, monkeypatch):
+        # the trial times come from the closed-form endpoint in m1 = 1 - m,
+        # the start point is a constant, and the search makes no more bump
+        # searches than the nested design did (7, 9 and 21 at x = 0.1, 0.5
+        # and 0.9, one endpoint solve per bump search)
         solves = self._count(monkeypatch, genus1, "_v_from_mu")
         bumps = self._count(monkeypatch, phase_geometry, "rho1_bump_max")
         for x, nested_bumps in ((0.1, 7), (0.5, 9), (0.9, 21)):
             solves.clear()
             bumps.clear()
             second_breaking_time(x, P)
-            assert len(solves) <= 1
+            assert solves == []
             assert 0 < len(bumps) <= nested_bumps
             # brentq's repeated bracket ends come from the search's cache
             assert len({args[2] for args in bumps}) == len(bumps)
@@ -261,11 +261,21 @@ class TestT2SearchCost:
     def test_no_mu_solved_twice(self, monkeypatch, x):
         # brentq evaluates its bracket ends again and the double-root polish
         # revisits the root: each must come from the search's own cache
-        solves = self._count(monkeypatch, genus1, "_v_from_mu")
+        solves = self._count(monkeypatch, genus1, "_endpoint")
         second_breaking_time(x, P)
-        mus = [args[0] for args in solves]
-        assert len(mus) > 0
-        assert len(set(mus)) == len(mus)
+        m1s = [args[0] for args in solves]
+        assert len(m1s) > 0
+        assert len(set(m1s)) == len(m1s)
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
+    def test_start_point_is_the_inverted_one(self, q, frac):
+        # the start t = 1.0001 T1(x) has mu = sqrt2 q / 1.0001 up to rounding
+        p = BarrierParams(q, 1.0, 0.05)
+        x = frac * p.L
+        mu = (p.L - x) / (2.0 * 1.0001 * first_breaking_time(x, p))
+        w = genus1._v_from_mu(mu, q) ** 2
+        assert abs(w - phase_geometry._W_START) <= 1e-11 * w
 
     def test_no_ray_time_bumped_twice(self, monkeypatch):
         bumps = self._count(monkeypatch, phase_geometry, "rho1_bump_max")

@@ -361,7 +361,7 @@ class TestChiBatch:
         z, a, q = np.array([0.38 + 0.81j]), 0.4544, 1.0
         f = lambda s: kappa_weight(s, q)[:, None] / (s[:, None] - z)
         spec = QuadratureSpec(1e-13)
-        split = -1j * (quad_path(f, [a, 0.0], spec) + quad_ray_to_inf(f, 0.0, -1.0, 2, spec))
+        split = -1j * (quad_path(f, [a, 0.0], spec) + quad_ray_to_inf(f, 0.0, -1.0, spec))
         assert abs(split[0] - _chi_reference(z[0], a, q)) < 1e-14
         for tol in (1e-11, 1e-14):
             miss = abs(chi_batch(z, a, q, QuadratureSpec(tol))[0] - split[0])

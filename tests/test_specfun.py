@@ -145,8 +145,15 @@ class TestThetaSum:
 class TestQuadPath:
     def test_inverse_sqrt_left(self):
         spec = QuadratureSpec(target_abs_tol=1e-12)
-        val = quad_path(lambda z: 1.0 / np.sqrt(z), [0.0, 1.0], spec, sqrt_ends="start")
+        val = quad_path(lambda z: 1.0 / np.sqrt(z), [0.0, 1.0], spec)
         assert abs(val - 2.0) < 1e-11
+
+    def test_inverse_sqrt_at_interior_vertex(self):
+        # every segment is substituted at both ends, so a singularity may sit
+        # at a vertex between two segments
+        spec = QuadratureSpec(target_abs_tol=1e-12)
+        val = quad_path(lambda z: 1.0 / np.sqrt(np.abs(z - 1.0)), [0.0, 1.0, 2.0], spec)
+        assert abs(val - 4.0) < 1e-11
 
     def test_unit_circle_residue(self):
         # any closed polyline winding once about 0 integrates dz/z to 2 pi i
@@ -155,8 +162,7 @@ class TestQuadPath:
         assert abs(val - 2j * math.pi) < 1e-11
 
     def test_arctangent_tail(self):
-        val = quad_ray_to_inf(lambda lam: 1.0 / (1.0 + lam ** 2), 0.0, 1.0, 2,
-                              QuadratureSpec(1e-12))
+        val = quad_ray_to_inf(lambda lam: 1.0 / (1.0 + lam ** 2), 0.0, 1.0, QuadratureSpec(1e-12))
         assert abs(val - math.pi / 2) < 1e-11
 
     def test_additive_over_concatenation(self):
@@ -175,7 +181,7 @@ class TestQuadPath:
 
     def test_log_endpoint(self):
         spec = QuadratureSpec(target_abs_tol=1e-12)
-        val = quad_path(np.log, [0.0, 1.0], spec, sqrt_ends="start")
+        val = quad_path(np.log, [0.0, 1.0], spec)
         assert abs(val + 1.0) < 1e-10
 
     def test_convergence_error_carries_estimate(self):
@@ -185,11 +191,11 @@ class TestQuadPath:
         assert err.value.error_bound > 0
 
     def test_both_ends_match_two_runs(self):
-        # the halves of a both-ended segment run as two components of one
-        # pass; here the left half carries a narrow peak and needs more panels
-        # than the right, and the sum matches the two halves run one by one
+        # the halves of a segment run as two components of one pass; here the
+        # left half carries a narrow peak and needs more panels than the
+        # right, and the sum matches the two halves run one by one
         tol, w = 1e-11, 1e-2
-        spec, half_spec = QuadratureSpec(tol), QuadratureSpec(0.5 * tol)
+        spec = QuadratureSpec(tol)
         calls = []
 
         def f(z):
@@ -197,12 +203,13 @@ class TestQuadPath:
             return np.stack((1.0 / np.sqrt(z * (1.0 - z)),
                              w / (((z - 0.15) ** 2 + w * w) * np.sqrt(1.0 - z))), axis=1)
 
-        joint = quad_path(f, [0.0, 1.0], spec, sqrt_ends="both")
+        joint = quad_path(f, [0.0, 1.0], spec)
         assert calls[0] == 90 and set(calls[1:]) == {120}
         calls.clear()
-        left = quad_path(f, [0.0, 0.5], half_spec, sqrt_ends="start")
+        # z = 0.5 u^2 and z = 1 - 0.5 u^2, each with |dz| = u du
+        left = adaptive_gl(lambda u: f(0.5 * u * u) * u[:, None], 0.0, 1.0, 0.5 * tol, 400)
         n_left = len(calls)
-        right = -quad_path(f, [1.0, 0.5], half_spec, sqrt_ends="start")
+        right = adaptive_gl(lambda u: f(1.0 - 0.5 * u * u) * u[:, None], 0.0, 1.0, 0.5 * tol, 400)
         assert n_left > len(calls) - n_left
         assert joint.shape == (2,)
         assert np.all(np.abs(joint - (left + right)) <= tol)
@@ -221,13 +228,13 @@ class TestQuadPath:
 
         spec = QuadratureSpec(target_abs_tol=1e-13, max_subdivisions=3)
         with pytest.raises(QuadratureConvergenceError) as err:
-            quad_path(f, [0.0, 1.0], spec, sqrt_ends="both")
+            quad_path(f, [0.0, 1.0], spec)
         assert nodes == [90] + [120] * 5
         assert err.value.estimate.shape == (2,) and err.value.error_bound.shape == (2,)
         assert abs(err.value.estimate[1] - 1.0) < 1e-13
         assert err.value.error_bound[0] > 1e-13
         with pytest.raises(QuadratureConvergenceError) as err:
-            quad_path(lambda z: f(z)[:, 0], [0.0, 1.0], spec, sqrt_ends="both")
+            quad_path(lambda z: f(z)[:, 0], [0.0, 1.0], spec)
         assert isinstance(err.value.estimate, complex)
         assert isinstance(err.value.error_bound, float)
 
@@ -237,19 +244,11 @@ class TestQuadPath:
         with pytest.raises(ValueError):
             QuadratureSpec(max_subdivisions=0)
 
-    def test_unknown_sqrt_ends_rejected(self):
-        with pytest.raises(ValueError):
-            quad_path(lambda z: z, [0.0, 1.0], sqrt_ends="cube_root")
-
     def test_tail_with_inverse_sqrt_start(self):
         # integral_0^inf lam^(-1/2) (1 + lam)^(-2) dlam = B(1/2, 3/2) = pi / 2
-        val = quad_ray_to_inf(lambda lam: 1.0 / (np.sqrt(lam) * (1.0 + lam) ** 2), 0.0, 1.0, 2,
+        val = quad_ray_to_inf(lambda lam: 1.0 / (np.sqrt(lam) * (1.0 + lam) ** 2), 0.0, 1.0,
                               QuadratureSpec(1e-12), sqrt_start=True)
         assert abs(val - math.pi / 2) < 1e-11
-
-    def test_tail_needs_decay_rate(self):
-        with pytest.raises(ValueError):
-            quad_ray_to_inf(lambda z: 1.0 / (1 + abs(z)), 0.0, 1.0, 1, QuadratureSpec(1e-8))
 
 
 class TestAdaptiveGL:
@@ -300,7 +299,7 @@ class TestAdaptiveGL:
         spec = QuadratureSpec(target_abs_tol=1e-13, max_subdivisions=5)
         with pytest.raises(QuadratureConvergenceError) as err:
             quad_path(f, [-1.0, 1.0], spec)
-        assert sum(nodes) == 45 + 60 * 4
+        assert sum(nodes) == 90 + 120 * 9
         assert isinstance(err.value.estimate, complex)
         assert abs(err.value.estimate - 4.0) < 0.5
         assert err.value.error_bound > 1e-13
@@ -350,9 +349,8 @@ class TestAdaptiveGL:
         f = lambda z: np.exp(z) / (1 + z * z / 9)
         spec = QuadratureSpec(1e-12)
         path = [0.0, 0.4 + 0.4j, 1.0 + 1.0j]
-        vec = quad_path(lambda z: np.stack((f(z), 2.0 * f(z)), axis=1), path, spec,
-                        sqrt_ends="both")
-        one = quad_path(f, path, spec, sqrt_ends="both")
+        vec = quad_path(lambda z: np.stack((f(z), 2.0 * f(z)), axis=1), path, spec)
+        one = quad_path(f, path, spec)
         assert isinstance(one, complex)
         assert abs(vec[0] - one) < 1e-12
         assert abs(vec[1] - 2.0 * one) < 2e-12

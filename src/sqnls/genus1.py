@@ -96,7 +96,6 @@ class ModulationParams:
     Omega: float
     eta: float
     H: float
-    K_riemann: complex
     A_inf: complex
     T0: float
     Y0: float
@@ -272,29 +271,22 @@ def _r_on_cut(s: np.ndarray, c: complex, d: complex, c_other: complex, d_other: 
     return z, loc * cut_sqrt(z, c_other, d_other)
 
 
-def _cut_integral(g, cut: str, alpha: complex, q: float, quad: QuadratureSpec,
-                  u_sign: float) -> np.ndarray:
-    """integral over s in (-1, 1) of g(z(s), R_side(z(s))) dz along a cut.
+def _cut_integral(g, alpha: complex, q: float, quad: QuadratureSpec) -> np.ndarray:
+    """integral over s in (-1, 1) of g(z(s), R_side(z(s))) dz along band 1.
 
-    g takes arrays of n points z and boundary values R_side and returns
-    shape (n,) or (n, k); the integral then has shape () or (k,), each
-    component to the tolerance of quad. Orientation is increasing s (iq ->
-    alpha on cut 1, -iq -> alpha* on cut 2). Integrands with 1/R blow up
+    g takes arrays of n points z and boundary values R_side (the
+    _BAND1_SIDE value) and returns shape (n,) or (n, k); the integral then
+    has shape () or (k,), each component to the tolerance of quad.
+    Orientation is increasing s (iq -> alpha). Integrands with 1/R blow up
     like an inverse square root at both ends, which the endpoint
     substitution absorbs.
     """
     c1, d1 = _cut1(alpha, q)
     c2, d2 = _cut2(alpha, q)
-    if cut == "band1":
-        c, d, co, do = c1, d1, c2, d2
-    elif cut == "band2":
-        c, d, co, do = c2, d2, c1, d1
-    else:
-        raise ValueError("cut must be 'band1' or 'band2'")
 
     def param_integrand(s: np.ndarray) -> np.ndarray:
-        z, r_side = _r_on_cut(s.real, c, d, co, do, u_sign)
-        return g(z, r_side) * d
+        z, r_side = _r_on_cut(s.real, c1, d1, c2, d2, _BAND1_SIDE)
+        return g(z, r_side) * d1
 
     return quad_path(param_integrand, [-1.0, 1.0], quad)
 
@@ -305,7 +297,7 @@ def _b_cycle(num, alpha: complex, q: float, quad: QuadratureSpec) -> complex:
     A loop winding once around the cut equals the jump integral
     2 * int_{iq->alpha} num / R_side with the _BAND1_SIDE boundary value.
     """
-    return 2.0 * _cut_integral(lambda z, r: num(z) / r, "band1", alpha, q, quad, _BAND1_SIDE)
+    return 2.0 * _cut_integral(lambda z, r: num(z) / r, alpha, q, quad)
 
 
 def seg_integral_inv_r(alpha: complex, q: float, quad: QuadratureSpec) -> complex:
@@ -317,8 +309,11 @@ def seg_integral_inv_r(alpha: complex, q: float, quad: QuadratureSpec) -> comple
     return quad_path(lambda z: 1.0 / big_r(z, alpha, q), [alpha.conjugate(), alpha], quad)
 
 
-def _normalize(seg_inv_r: complex, b_inv_r: complex) -> tuple[float, complex, complex]:
-    """(H, a_period, c_nu) from int_{alpha*}^{alpha} dz/R and the b-period of dz/R."""
+def _normalize(seg_inv_r: complex, b_inv_r: complex) -> tuple[complex, complex, complex]:
+    """(H, a_period, c_nu) from int_{alpha*}^{alpha} dz/R and the b-period of dz/R.
+
+    H is returned complex: callers store its real part and report the imaginary one.
+    """
     a_period = -2.0 * seg_inv_r  # alpha -> alpha* orientation
     c_nu = 2j * math.pi / a_period
     H_val = c_nu * b_inv_r
@@ -326,7 +321,7 @@ def _normalize(seg_inv_r: complex, b_inv_r: complex) -> tuple[float, complex, co
         raise RealityError(f"b-period came out non-real: {H_val}", H_val)
     if H_val.real > 0:
         raise RuntimeError(f"b-period positive ({H_val.real}); orientation conventions broken")
-    return H_val.real, a_period, c_nu
+    return H_val, a_period, c_nu
 
 
 def period_integrals(alpha: complex, q: float, quad: QuadratureSpec | None = None
@@ -341,11 +336,11 @@ def period_integrals(alpha: complex, q: float, quad: QuadratureSpec | None = Non
         quad = QuadratureSpec(target_abs_tol=1e-11)
     if abs(alpha - 1j * q) < 1e-12 * q:
         raise ValueError("alpha = iq: the surface degenerates")
-    H_real, a_period, c_nu = _normalize(seg_integral_inv_r(alpha, q, quad),
-                                        _b_cycle(lambda z: 1.0 + 0j, alpha, q, quad))
+    H_val, a_period, c_nu = _normalize(seg_integral_inv_r(alpha, q, quad),
+                                       _b_cycle(lambda z: 1.0 + 0j, alpha, q, quad))
     a_inf = c_nu * quad_ray_to_inf(lambda z: 1.0 / big_r(z, alpha, q), 1j * q, 1j, quad,
                                    sqrt_start=True)
-    return H_real, a_period, a_inf, c_nu
+    return H_val.real, a_period, a_inf, c_nu
 
 
 def abel_map(z: complex, alpha: complex, c_nu: complex, q: float,
@@ -456,7 +451,7 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams) -
         loop = (r / (z * z + q * q)) * (t * (2 * z + a + ac) + (x - L))
         return np.stack((loop, 1.0 / r, z * (z - a.real) / r), axis=1)
 
-    band1 = _cut_integral(band1_terms, "band1", a, q, quad, _BAND1_SIDE)
+    band1 = _cut_integral(band1_terms, a, q, quad)
     # Omega: real part of the collapsed loop integral around the upper band
     loop_band1 = -2.0 * band1[0]
     if abs(loop_band1.imag) > 1e-8 * max(1.0, abs(loop_band1)):
@@ -487,7 +482,7 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams) -
 
     gap_inv_r, gap_rel, seg_num2 = quad_path(seg_terms, [ac, a], quad)
 
-    H_real, _, c_nu = _normalize(gap_inv_r, 2.0 * band1[1])
+    H_val, _, c_nu = _normalize(gap_inv_r, 2.0 * band1[1])
     c_tau = -seg_num2 / gap_inv_r
     b_num = 2.0 * (band1[2] + c_tau * band1[1])
 
@@ -523,13 +518,13 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams) -
     if abs(y0_val.imag) > 1e-7 * max(1.0, abs(y0_val)):
         raise RealityError(f"Y0 not real: {y0_val}", y0_val)
 
-    defect = max(abs(loop_band1.imag), abs(eta_val.imag), abs(t0_val.imag),
-                 abs(y0_val.imag), abs(p0_slope.imag), abs(p1_slope_c.imag))
+    defect = max(abs(loop_band1.imag), abs(eta_val.imag), abs(H_val.imag), abs(t0_val.imag),
+                 abs(y0_val.imag), abs(p0_slope.imag), abs(p1_slope_c.imag),
+                 abs(tau1_b_c.imag))
     return ModulationParams(
         Omega=float(loop_band1.real),
         eta=float(eta_val.real),
-        H=float(H_real),
-        K_riemann=1j * math.pi + 0.5 * H_real,
+        H=float(H_val.real),
         A_inf=c_nu * ray[1],
         T0=float(t0_val.real),
         Y0=float(y0_val.real),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import brentq, cut_sqrt, minimize_bounded
+from .specfun import brentq, cut_sqrt
 
 __all__ = [
     "LevelTopology",
@@ -25,6 +25,7 @@ __all__ = [
     "trace_zero_level",
     "rho1_real_roots",
     "rho1_value",
+    "rho1_slope",
     "rho1_bump_max",
     "first_breaking_time",
     "second_breaking_time",
@@ -202,6 +203,20 @@ def rho1_value(lam: float, alpha: complex, xi0: float, t: float, L: float, q: fl
     return (4.0 * t * abs(lam - alpha) * (lam - xi0) + 4.0 * L * abs(lam)) / math.hypot(lam, q)
 
 
+def rho1_slope(lam: float, alpha: complex, xi0: float, t: float, L: float, q: float) -> float:
+    """d rho1 / d lam on the real axis, from the same branch values as rho1_value.
+
+    With D = sqrt(lam^2 + q^2) and N = 4 t |lam - alpha| (lam - xi0) + 4 L |lam|,
+    rho1 = N / D and rho1' = (N' - N lam / D^2) / D.
+    """
+    dist = abs(lam - alpha)
+    d2 = lam * lam + q * q
+    num = 4.0 * t * dist * (lam - xi0) + 4.0 * L * abs(lam)
+    dnum = (4.0 * t * ((lam - alpha.real) * (lam - xi0) / dist + dist)
+            + math.copysign(4.0 * L, lam))
+    return (dnum - num * lam / d2) / math.sqrt(d2)
+
+
 def _rho1_window(xi0: float, t: float, L: float, q: float) -> tuple[float, float]:
     # the stretch of lam < 0 that holds both negative roots of rho1
     return -(2.0 * L / t + 10.0 * q + 2.0 * abs(xi0)), -1e-9 * q
@@ -213,10 +228,20 @@ def rho1_bump_max(alpha: complex, xi0: float, t: float, L: float, q: float
 
     rho1 is negative at both window ends with at most one interior bump, so
     the sign of the value counts the negative roots: two, one double, none.
+    lam_star is the root of rho1_slope when the slope falls from positive to
+    negative across the window, else the window end that the slope's one
+    sign points to.
     """
     lam_lo, lam_hi = _rho1_window(xi0, t, L, q)
-    lam_star = minimize_bounded(lambda u: -rho1_value(u, alpha, xi0, t, L, q),
-                                lam_lo, lam_hi, xatol=1e-13)
+
+    def slope(lam: float) -> float:
+        return rho1_slope(lam, alpha, xi0, t, L, q)
+
+    slope_lo, slope_hi = slope(lam_lo), slope(lam_hi)
+    if slope_lo > 0 > slope_hi:
+        lam_star = brentq(slope, lam_lo, lam_hi, xtol=1e-13)
+    else:
+        lam_star = lam_hi if slope_hi >= 0 else lam_lo
     return rho1_value(lam_star, alpha, xi0, t, L, q), lam_star
 
 
@@ -311,21 +336,8 @@ def second_breaking_time(x: float, p, tol: float = 1e-8) -> float:
 
     w2 = brentq(gap, w_prev, w_hi, xtol=1e-12, rtol=8.9e-16)
     _, lam_star, alpha, xi0, t2 = bump_max(w2)
-    h = 1e-6 * max(1.0, abs(lam_star))
-
-    def d_rho1(lam: float) -> float:
-        return (rho1_value(lam + h, alpha, xi0, t2, L, q)
-                - rho1_value(lam - h, alpha, xi0, t2, L, q)) / (2 * h)
-
-    # polish the critical point: the bounded minimizer leaves O(1e-8) slack
-    for _ in range(4):
-        d1 = d_rho1(lam_star)
-        d2 = (d_rho1(lam_star + h) - d_rho1(lam_star - h)) / (2 * h)
-        if d2 == 0 or abs(d1 / d2) < 1e-14 * max(1.0, abs(lam_star)):
-            break
-        lam_star -= d1 / d2
     g_res = rho1_value(lam_star, alpha, xi0, t2, L, q)
-    dres = d_rho1(lam_star)
+    dres = rho1_slope(lam_star, alpha, xi0, t2, L, q)
     if abs(g_res) > tol or abs(dres) > tol:
         raise RuntimeError(
             f"double-root residuals too large at x = {x}: |rho1| = {abs(g_res):.2e}, "

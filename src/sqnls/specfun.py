@@ -4,12 +4,11 @@ Everything here is self-contained and needs numpy only: complete elliptic
 integrals (AGM production scheme plus an independent power-series scheme
 for cross-checking), the real dilogarithm, the genus-1 theta sum, the
 branch square root `cut_sqrt` cut on a straight segment, the Brent root
-finder `brentq` and bounded minimizer `minimize_bounded`, and an
-adaptive Gauss-Legendre quadrature over complex polylines and rays.
+finder `brentq`, and an adaptive Gauss-Legendre quadrature over complex
+polylines and rays.
 
-`brentq` and `minimize_bounded` follow scipy's `scipy.optimize.brentq` and
-`minimize_scalar(method="bounded")` operation for operation, so they take
-the same iterates.
+`brentq` follows scipy's `scipy.optimize.brentq` operation for operation,
+so it takes the same iterates.
 
 The quadrature has one adaptive loop, `adaptive_gl`, and one calling
 convention: every integrand is an array function. It takes a 1-D array of
@@ -43,7 +42,6 @@ __all__ = [
     "theta_sum",
     "cut_sqrt",
     "brentq",
-    "minimize_bounded",
     "adaptive_gl",
     "quad_path",
     "quad_ray_to_inf",
@@ -244,7 +242,7 @@ def cut_sqrt(z, c: complex, d: complex):
 
 
 # ---------------------------------------------------------------------------
-# scalar root and bounded minimum
+# scalar root
 # ---------------------------------------------------------------------------
 
 _BRENT_RTOL = 4 * 2.220446049250313e-16  # four machine epsilons, the least rtol allowed
@@ -317,85 +315,6 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _BRENT_RTOL
             xcur += delta if sbis > 0 else -delta
         fcur = _not_nan(f, xcur)
     raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
-
-
-def minimize_bounded(f, lo: float, hi: float, xatol: float) -> float:
-    """The minimizer of the real function f on [lo, hi].
-
-    A port of scipy.optimize.minimize_scalar(method="bounded")
-    (_minimize_scalar_bounded in scipy/optimize/_optimize.py): Brent's
-    golden-section search with parabolic steps, stopping when x is known to
-    within 2 (sqrt(2.2e-16) |x| + xatol / 3) or after 500 evaluations of f.
-    The same steps in float arithmetic give the same x.
-    """
-    lo, hi = float(lo), float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("Optimization bounds must be finite scalars.")
-    if lo > hi:
-        raise ValueError("The lower bound exceeds the upper bound.")
-    sqrt_eps = math.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc = xf = fulc
-    rat = e = 0.0
-    fx = f(xf)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            # parabolic fit through xf, nfc and fulc
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 if xm - xf >= 0 else -tol1
-            else:
-                golden = True
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return xf
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,12 @@ class TestCliOutput:
                1.7064617693078767, -3.6338133795756793)
         assert np.max(np.abs(np.array([omega, eta, t0, y0, h]) - ref)) < 1e-11
 
+    def test_endpoint_command(self, capsys):
+        # the defaults q = L = 1, eps = 0.1 are P
+        assert main(["endpoint", "--mu", "0.9"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "mu,m,re_alpha,im_alpha,Omega,eta,T0,Y0,H", endpoint_line(0.9, P)]
+
     def test_validate_command(self, tmp_path):
         out = tmp_path / "val.csv"
         main(["--eps", "0.1", "validate", "--eps-list", "0.1", "--out", str(out)])

@@ -283,10 +283,36 @@ class TestModulationConstants:
         mods = modulation_constants(st.alpha, x, t, p)
         assert abs(mods.tau1_b_period + mods.Omega) < 1e-8
 
-    def test_riemann_constant(self):
+    def test_reality_defect_reports_h(self, monkeypatch):
+        # an imaginary part of H below the RealityError threshold is
+        # discarded when H is stored, and must show in reality_defect
         p, x, t, st = _s2_point()
+        clean = modulation_constants(st.alpha, x, t, p)
+        normalize = genus1._normalize
+        monkeypatch.setattr(genus1, "_normalize",
+                            lambda seg, b: normalize(seg, b * (1.0 + 1e-10j)))
         mods = modulation_constants(st.alpha, x, t, p)
-        assert mods.K_riemann == 1j * math.pi + 0.5 * mods.H
+        assert clean.reality_defect < 1e-12
+        assert mods.reality_defect == pytest.approx(1e-10 * abs(mods.H), rel=1e-3)
+
+    def test_reality_defect_reports_tau1_b_period(self, monkeypatch):
+        # an imaginary part of the num2/R b-period enters T0 and the tau1
+        # b-period; here |tau1| ~ |Omega| is 12 times |T0|, so tau1's share
+        # is the one reality_defect must report
+        p, x, t, st = _s2_point()
+        cut_integral = genus1._cut_integral
+        band1 = []
+
+        def perturbed(*args):
+            band1.append(cut_integral(*args))
+            return band1[-1] + np.array([0.0, 0.0, 1e-10j])
+
+        monkeypatch.setattr(genus1, "_cut_integral", perturbed)
+        mods = modulation_constants(st.alpha, x, t, p)
+        b_num = 2.0 * (band1[0][2] + mods.c_tau * band1[0][1])
+        assert abs(mods.tau1_b_period) > 10 * abs(mods.T0)
+        assert mods.reality_defect == pytest.approx(
+            abs(mods.tau1_b_period / b_num.real) * 2e-10, rel=1e-3)
 
     def test_selfsimilar_scaling(self):
         # Omega / t and eta / t depend on (x, t) only through mu
@@ -397,9 +423,14 @@ class TestModulationConstants:
                 return np.stack((j / r_side, (z - a.real) * j / r_side), axis=1)
             return g
 
-        per_band = np.concatenate((
-            -genus1._cut_integral(terms(1), "band1", a, q, quad, genus1._BAND1_SIDE),
-            genus1._cut_integral(terms(2), "band2", a, q, quad, genus1._BAND2_SIDE)))
+        def band2(s):
+            c1, d1 = genus1._cut1(a, q)
+            c2, d2 = genus1._cut2(a, q)
+            z, r_side = genus1._r_on_cut(s.real, c2, d2, c1, d1, genus1._BAND2_SIDE)
+            return terms(2)(z, r_side) * d2
+
+        per_band = np.concatenate((-genus1._cut_integral(terms(1), a, q, quad),
+                                   specfun.quad_path(band2, [-1.0, 1.0], quad)))
         one_pass = genus1._p0_band_integrals(a, xi0, xi1, q, quad, chi_quad)
         assert one_pass.shape == (4,)
         assert np.max(np.abs(one_pass - per_band)) < 1e-12

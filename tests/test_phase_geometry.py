@@ -13,8 +13,11 @@ from sqnls.phase_geometry import (
     big_s,
     first_breaking_time,
     level_topology,
+    _rho1_window,
     ray_breaking_time,
+    rho1_bump_max,
     rho1_real_roots,
+    rho1_slope,
     rho1_value,
     second_breaking_time,
     trace_zero_level,
@@ -144,6 +147,82 @@ class TestRho1:
             r = big_r(z, alpha, 1.0)
             quartic = (z - 1j) * (z + 1j) * (z - alpha) * (z - alpha.conjugate())
             assert abs(r * r - quartic) < 1e-12 * abs(quartic)
+
+
+def _rho1_arrays(lam, alpha, xi0, t, L, q):
+    # rho1 and its slope over a node array, in the scalar functions' formulas
+    dist = np.abs(lam - alpha)
+    d2 = lam * lam + q * q
+    num = 4.0 * t * dist * (lam - xi0) + 4.0 * L * np.abs(lam)
+    dnum = (4.0 * t * ((lam - alpha.real) * (lam - xi0) / dist + dist)
+            + np.copysign(4.0 * L, lam))
+    return num / np.sqrt(d2), (dnum - num * lam / d2) / np.sqrt(d2)
+
+
+def _window_state(mu, q):
+    st = solve_endpoint(mu, q)
+    return st.alpha, mu - st.alpha.real
+
+
+class TestRho1Bump:
+    @pytest.mark.parametrize("alpha, xi0, t, L, q", [
+        (0.5 + 0.6j, 0.4, 0.45, 1.0, 1.0), (0.3 + 1.7j, -0.2, 0.1, 2.0, 2.0),
+        (1.1 + 0.2j, 0.9, 2.0, 1.0, 0.5)])
+    def test_slope_matches_central_difference(self, alpha, xi0, t, L, q):
+        for lam in (-9.0, -1.3, -0.2, -1e-3, 0.7):
+            h = 1e-5 * max(1.0, abs(lam))
+            fd = (rho1_value(lam + h, alpha, xi0, t, L, q)
+                  - rho1_value(lam - h, alpha, xi0, t, L, q)) / (2 * h)
+            slope = rho1_slope(lam, alpha, xi0, t, L, q)
+            assert abs(slope - fd) <= 1e-8 * max(1.0, abs(slope)), lam
+            # the scan tests' array form rounds |lam - alpha| its own way
+            arr = _rho1_arrays(np.array([lam]), alpha, xi0, t, L, q)[1][0]
+            assert abs(arr - slope) <= 1e-14 * max(1.0, abs(slope))
+
+    @pytest.mark.parametrize("q, L, x, dt", [(1.0, 1.0, 0.3, 0.05), (2.0, 1.0, 0.6, 0.02),
+                                             (1.0, 2.0, 0.2, 0.3)])
+    def test_bump_at_the_slope_root(self, q, L, x, dt):
+        t = (L - x) / (2.0 * math.sqrt(2.0) * q) + dt
+        mu = (L - x) / (2.0 * t)
+        alpha, xi0 = _window_state(mu, q)
+        value, lam_star = rho1_bump_max(alpha, xi0, t, L, q)
+        lo, hi = _rho1_window(xi0, t, L, q)
+        assert lo < lam_star < hi
+        assert abs(rho1_slope(lam_star, alpha, xi0, t, L, q)) < 1e-12
+        assert value == rho1_value(lam_star, alpha, xi0, t, L, q)
+        grid = _rho1_arrays(np.linspace(lo, hi, 200001), alpha, xi0, t, L, q)[0]
+        # the grid's rho1 rounds differently: allow its terms' O(4L) ulps
+        assert value >= grid.max() - 4e-15 * L
+
+    def test_bump_at_window_end(self):
+        # far past T2 rho1 rises over the whole window: the maximum is its end
+        q, L, mu, t = 1.0, 1.0, 0.9, 5.0
+        alpha, xi0 = _window_state(mu, q)
+        lo, hi = _rho1_window(xi0, t, L, q)
+        slopes = _rho1_arrays(np.linspace(lo, hi, 20001), alpha, xi0, t, L, q)[1]
+        assert np.all(slopes > 0)
+        assert rho1_bump_max(alpha, xi0, t, L, q) == (rho1_value(hi, alpha, xi0, t, L, q), hi)
+
+    def test_one_critical_point_per_window(self):
+        # the bump search's premise: on every window the slope changes sign
+        # at most once, and only from rising to falling
+        bumps = ends = 0
+        for q in (0.5, 2.0):
+            for L in (1.0, 2.0):
+                for mu_q in (0.05, 0.3, 0.7, 1.0, 1.4):
+                    for t_unit in (0.02, 0.1, 0.3, 1.0, 3.0):
+                        t = t_unit * L / q
+                        alpha, xi0 = _window_state(mu_q * q, q)
+                        lo, hi = _rho1_window(xi0, t, L, q)
+                        lam = np.linspace(lo, hi, 20001)
+                        slopes = _rho1_arrays(lam, alpha, xi0, t, L, q)[1]
+                        flips = np.flatnonzero(np.diff(np.signbit(slopes)))
+                        assert len(flips) <= 1, (q, L, mu_q, t_unit)
+                        assert slopes[0] > 0, (q, L, mu_q, t_unit)
+                        bumps += len(flips)
+                        ends += 1 - len(flips)
+        # the grid holds windows of both kinds
+        assert bumps > 0 and ends > 0
 
 
 class TestBreakingTimes:

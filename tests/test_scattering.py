@@ -128,14 +128,17 @@ class TestScatteringData:
     def test_large_phase_form_continuity(self):
         # the trig and exponential-split evaluations agree near the switch
         p_small = BarrierParams(1.0, 1.0, 0.05)
-        for im in (0.7, 0.76):  # Im phi = 2 L Im nu / eps straddles 30
+        sides = []
+        for im in (0.8, 0.9):  # Im phi = 2 L Im nu / eps straddles 30
             z = 2.0 + 1j * im
             a, b, r = scattering_data(z, p_small)
             nu = nu_imag_cut(z, 1.0)
             phi = 2 * p_small.L * nu / p_small.eps
+            sides.append(abs(phi.imag) > 30.0)
             a_trig = (cmath.cos(phi) - 1j * z * cmath.sin(phi) / nu) * cmath.exp(
                 2j * p_small.L * z / p_small.eps)
             assert abs(a - a_trig) < 1e-10 * abs(a)
+        assert sides == [False, True]
 
 
 class TestEigenvalues:

@@ -18,7 +18,6 @@ from sqnls.specfun import (
     dilog,
     ellipe,
     ellipk,
-    minimize_bounded,
     quad_path,
     quad_ray_to_inf,
     theta_sum,
@@ -468,42 +467,3 @@ class TestBrentq:
         with pytest.raises(ValueError):
             brentq(lambda x: x, -1.0, 1.0, rtol=1e-16)
 
-
-class TestMinimizeBounded:
-    CASES = [
-        (lambda x: (x - 0.3) ** 2, -2.0, 3.0),
-        (lambda x: -math.exp(-4.0 * (x - 1.2) ** 2) + 0.1 * x, -1.0, 2.5),
-        (lambda x: abs(x + 0.7) ** 1.5, -3.0, 1.0),
-        (lambda x: math.cos(3.0 * x), 0.0, 2.0),
-        (lambda x: x, 1.0, 2.0),  # minimum on the bound
-    ]
-
-    @pytest.mark.parametrize("xatol", [1e-5, 1e-8, 1e-13])
-    def test_bit_identical_to_scipy(self, xatol):
-        from scipy.optimize import minimize_scalar
-        for f, lo, hi in self.CASES:
-            ref = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
-            assert minimize_bounded(f, lo, hi, xatol) == float(ref.x), (f, lo, hi)
-
-    @pytest.mark.parametrize("q, L, x, dt", [(1.0, 1.0, 0.3, 0.05), (2.0, 1.0, 0.6, 0.02),
-                                             (1.0, 2.0, 0.2, 0.3)])
-    def test_rho1_bump_bit_identical_to_scipy(self, q, L, x, dt):
-        # the library's one minimization: the rho1 bump on its negative-axis window
-        from scipy.optimize import minimize_scalar
-
-        from sqnls.genus1 import solve_endpoint
-        from sqnls.phase_geometry import _rho1_window, rho1_bump_max, rho1_value
-        t = (L - x) / (2.0 * math.sqrt(2.0) * q) + dt
-        mu = (L - x) / (2.0 * t)
-        state = solve_endpoint(mu, q)
-        xi0 = mu - state.alpha.real
-        lo, hi = _rho1_window(xi0, t, L, q)
-        ref = minimize_scalar(lambda u: -rho1_value(u, state.alpha, xi0, t, L, q),
-                              bounds=(lo, hi), method="bounded", options={"xatol": 1e-13})
-        assert rho1_bump_max(state.alpha, xi0, t, L, q)[1] == float(ref.x)
-
-    def test_bounds_validated(self):
-        with pytest.raises(ValueError):
-            minimize_bounded(lambda x: x * x, 1.0, -1.0, 1e-8)
-        with pytest.raises(ValueError):
-            minimize_bounded(lambda x: x * x, -math.inf, 1.0, 1e-8)

@@ -47,7 +47,8 @@ def _t2_cached(x: float, p: BarrierParams) -> float | None:
     endpoint solver's floor; both raise PinchPointError and read as no T2.
     Any other failure propagates.
     """
-    key = (p.q, p.L, p.eps, round(abs(x), 12))
+    # second_breaking_time reads q and L only, so one search serves every eps
+    key = (p.q, p.L, round(abs(x), 12))
     if key not in _T2_CACHE:
         try:
             _T2_CACHE[key] = second_breaking_time(abs(x), p)

@@ -391,35 +391,41 @@ def _segments_too_close(a0: complex, a1: complex, b0: complex, b1: complex,
 # the full set of modulation constants
 # ---------------------------------------------------------------------------
 
-def _p0_band_integrals(alpha: complex, xi0: float, xi1: float, q: float,
-                       quad: QuadratureSpec, chi_quad: QuadratureSpec) -> np.ndarray:
-    """Slope and moment integrals of the p0 weight j over both bands, in one pass.
+def _band_pass(a: complex, x_minus_l: float, t: float, xi0: float, xi1: float, q: float,
+               quad: QuadratureSpec, chi_quad: QuadratureSpec) -> np.ndarray:
+    """Every band integral of modulation_constants, in one pass over the cut parameter.
 
-    j = (log term) - 2 (chi(z, xi1) + chi(z, xi0)). The result is (slope 1,
-    moment 1, slope 2, moment 2): the oriented integrals of j / R and
-    (z - Re alpha) j / R along band 1 (alpha -> iq) and band 2 (-iq ->
-    alpha*). Band 2 is band 1's mirror image, so each node s of the shared
-    cut parameter maps to one point on each band, and the chi transforms run
-    once per xi over all of them. The pass has both bands' panel budgets,
-    2 quad.max_subdivisions, which the both-ended segment doubles again.
+    The first three columns are band 1's, oriented iq -> alpha as in
+    _cut_integral: the Omega loop (R/(z^2+q^2)) (t (2z + a + a*) + x - L),
+    1/R and num2/R with num2 = z (z - Re alpha). The last four are the slope
+    and moment integrals of the p0 weight j = (log term) - 2 (chi(z, xi1) +
+    chi(z, xi0)): the oriented integrals of j / R and (z - Re alpha) j / R
+    along band 1 (alpha -> iq) and band 2 (-iq -> alpha*). Band 2 is band
+    1's mirror image, so each node s of the shared cut parameter maps to one
+    point on each band, and the chi transforms run once per xi over all of
+    them. The pass has both bands' panel budgets, 2 quad.max_subdivisions,
+    which the both-ended segment doubles again.
     """
-    c1, d1 = _cut1(alpha, q)
-    c2, d2 = _cut2(alpha, q)
+    ac = a.conjugate()
+    c1, d1 = _cut1(a, q)
+    c2, d2 = _cut2(a, q)
     quad = replace(quad, max_subdivisions=2 * quad.max_subdivisions)
-    # band 1 runs against increasing s: sign -1
+    # band 1 runs against increasing s in the p0 columns: sign -1
     scale = np.array([-d1, d2])
 
     def terms(s: np.ndarray) -> np.ndarray:
         z1, r1 = _r_on_cut(s.real, c1, d1, c2, d2, _BAND1_SIDE)
         z2, r2 = _r_on_cut(s.real, c2, d2, c1, d1, _BAND2_SIDE)
+        loop = (r1 / (z1 * z1 + q * q)) * (t * (2 * z1 + a + ac) + x_minus_l)
+        band1 = np.stack((loop, 1.0 / r1, z1 * (z1 - a.real) / r1), axis=1) * d1
         z = np.concatenate((z1, z2))
         logterm = np.concatenate((np.log(2.0 * (z1 + 1j * q) / q),
                                   np.log(q / (2.0 * (z2 - 1j * q)))))
         chi = chi_batch(z, xi1, q, chi_quad) + chi_batch(z, xi0, q, chi_quad)
         j_over_r = ((logterm - 2.0 * chi) / np.concatenate((r1, r2))).reshape(2, s.size)
-        z_rel = z.reshape(2, s.size) - alpha.real
-        cols = np.stack((j_over_r, z_rel * j_over_r), axis=2) * scale[:, None, None]
-        return cols.transpose(1, 0, 2).reshape(s.size, 4)
+        z_rel = z.reshape(2, s.size) - a.real
+        p0 = np.stack((j_over_r, z_rel * j_over_r), axis=2) * scale[:, None, None]
+        return np.concatenate((band1, p0.transpose(1, 0, 2).reshape(s.size, 4)), axis=1)
 
     return quad_path(terms, [-1.0, 1.0], quad)
 
@@ -428,9 +434,10 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams) -
     """All slow constants of the oscillatory wave form at one (x, t).
 
     Assumes alpha solves the endpoint system at mu = -(x-L)/(2t). Reality of
-    Omega, eta, T0, Y0 and H is enforced to 1e-8 and violations raise
-    RealityError, since they indicate a broken branch or path convention
-    upstream.
+    Omega, eta, T0, Y0 and H is enforced to 1e-8 (the p0 slope and Y0 to
+    1e-7) and violations raise RealityError, since they indicate a broken
+    branch or path convention upstream. The worst imaginary part discarded
+    is reported as reality_defect.
     """
     quad = QuadratureSpec(target_abs_tol=1e-10)
     chi_quad = QuadratureSpec(target_abs_tol=1e-11)
@@ -443,19 +450,22 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams) -
     if not roots:
         raise ValueError("rho1 has no real roots here: (x, t) is past the second breaking time")
     xi1 = roots[0]
+    defect = 0.0
+
+    def real(name: str, v: complex, tol: float = 1e-8) -> float:
+        # the real part of v, once its imaginary part is checked and recorded
+        nonlocal defect
+        if abs(v.imag) > tol * max(1.0, abs(v)):
+            raise RealityError(f"{name} not real: {v}", v)
+        defect = max(defect, float(abs(v.imag)))
+        return float(v.real)
 
     # one adaptive pass per contour, each integrand a column; (num2 + c_tau)/R
-    # with num2 = z^2 - Re(alpha) z has a zero a-period. Band 1 carries the
-    # Omega loop and the b-periods of 1/R and num2/R
-    def band1_terms(z: np.ndarray, r: np.ndarray) -> np.ndarray:
-        loop = (r / (z * z + q * q)) * (t * (2 * z + a + ac) + (x - L))
-        return np.stack((loop, 1.0 / r, z * (z - a.real) / r), axis=1)
-
-    band1 = _cut_integral(band1_terms, a, q, quad)
+    # with num2 = z^2 - Re(alpha) z has a zero a-period. The band pass carries
+    # band 1's Omega loop and b-periods of 1/R and num2/R, and the p0 weights
+    band = _band_pass(a, x - L, t, xi0, xi1, q, quad, chi_quad)
     # Omega: real part of the collapsed loop integral around the upper band
-    loop_band1 = -2.0 * band1[0]
-    if abs(loop_band1.imag) > 1e-8 * max(1.0, abs(loop_band1)):
-        raise RealityError(f"gap-jump constant not real: {loop_band1}", loop_band1)
+    omega = real("gap-jump constant", -2.0 * band[0])
 
     # the ray iq -> i inf carries rho (eta), 1/R (A_inf) and num2/R - 1 (Y0)
     def ray_terms(z: np.ndarray) -> np.ndarray:
@@ -470,9 +480,7 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams) -
 
     ray = quad_ray_to_inf(ray_terms, 1j * q, 1j, quad, sqrt_start=True)
     # eta = -theta0(iq) + 2 int_inf^iq rho, theta0(iq) = 2t (iq)^2 + 2 (x - L) iq
-    eta_val = 2 * t * q * q - 2j * (x - L) * q - 2.0 * ray[0]
-    if abs(eta_val.imag) > 1e-8 * max(1.0, abs(eta_val)):
-        raise RealityError(f"band-jump constant not real: {eta_val}", eta_val)
+    eta = real("band-jump constant", 2 * t * q * q - 2j * (x - L) * q - 2.0 * ray[0])
 
     # the segment alpha* -> alpha carries 1/R, (z - Re alpha)/R and num2/R; it
     # and the gap path alpha* -> xi0 -> alpha enclose no cut, so they agree
@@ -482,57 +490,31 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams) -
 
     gap_inv_r, gap_rel, seg_num2 = quad_path(seg_terms, [ac, a], quad)
 
-    H_val, _, c_nu = _normalize(gap_inv_r, 2.0 * band1[1])
+    H_val, _, c_nu = _normalize(gap_inv_r, 2.0 * band[1])
     c_tau = -seg_num2 / gap_inv_r
-    b_num = 2.0 * (band1[2] + c_tau * band1[1])
+    b_num = 2.0 * (band[2] + c_tau * band[1])
 
     # slopes of the real linear polynomials in the essential singularity of s;
     # expanding the Cauchy integrals of s0, s1 at infinity gives
     # p' = (1/2 pi i) * (oriented weight integral), real since the gap
     # integral of 1/R is imaginary and the band integrals pair up
-    p1_slope_c = -1j * loop_band1.real / (2 * math.pi) * gap_inv_r
-    if abs(p1_slope_c.imag) > 1e-8 * max(1.0, abs(p1_slope_c)):
-        raise RealityError(f"p1 slope not real: {p1_slope_c}", p1_slope_c)
-    tau1_b_c = p1_slope_c.real * b_num
-    if abs(tau1_b_c.imag) > 1e-8 * max(1.0, abs(tau1_b_c.real)):
-        raise RealityError("tau1 b-period not real", tau1_b_c)
+    p1_slope = real("p1 slope", -1j * omega / (2 * math.pi) * gap_inv_r)
+    tau1_b = real("tau1 b-period", p1_slope * b_num)
 
     # p0: band pieces with the j weight, gap pieces with the constant -i pi/2
-    band1_slope, band1_mom, band2_slope, band2_mom = _p0_band_integrals(
-        a, xi0, xi1, q, quad, chi_quad)
-    p0_slope = (band1_slope + band2_slope - 0.5j * math.pi * gap_inv_r) / (2 * math.pi)
-    if abs(p0_slope.imag) > 1e-7 * max(1.0, abs(p0_slope)):
-        raise RealityError(f"p0 slope not real: {p0_slope}", p0_slope)
-
-    p0_const = (band1_mom + band2_mom - 0.5j * math.pi * gap_rel) / (2 * math.pi) + math.pi / 4.0
-
-    # T0 and the tau1 consistency check against -Omega
-    t0_val = p0_slope.real * b_num
-    if abs(t0_val.imag) > 1e-8 * max(1.0, abs(t0_val)):
-        raise RealityError(f"T0 not real: {t0_val}", t0_val)
+    p0_slope = real("p0 slope", (band[3] + band[5] - 0.5j * math.pi * gap_inv_r) / (2 * math.pi),
+                    1e-7)
+    p0_const = (band[4] + band[6] - 0.5j * math.pi * gap_rel) / (2 * math.pi) + math.pi / 4.0
 
     # Y0 = p0_const + p0' (iq - int_{iq}^{inf} ((num2 + c_tau)/R - 1)), up the
     # imaginary axis: no cut lies in Re z > 0, Im z > q, since Im alpha < q
     resid = ray[2] + c_tau * ray[1]
-    y0_val = p0_const + p0_slope.real * (1j * q - resid)
-    if abs(y0_val.imag) > 1e-7 * max(1.0, abs(y0_val)):
-        raise RealityError(f"Y0 not real: {y0_val}", y0_val)
-
-    defect = max(abs(loop_band1.imag), abs(eta_val.imag), abs(H_val.imag), abs(t0_val.imag),
-                 abs(y0_val.imag), abs(p0_slope.imag), abs(p1_slope_c.imag),
-                 abs(tau1_b_c.imag))
-    return ModulationParams(
-        Omega=float(loop_band1.real),
-        eta=float(eta_val.real),
-        H=float(H_val.real),
-        A_inf=c_nu * ray[1],
-        T0=float(t0_val.real),
-        Y0=float(y0_val.real),
-        c_nu=c_nu,
-        c_tau=c_tau,
-        tau1_b_period=float(tau1_b_c.real),
-        reality_defect=float(defect),
-    )
+    y0 = real("Y0", p0_const + p0_slope * (1j * q - resid), 1e-7)
+    # T0 and the tau1 consistency check against -Omega
+    t0 = real("T0", p0_slope * b_num)
+    return ModulationParams(Omega=omega, eta=eta, H=real("b-period", H_val), A_inf=c_nu * ray[1],
+                            T0=t0, Y0=y0, c_nu=c_nu, c_tau=c_tau, tau1_b_period=tau1_b,
+                            reality_defect=defect)
 
 
 def psi_asy_g1(x: float, t: float, p: BarrierParams, state: EndpointState,

@@ -93,6 +93,22 @@ class TestClassify:
             classify(0.37, 0.4, P)
         assert time.time() - t0 < max(first, 0.05)
 
+    def test_t2_memo_shared_across_eps(self, monkeypatch):
+        # T2(x) depends on q and L only, so a second eps reuses the search
+        import sqnls.field
+
+        searches = []
+
+        def counting(x, p):
+            searches.append((x, p.eps))
+            return second_breaking_time(x, p)
+
+        monkeypatch.setattr(sqnls.field, "_T2_CACHE", {})
+        monkeypatch.setattr(sqnls.field, "second_breaking_time", counting)
+        regs = [classify(0.37, 0.4, BarrierParams(1.0, 1.0, eps)) for eps in (0.1, 0.05)]
+        assert searches == [(0.37, 0.1)]
+        assert regs[0] == regs[1]
+
 
 class TestSampleGrid:
     def test_all_exterior_zero(self):
@@ -186,6 +202,19 @@ class TestCliOutput:
         lines = breaking_curves(0.0, 0.5, 2, P)
         x0_row = lines[1]
         assert x0_row.endswith(",")  # T2 search fails at the pinch point
+
+    def test_breaking_curves_outside_support(self):
+        # T1 is defined only for |x| < L, so |x| >= L rows carry empty fields
+        assert breaking_curves(1.0, 1.5, 2, P) == ["x,T1,T2", "1,,", "1.5,,"]
+
+    def test_psi_asymptotic_beyond_scope_raises(self):
+        from sqnls.field import psi_asymptotic
+        from sqnls.genus0 import RegionError
+
+        reg = classify(0.0, 0.5, P)
+        assert reg.label == "beyond_scope"
+        with pytest.raises(RegionError, match="beyond the covered regions"):
+            psi_asymptotic(0.0, 0.5, P)
 
     def test_field_csv(self, capsys):
         main(["--eps", "0.2", "field", "--x-min", "-1.5", "--x-max", "1.5", "--nx", "5",

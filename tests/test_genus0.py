@@ -113,6 +113,10 @@ class TestPsiAsy:
         for (x, t) in ((0.0, 0.15), (0.4, 0.1), (-0.6, 0.05)):
             assert abs(abs(psi_asy_g0(x, t, P)) - P.q) < 1e-14
 
+    def test_initial_time_is_the_barrier(self):
+        for x in (0.0, 0.4, -0.9):
+            assert psi_asy_g0(x, 0.0, P) == P.q
+
     def test_small_time_finite(self):
         v = psi_asy_g0(0.3, 1e-3, P)
         assert np.isfinite(v.real) and abs(abs(v) - P.q) < 1e-14

@@ -37,6 +37,28 @@ def _s2_point(x=0.25, frac=0.5, eps=0.05):
     return p, x, t, solve_endpoint(mu, p.q)
 
 
+# points of the band pass tests: near mu = sqrt2 q (t just past T1) and near
+# t = T2 the shared heap must refine both bands at once
+_BAND_POINTS = [(0.25, 0.5, 1e-10), (0.05, 0.001, 1e-12), (0.95, 0.001, 1e-12),
+                (0.05, 0.999, 1e-12), (0.95, 0.999, 1e-12)]
+
+
+def _band_point(x, frac):
+    from sqnls.phase_geometry import rho1_real_roots
+
+    p, x, t, st = _s2_point(x, frac)
+    xi0 = st.mu - st.alpha.real
+    return p, x, t, st, xi0, rho1_real_roots(st.alpha, xi0, t, p.L, p.q)[0]
+
+
+def _band1_terms(a, x_minus_l, t, q):
+    # band 1's columns of the band pass: the Omega loop, 1/R and num2/R
+    def g(z, r):
+        loop = (r / (z * z + q * q)) * (t * (2 * z + a + a.conjugate()) + x_minus_l)
+        return np.stack((loop, 1.0 / r, z * (z - a.real) / r), axis=1)
+    return g
+
+
 class TestEndpointFromM:
     def test_limit_real(self):
         assert abs(alpha_from_m(1e-10, Q) - Q / SQRT2) < 1e-9
@@ -300,14 +322,14 @@ class TestModulationConstants:
         # b-period; here |tau1| ~ |Omega| is 12 times |T0|, so tau1's share
         # is the one reality_defect must report
         p, x, t, st = _s2_point()
-        cut_integral = genus1._cut_integral
+        band_pass = genus1._band_pass
         band1 = []
 
         def perturbed(*args):
-            band1.append(cut_integral(*args))
-            return band1[-1] + np.array([0.0, 0.0, 1e-10j])
+            band1.append(band_pass(*args))
+            return band1[-1] + np.array([0.0, 0.0, 1e-10j, 0.0, 0.0, 0.0, 0.0])
 
-        monkeypatch.setattr(genus1, "_cut_integral", perturbed)
+        monkeypatch.setattr(genus1, "_band_pass", perturbed)
         mods = modulation_constants(st.alpha, x, t, p)
         b_num = 2.0 * (band1[0][2] + mods.c_tau * band1[0][1])
         assert abs(mods.tau1_b_period) > 10 * abs(mods.T0)
@@ -343,8 +365,9 @@ class TestModulationConstants:
         assert sizes == [180, 180]
 
     def test_one_quadrature_pass_per_contour(self, monkeypatch):
-        # band 1, the segment alpha* -> alpha, the ray iq -> i inf and the
-        # p0 band pass; the chi transforms run in scattering's namespace
+        # the band pass (band 1's columns and the p0 weights of both bands),
+        # the segment alpha* -> alpha and the ray iq -> i inf; the chi
+        # transforms run in scattering's namespace
         calls = []
         for name in ("quad_path", "quad_ray_to_inf"):
             def counting(*args, _quad=getattr(genus1, name), _name=name, **kwargs):
@@ -354,7 +377,7 @@ class TestModulationConstants:
             monkeypatch.setattr(genus1, name, counting)
         p, x, t, st = _s2_point()
         modulation_constants(st.alpha, x, t, p)
-        assert sorted(calls) == ["quad_path"] * 3 + ["quad_ray_to_inf"]
+        assert sorted(calls) == ["quad_path"] * 2 + ["quad_ray_to_inf"]
 
     @pytest.mark.parametrize("x,frac", [(0.25, 0.5), (0.05, 0.001), (0.95, 0.999), (0.6, 0.3)])
     def test_holomorphic_data_matches_period_integrals(self, x, frac):
@@ -394,22 +417,15 @@ class TestModulationConstants:
         rays = [quad_ray_to_inf(ray_terms, 1j * Q, d, quad, sqrt_start=True) for d in (1.0, 1j)]
         assert np.max(np.abs(rays[0] - rays[1])) <= 1e-12
 
-    @pytest.mark.parametrize("x,frac,tol", [
-        (0.25, 0.5, 1e-10),
-        # near mu = sqrt2 q (t just past T1) and near t = T2, where the
-        # shared heap must refine both bands at once
-        (0.05, 0.001, 1e-12), (0.95, 0.001, 1e-12),
-        (0.05, 0.999, 1e-12), (0.95, 0.999, 1e-12)])
+    @pytest.mark.parametrize("x,frac,tol", _BAND_POINTS)
     def test_band_pass_matches_per_band_route(self, x, frac, tol):
-        # the p0 band integrals against each band on its own cut, with its
-        # own log term and chi transforms
-        from sqnls.phase_geometry import rho1_real_roots
+        # band 1's columns against _cut_integral, and the p0 band integrals
+        # against each band on its own cut, with its own log term and chi
+        # transforms
         from sqnls.scattering import chi_batch
 
-        p, x, t, st = _s2_point(x, frac)
+        p, x, t, st, xi0, xi1 = _band_point(x, frac)
         a, q = st.alpha, p.q
-        xi0 = st.mu - a.real
-        xi1 = rho1_real_roots(a, xi0, t, p.L, q)[0]
         quad, chi_quad = QuadratureSpec(tol), QuadratureSpec(1e-11)
 
         def terms(band):
@@ -429,15 +445,46 @@ class TestModulationConstants:
             z, r_side = genus1._r_on_cut(s.real, c2, d2, c1, d1, genus1._BAND2_SIDE)
             return terms(2)(z, r_side) * d2
 
-        per_band = np.concatenate((-genus1._cut_integral(terms(1), a, q, quad),
-                                   specfun.quad_path(band2, [-1.0, 1.0], quad)))
-        one_pass = genus1._p0_band_integrals(a, xi0, xi1, q, quad, chi_quad)
-        assert one_pass.shape == (4,)
+        per_band = np.concatenate((
+            genus1._cut_integral(_band1_terms(a, x - p.L, t, q), a, q, quad),
+            -genus1._cut_integral(terms(1), a, q, quad),
+            specfun.quad_path(band2, [-1.0, 1.0], quad)))
+        one_pass = genus1._band_pass(a, x - p.L, t, xi0, xi1, q, quad, chi_quad)
+        assert one_pass.shape == (7,)
         assert np.max(np.abs(one_pass - per_band)) < 1e-12
+
+    @pytest.mark.parametrize("x,frac,tol", _BAND_POINTS)
+    def test_band1_adds_no_panel(self, x, frac, tol, monkeypatch):
+        # band 1's columns never need more panels on their own than the p0
+        # columns do, so folding them into the band pass adds no chi
+        # evaluation; each integrand call after the first bisects one panel
+        p, x, t, st, xi0, xi1 = _band_point(x, frac)
+        a, q = st.alpha, p.q
+        quad, chi_quad = QuadratureSpec(tol), QuadratureSpec(1e-11)
+        quad_path = genus1.quad_path
+        panels = []
+
+        def counting(f, path, spec, cols=slice(None)):
+            n = len(panels)
+            panels.append(0)
+
+            def g(s):
+                panels[n] += 1
+                return f(s)[:, cols]
+            return quad_path(g, path, spec)
+
+        monkeypatch.setattr(genus1, "quad_path", counting)
+        genus1._cut_integral(_band1_terms(a, x - p.L, t, q), a, q, quad)
+        monkeypatch.setattr(genus1, "quad_path",
+                            lambda f, path, spec: counting(f, path, spec, slice(3, None)))
+        genus1._band_pass(a, x - p.L, t, xi0, xi1, q, quad, chi_quad)
+        band1, p0 = panels
+        assert band1 <= p0
 
     def test_band_pass_budget(self, monkeypatch):
         # one pass carries two bands, so it gets twice the panel budget of a
         # per-band run; the both-ended segment doubles it again for its halves
+        p, x, t, st, xi0, xi1 = _band_point(0.25, 0.5)
         budgets = []
         adaptive_gl = specfun.adaptive_gl
 
@@ -446,13 +493,8 @@ class TestModulationConstants:
             return adaptive_gl(f, a, b, tol, max_panels)
 
         monkeypatch.setattr(specfun, "adaptive_gl", recording)
-        from sqnls.phase_geometry import rho1_real_roots
-
-        p, x, t, st = _s2_point()
-        xi0 = st.mu - st.alpha.real
-        xi1 = rho1_real_roots(st.alpha, xi0, t, p.L, p.q)[0]
-        genus1._p0_band_integrals(st.alpha, xi0, xi1, p.q, QuadratureSpec(1e-10, 7),
-                                  QuadratureSpec(1e-11, 50))
+        genus1._band_pass(st.alpha, x - p.L, t, xi0, xi1, p.q, QuadratureSpec(1e-10, 7),
+                          QuadratureSpec(1e-11, 50))
         # the band pass comes first; the chi transforms run inside it
         assert budgets[0] == 4 * 7
         assert set(budgets[1:]) == {50}

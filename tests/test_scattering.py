@@ -74,6 +74,21 @@ class TestNuBranch:
         assert abs(v_plus + v_minus) < 1e-14
         assert abs(abs(v_plus) - math.sqrt(0.75)) < 1e-14
 
+    def test_curved_cut_side_is_the_one_sided_limit(self):
+        # on a curved cut segment, side = +1 (left of -iq -> iq) and -1 give
+        # the limits from each side, to 5e-8 at a 1e-7 offset along the normal
+        a, b = 0.52 + 0j, 0.4 + 0.55j
+        z = 0.5 * (a + b)
+        tang = (b - a) / abs(b - a)
+        with pytest.raises(BranchBoundaryError):
+            nu_branch(z, CURVED, 1.0)
+        values = []
+        for side in (+1, -1):
+            values.append(nu_branch(z, CURVED, 1.0, side=side))
+            off_cut = nu_branch(z + side * 1j * tang * 1e-7, CURVED, 1.0)
+            assert abs(values[-1] - off_cut) < 5e-8
+        assert abs(values[0] + values[1]) < 1e-14
+
     def test_asymptotic_normalization(self):
         z = 1e6 * cmath.exp(0.7j)
         assert abs(nu_branch(z, CURVED, 1.0) / z - 1.0) < 1e-9
@@ -139,6 +154,20 @@ class TestScatteringData:
                 2j * p_small.L * z / p_small.eps)
             assert abs(a - a_trig) < 1e-10 * abs(a)
         assert sides == [False, True]
+
+
+    @pytest.mark.parametrize("delta", [4e-11, 6e-11])
+    def test_small_phase_series(self, delta):
+        # at z = iq (1 - delta) the phase 2 L nu / eps is 8.9e-5 and 1.1e-4,
+        # either side of the switch to the sinc series at 1e-4; both forms
+        # stay within 1.2e-12 of the nu -> 0 limit a(iq) = (1 + 2Lq/eps) e^(-2Lq/eps)
+        q, L, eps = P.q, P.L, P.eps
+        z = 1j * q * (1.0 - delta)
+        phi = 2 * L * cmath.sqrt(z * z + q * q) / eps
+        assert (abs(phi) < 1e-4) == (delta < 5e-11)
+        a = scattering_data(z, P)[0]
+        limit = (1.0 + 2 * L * q / eps) * math.exp(-2 * L * q / eps)
+        assert abs(a - limit) < 1.2e-12
 
 
 class TestEigenvalues:

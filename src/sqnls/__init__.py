@@ -3,7 +3,7 @@
 Subpackages:
   specfun        elliptic integrals, dilogarithm, theta sums, path quadrature
   scattering     exact forward-scattering data of the barrier
-  phase_geometry level curves, contour tracing, breaking curves
+  phase_geometry level-set topology, breaking curves
   genus0         pre-break (plane-wave) asymptotics
   genus1         post-break (theta-function) asymptotics
   nls_direct     split-step Fourier reference integrator

@@ -3,31 +3,27 @@
 In the plane-wave window the wave form is q exp(i(q^2 t/eps + omega)) with a
 slow phase correction omega. omega comes either from two half-line integrals
 of the reflection weight or from a closed dilogarithm form; both are kept and
-cross-checked. The module also carries the traced band contour machinery and
-the finite-difference diagnostic showing omega fails the rescaled Laplace
-equation (while the arctan family satisfies it exactly).
+cross-checked. The module also carries the finite band of Im phi0 = 0, each
+of its points a root of one real quartic, and the finite-difference
+diagnostic showing omega fails the rescaled Laplace equation (while the
+arctan family satisfies it exactly).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_geometry import (
-    SaddleError,
-    TracedContour,
-    first_breaking_time,
-    level_topology,
-    quartic_surd,
-    trace_zero_level,
-)
+from .phase_geometry import first_breaking_time, level_topology
 from .scattering import BarrierParams, kappa_weight, nu_imag_cut
-from .specfun import QuadratureSpec, brentq, dilog, quad_ray_to_inf
+from .specfun import QuadratureSpec, dilog, quad_ray_to_inf
 
 __all__ = [
     "RegionError",
+    "BandContour",
     "stationary_points_g0",
     "build_band_g0",
     "omega_phase",
@@ -49,10 +45,8 @@ def stationary_points_g0(x: float, t: float, p: BarrierParams) -> tuple[float, f
         raise RegionError("t must be positive")
     if t >= first_breaking_time(x, p):
         raise RegionError(f"t = {t} is at or past the first breaking time")
-    bm = x - p.L
-    bp = x + p.L
-    xi0 = -bm / (4 * t) * (1.0 + quartic_surd(bm, t, p.q))
-    xi1 = -bp / (4 * t) * (1.0 + quartic_surd(bp, t, p.q))
+    xi0 = level_topology(x - p.L, t, p.q).crossings[1]
+    xi1 = level_topology(x + p.L, t, p.q).crossings[1]
     return xi0, xi1
 
 
@@ -69,66 +63,44 @@ def _phi0_imagcut(z: complex, x: float, t: float, p: BarrierParams) -> tuple[com
     return val, der
 
 
-def _leave_branch_point(phase, pnt: complex, h0: float, want) -> complex:
-    """First point off a square-root branch point along the level curve.
+@dataclass
+class BandContour:
+    """The finite band of Im phi0 = 0 as one polyline -iq -> z0 -> iq."""
 
-    Samples a small circle for sign changes of Im(phase - phase(pnt)) and
-    returns the crossing that satisfies the `want` direction predicate.
-    Sign flips caused by the branch jump across the imaginary segment are
-    discontinuities, not level crossings; they are rejected by the residual
-    check (a genuine crossing drives Im phase to roundoff).
-    """
-    thetas = np.linspace(-math.pi, math.pi, 241)
-    vals = [phase(pnt + h0 * cmath.exp(1j * th))[0].imag for th in thetas]
-    candidates = []
-    for i in range(len(thetas) - 1):
-        if vals[i] == 0.0 or (vals[i] > 0) != (vals[i + 1] > 0):
-            th_root = brentq(lambda th: phase(pnt + h0 * cmath.exp(1j * th))[0].imag,
-                             thetas[i], thetas[i + 1], xtol=1e-13)
-            z = pnt + h0 * cmath.exp(1j * th_root)
-            if abs(phase(z)[0].imag) < 1e-8:
-                candidates.append(z)
-    for z in candidates:
-        if want(z - pnt):
-            return z
-    raise SaddleError(f"no level branch leaves {pnt} in the wanted direction", [])
+    points: np.ndarray
 
 
-def build_band_g0(x: float, t: float, p: BarrierParams) -> TracedContour:
-    """Trace the finite band of Im phi0 = 0 from -iq to +iq.
+# band points strictly between a branch point and the real crossing
+_BAND_HALF = 99
 
-    The upper half is marched from just off +iq down to the real crossing
-    point (known in closed form); the lower half is its conjugate mirror.
+
+def build_band_g0(x: float, t: float, p: BarrierParams) -> BandContour:
+    """The finite band of Im phi0 = 0, from -iq through its real crossing z0 to +iq.
+
+    On the band 2 nu (t z + b) = c is real, so every band point is a root of
+    the real quartic f(z) = 4 (t z + b)^2 (z^2 + q^2) = c^2. On R, f has a
+    local minimum at z0, a local maximum at the other crossing and a double
+    zero at -b/t, so for each c^2 in (0, f(z0)) exactly one root lies in
+    Im z > 0. It runs from iq (c = 0) to z0 (c^2 = f(z0)), and the lower half
+    of the band is its mirror image. Sampling c^2 = f(z0) s (2 - s) on a
+    uniform grid in s makes the root leave iq like s and meet z0 like 1 - s.
     """
     q = p.q
-    base_step = 1e-2 * q
-    topo = level_topology(x - p.L, t, q)
+    b = x - p.L
+    topo = level_topology(b, t, q)
     if topo.case != "pre_break":
         raise RegionError("band exists only for 0 < t < T1(x)")
     z0 = topo.crossings[0]
-    side = 1.0 if (x - p.L) < 0 else -1.0  # band lies where Re((x-L) z) < 0
-
-    def phase(z: complex):
-        return _phi0_imagcut(z, x, t, p)
-
-    # at small t the band hugs the imaginary segment and leaves +iq almost
-    # straight down, so only a sign requirement on Re is safe
-    seed = _leave_branch_point(phase, 1j * q, 1e-3 * q,
-                               lambda d: side * d.real > 1e-6 * abs(d) and d.imag < 0.5 * abs(d))
-
-    def stop(z: complex):
-        if z.imag < 2.0 * base_step:
-            return "real_axis"
-        if abs(z - z0) < 2.0 * base_step:
-            return "real_axis"
-        return None
-
-    upper = trace_zero_level(phase, seed, stop, direction=complex(side, -1.0),
-                             base_step=base_step)
-    up_pts = list(upper.points) + [complex(z0)]
-    lower = [pt.conjugate() for pt in reversed(up_pts)]
-    band_pts = np.array([-1j * q] + lower[:-1] + up_pts[::-1][1:] + [1j * q], dtype=complex)
-    return TracedContour(band_pts, ("branch_point", "branch_point"))
+    s = np.arange(1, _BAND_HALF + 1) / (_BAND_HALF + 1)
+    c2 = 4 * (t * z0 + b) ** 2 * (z0 * z0 + q * q) * s * (2 - s)
+    # companion matrices of f(z) - c^2 over its leading coefficient 4 t^2
+    comp = np.zeros((s.size, 4, 4))
+    comp[:, 1:, :3] = np.eye(3)
+    comp[:, 0, :3] = -2 * b / t, -(b * b / (t * t) + q * q), -2 * b * q * q / t
+    comp[:, 0, 3] = c2 / (4 * t * t) - (b * q / t) ** 2
+    roots = np.linalg.eigvals(comp)
+    upper = roots[np.arange(s.size), np.argmax(roots.imag, axis=1)]
+    return BandContour(np.concatenate(([-1j * q], upper.conj(), [z0], upper[::-1], [1j * q])))
 
 
 # ---------------------------------------------------------------------------

@@ -12,17 +12,12 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .specfun import brentq, cut_sqrt
 
 __all__ = [
     "LevelTopology",
-    "TracedContour",
-    "SaddleError",
     "PinchPointError",
     "level_topology",
-    "trace_zero_level",
     "rho1_real_roots",
     "rho1_value",
     "rho1_slope",
@@ -30,17 +25,8 @@ __all__ = [
     "first_breaking_time",
     "second_breaking_time",
     "ray_breaking_time",
-    "quartic_surd",
     "big_s",
 ]
-
-
-class SaddleError(RuntimeError):
-    """Trace ran into a point with vanishing phase gradient."""
-
-    def __init__(self, message: str, points: list[complex]):
-        super().__init__(message)
-        self.points = points
 
 
 class PinchPointError(RuntimeError):
@@ -72,24 +58,11 @@ class LevelTopology:
     asymptote: float | None
 
 
-@dataclass
-class TracedContour:
-    """Polyline on a zero level of an Im(phase), with labeled termini."""
-
-    points: np.ndarray
-    endpoints: tuple[str, str]
-
-
-def quartic_surd(b: float, t: float, q: float) -> float:
-    """sqrt(1 - 8 t^2 q^2 / b^2); negative radicand raises past-breaking."""
-    rad = 1.0 - 8.0 * t * t * q * q / (b * b)
-    if rad < 0:
-        raise ValueError(f"t = {t} is past the breaking time |b|/(2 sqrt2 q) for b = {b}")
-    return math.sqrt(rad)
-
-
 def level_topology(b: float, t: float, q: float) -> LevelTopology:
-    """Evolution of the zero level of Im(2 nu (tz+b) - t q^2) with time."""
+    """Evolution of the zero level of Im(2 nu (tz+b) - t q^2) with time.
+
+    Before breaking the level set crosses R at -b/(4t) (1 -+ sqrt(1 - 8 t^2 q^2 / b^2)).
+    """
     if b == 0:
         raise ValueError("b must be nonzero")
     if t < 0:
@@ -99,74 +72,10 @@ def level_topology(b: float, t: float, q: float) -> LevelTopology:
     t_c = abs(b) / (2.0 * math.sqrt(2.0) * q)
     if t > t_c:
         return LevelTopology("post_break", (), -b / (2 * t))
-    surd = quartic_surd(b, t, q)
+    surd = math.sqrt(max(1.0 - 8.0 * t * t * q * q / (b * b), 0.0))
     z0 = -b / (4 * t) * (1.0 - surd)
     z1 = -b / (4 * t) * (1.0 + surd)
     return LevelTopology("pre_break", (z0, z1), -b / (2 * t))
-
-
-def trace_zero_level(phase, seed: complex, stop, *, direction: complex,
-                     base_step: float, max_steps: int = 20000) -> TracedContour:
-    """Predictor-corrector march along Im phase = 0 starting at `seed`.
-
-    phase(z) must return (value, derivative). `stop(z)` returns a terminus
-    label (string) once the trace should end, else None. `direction` picks
-    the branch leaving the seed. The corrector is a Newton step in the
-    normal direction, driven below 1e-10 at every accepted point, where
-    |Im phase| must then be below 1e-9.
-    """
-    pts: list[complex] = []
-    z = complex(seed)
-    val, der = phase(z)
-    if abs(val.imag) > 1e-6:
-        raise ValueError(f"seed is not on the level set: Im phase = {val.imag:.3e}")
-    if abs(der) < 1e-12:
-        raise SaddleError("phase gradient vanishes at the seed", pts)
-    tangent = der.conjugate() / abs(der)
-    if (tangent.real * direction.real + tangent.imag * direction.imag) < 0:
-        tangent = -tangent
-    pts.append(z)
-    h = base_step
-    label = None
-    for _ in range(max_steps):
-        lbl = stop(z)
-        if lbl is not None:
-            label = lbl
-            break
-        accepted = False
-        while h >= base_step / 1024:
-            z_try = z + h * tangent
-            ok = True
-            for _ in range(5):
-                val, der = phase(z_try)
-                if abs(der) < 1e-12:
-                    raise SaddleError(f"gradient degenerate near {z_try}", pts)
-                corr = -val.imag / abs(der)
-                z_try = z_try + 1j * corr * der.conjugate() / abs(der)
-                if abs(corr) < 1e-10:
-                    break
-            else:
-                ok = False
-            if ok:
-                val, der = phase(z_try)
-                if abs(val.imag) > 1e-9:
-                    ok = False
-            if ok:
-                accepted = True
-                break
-            h *= 0.5
-        if not accepted:
-            raise SaddleError(f"corrector failed to converge near {z}", pts)
-        new_tangent = der.conjugate() / abs(der)
-        if (new_tangent.real * tangent.real + new_tangent.imag * tangent.imag) < 0:
-            new_tangent = -new_tangent
-        tangent = new_tangent
-        z = z_try
-        pts.append(z)
-        h = min(base_step, h * 1.5)
-    else:
-        raise RuntimeError("trace exceeded max_steps without hitting a terminus")
-    return TracedContour(np.array(pts, dtype=complex), ("seed", label))
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,18 @@ class TestCliOutput:
         assert out.startswith("S1,0.35355339059327")
         assert out.endswith(",\n")
 
+    def test_readme_classify_example(self, capsys):
+        # the README's classify example and the "# ->" line under it
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+        i = next(k for k, line in enumerate(lines)
+                 if line.startswith("sqnls ") and " classify " in line)
+        argv = lines[i].split()[1:]
+        assert argv == ["--q", "1", "--L", "1", "--eps", "0.1",
+                        "classify", "--x", "0.25", "--t", "0.3"]
+        assert lines[i + 1].startswith("# -> ")
+        main(argv)
+        assert capsys.readouterr().out == lines[i + 1][len("# -> "):] + "\n"
+
     def test_breaking_curves_format(self, tmp_path):
         out = tmp_path / "curves.csv"
         main(["--eps", "0.1", "breaking-curves", "--x-min", "0.3", "--x-max", "0.6",

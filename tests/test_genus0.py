@@ -13,7 +13,7 @@ from sqnls.genus0 import (
     stationary_points_g0,
     wkb_laplace_residual,
 )
-from sqnls.phase_geometry import first_breaking_time, trace_zero_level
+from sqnls.phase_geometry import first_breaking_time, level_topology
 from sqnls.scattering import BarrierParams
 from sqnls.specfun import QuadratureSpec
 
@@ -68,20 +68,32 @@ class TestBandContour:
         assert min(abs(z.real) for z in interior) > 1e-3
 
     def test_infinite_branch_crosses_at_xi0(self):
-        # trace the unbounded branch of Im phi0 = 0 down toward the axis and
-        # extrapolate the crossing; it must land on the closed-form xi0
+        # just above the local maximum of f(z) = 4 (t z + b)^2 (z^2 + q^2) at
+        # the outer crossing, the one root of f = c^2 in Im z > 0 lies on the
+        # unbounded branch of Im phi0 = 0, within O(sqrt d) of the closed-form xi0
         x, t = 0.0, 0.2
+        b, q = x - P.L, P.q
         xi0, _ = stationary_points_g0(x, t, P)
-        from scipy.optimize import brentq
-        phase = lambda z: _phi0_imagcut(z, x, t, P)
-        y_top = 2.5
-        re_seed = brentq(lambda u: phase(complex(u, y_top))[0].imag, xi0 - 1.0, xi0 + 2.0)
-        got = trace_zero_level(phase, complex(re_seed, y_top),
-                               lambda z: "axis" if z.imag < 0.04 else None,
-                               direction=-1j, base_step=2e-3)
-        tail = got.points[-30:]
-        coef = np.polyfit(tail.imag ** 2, tail.real, 2)
-        assert abs(np.polyval(coef, 0.0) - xi0) < 1e-6
+        quartic = 4 * np.array([t * t, 2 * t * b, b * b + t * t * q * q,
+                                2 * t * b * q * q, b * b * q * q])
+        f_xi0 = np.polyval(quartic, xi0)
+        for d in (1e-4, 1e-6):
+            roots = np.roots(quartic - np.array([0, 0, 0, 0, f_xi0 * (1 + d)]))
+            z = roots[np.argmax(roots.imag)]
+            assert z.imag > 0
+            assert abs(z - xi0) < 10 * math.sqrt(d)
+            assert abs(_phi0_imagcut(z, x, t, P)[0].imag) < 1e-12
+
+    @pytest.mark.parametrize("x,t", [(0.0, 0.2), (0.0, 0.02), (0.9, 0.02), (0.0, 0.34)])
+    def test_band_is_one_ordered_polyline(self, x, t):
+        # -iq -> lower half -> z0 -> upper half -> iq, without jumps
+        pts = build_band_g0(x, t, P).points
+        assert pts[0] == -1j * P.q and pts[-1] == 1j * P.q
+        assert pts[len(pts) // 2] == level_topology(x - P.L, t, P.q).crossings[0]
+        assert np.max(np.abs(np.diff(pts))) <= 0.05 * P.q
+        worst = max(abs(_phi0_imagcut(z, x, t, P)[0].imag)
+                    for z in pts if abs(z.imag) < 0.999 * P.q)
+        assert worst <= 1e-12
 
 
 class TestOmega:

@@ -113,13 +113,17 @@ class TestEndpointPrecision:
         (1e-2, 0.7071009221945220810553, 3.768859091626124225193e-3, 1.414203518382378084194),
         (0.029, 0.7070565483524803611246, 1.103538090405754674623e-2, 1.414127448620732420016),
         (0.031, 0.7070492633186772293338, 1.180848174987872142876e-2, 1.414114959891018686458),
+        (0.05, 0.7069541938596923250601, 1.923274526546480850125e-2, 1.413951981122234664847),
         (0.1, 0.7064632979337954809989, 3.949078720003085390299e-2, 1.413110395275212035123),
+        (0.1001, 0.7064619408194135183568, 3.953239474036265321209e-2, 1.413108068569778504534),
+        (0.15, 0.7055771051364599679621, 6.087343077841140684233e-2, 1.411590961150524297953),
     ]
 
     @pytest.mark.parametrize("m,a_ref,b_ref,mu_ref", SMALL_M)
     def test_no_cancellation_near_m_zero(self, m, a_ref, b_ref, mu_ref):
         # A has a removable singularity at m = 0, where its closed form
-        # cancels like 1e-16 / m^2
+        # cancels like 1e-16 / m^2: the closed form misses alpha by 5e-13
+        # relative at m = 0.031 and 0.05, above the switch to the series
         alpha, mu = genus1._endpoint(1.0 - m, 1.0)
         assert abs(alpha - complex(a_ref, b_ref)) <= 1e-12 * abs(complex(a_ref, b_ref))
         assert abs(mu - mu_ref) <= 1e-12 * mu_ref

@@ -8,7 +8,6 @@ from sqnls import field, genus1, phase_geometry
 from sqnls.genus1 import solve_endpoint
 from sqnls.phase_geometry import (
     PinchPointError,
-    SaddleError,
     big_r,
     big_s,
     first_breaking_time,
@@ -20,7 +19,6 @@ from sqnls.phase_geometry import (
     rho1_slope,
     rho1_value,
     second_breaking_time,
-    trace_zero_level,
 )
 from sqnls.scattering import BarrierParams
 
@@ -53,23 +51,6 @@ class TestLevelTopology:
     def test_b_zero_rejected(self):
         with pytest.raises(ValueError):
             level_topology(0.0, 0.1, 1.0)
-
-
-class TestTrace:
-    def test_saddle_error_at_critical_point(self):
-        # Im(z^2) = 0 traced into the saddle at the origin
-        phase = lambda z: (z * z, 2 * z)
-        with pytest.raises(SaddleError):
-            trace_zero_level(phase, 2.0 + 0j, lambda z: None,
-                             direction=-1.0 + 0j, base_step=0.05, max_steps=200)
-
-    def test_simple_hyperbola(self):
-        # level Im(z^2) = 2xy = 0 through (1, 0) is the real axis
-        phase = lambda z: (z * z, 2 * z)
-        got = trace_zero_level(phase, 1.0 + 0j, lambda z: "done" if z.real > 3 else None,
-                               direction=1.0 + 0j, base_step=0.05)
-        assert np.max(np.abs(got.points.imag)) < 1e-10
-        assert got.endpoints[1] == "done"
 
 
 class TestRho1:

@@ -54,13 +54,10 @@ def stationary_points_g0(x: float, t: float, p: BarrierParams) -> tuple[float, f
 # band contour
 # ---------------------------------------------------------------------------
 
-def _phi0_imagcut(z: complex, x: float, t: float, p: BarrierParams) -> tuple[complex, complex]:
+def _phi0_imagcut(z: complex, x: float, t: float, p: BarrierParams) -> complex:
     # phi0 with the straight nu-branch; its zero level set is branch independent
-    nu = nu_imag_cut(z, p.q)
     b = x - p.L
-    val = 2 * nu * (t * z + b) - t * p.q ** 2
-    der = 2 * (z / nu) * (t * z + b) + 2 * t * nu
-    return val, der
+    return 2 * nu_imag_cut(z, p.q) * (t * z + b) - t * p.q ** 2
 
 
 @dataclass

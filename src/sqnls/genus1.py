@@ -401,10 +401,12 @@ def _band_pass(a: complex, x_minus_l: float, t: float, xi0: float, xi1: float, q
     and moment integrals of the p0 weight j = (log term) - 2 (chi(z, xi1) +
     chi(z, xi0)): the oriented integrals of j / R and (z - Re alpha) j / R
     along band 1 (alpha -> iq) and band 2 (-iq -> alpha*). Band 2 is band
-    1's mirror image, so each node s of the shared cut parameter maps to one
-    point on each band, and the chi transforms run once per xi over all of
-    them. The pass has both bands' panel budgets, 2 quad.max_subdivisions,
-    which the both-ended segment doubles again.
+    1's mirror image, so each node s of the shared cut parameter maps to a
+    point z on band 1 and to conj z on band 2. The chi transforms run once
+    per xi on band 1's points only, and band 2 takes chi(conj z) = -conj
+    chi(z), since kappa is real on the ray. The pass has both bands' panel
+    budgets, 2 quad.max_subdivisions, which the both-ended segment doubles
+    again.
     """
     ac = a.conjugate()
     c1, d1 = _cut1(a, q)
@@ -421,7 +423,8 @@ def _band_pass(a: complex, x_minus_l: float, t: float, xi0: float, xi1: float, q
         z = np.concatenate((z1, z2))
         logterm = np.concatenate((np.log(2.0 * (z1 + 1j * q) / q),
                                   np.log(q / (2.0 * (z2 - 1j * q)))))
-        chi = chi_batch(z, xi1, q, chi_quad) + chi_batch(z, xi0, q, chi_quad)
+        chi1 = chi_batch(z1, xi1, q, chi_quad) + chi_batch(z1, xi0, q, chi_quad)
+        chi = np.concatenate((chi1, -chi1.conj()))
         j_over_r = ((logterm - 2.0 * chi) / np.concatenate((r1, r2))).reshape(2, s.size)
         z_rel = z.reshape(2, s.size) - a.real
         p0 = np.stack((j_over_r, z_rel * j_over_r), axis=2) * scale[:, None, None]

@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .specfun import QuadratureSpec, brentq, cut_sqrt, quad_path, quad_ray_to_inf
+from .specfun import (QuadratureSpec, adaptive_panels, brentq, cut_sqrt, gl_panels, quad_path,
+                      quad_ray_to_inf)
 
 __all__ = [
     "BarrierParams",
@@ -307,21 +308,33 @@ def kappa_weight(s, q: float):
 def chi_batch(z, a: float, q: float, quad: QuadratureSpec | None = None) -> np.ndarray:
     """chi(z_j, a) = i * integral_{-inf}^{a} kappa(s) / (s - z_j) ds for an array z.
 
-    One adaptive rule on the ray serves every z_j: kappa is evaluated once
-    per ray node, and the shared panels are refined until each chi(z_j, a)
-    meets quad.target_abs_tol on its own. No z_j may lie on the ray; use
-    chi_integral with a side for real z below a.
+    One adaptive rule on the ray s = a - u / (1 - u), u in [0, 1), serves
+    every z_j: kappa is evaluated once per ray node, and the shared panels
+    are refined until each chi(z_j, a) meets quad.target_abs_tol on its own.
+    kappa is real on the ray, so with the real node weights c (rule weight,
+    Jacobian and kappa) and dr = s - Re z_j a panel's sum is
+    sum c / (s - z_j) = sum c dr / (dr^2 + Im z_j^2) + i Im z_j sum c /
+    (dr^2 + Im z_j^2): two real matrix products, no complex division. No z_j
+    may lie on the ray; use chi_integral with a side for real z below a.
     """
     z = np.asarray(z, dtype=complex)
     if quad is None:
         quad = QuadratureSpec(target_abs_tol=1e-11)
     if np.any((z.imag == 0) & (z.real < a)):
         raise BranchBoundaryError("real z below a: use chi_integral with side=+1 or -1")
+    x, y = z.real, z.imag
+    y2 = y * y
 
-    def f(s: np.ndarray) -> np.ndarray:
-        return kappa_weight(s, q)[:, None] / (s[:, None] - z)
+    def cauchy_sums(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        u, w = gl_panels(lo, hi)
+        v = 1.0 - u
+        s = a - u / v
+        c = (w * kappa_weight(s, q).real / v ** 2)[:, None, :]
+        dr = s[:, :, None] - x
+        inv = 1.0 / (dr * dr + y2)
+        return (c @ (dr * inv))[:, 0] + 1j * (c @ inv)[:, 0] * y
 
-    return -1j * quad_ray_to_inf(f, a, -1.0, quad)
+    return 1j * adaptive_panels(cauchy_sums, 0.0, 1.0, quad.target_abs_tol, quad.max_subdivisions)
 
 
 def chi_integral(z: complex, a: float, q: float, quad: QuadratureSpec | None = None,

@@ -10,11 +10,16 @@ polylines and rays.
 `brentq` follows scipy's `scipy.optimize.brentq` operation for operation,
 so it takes the same iterates.
 
-The quadrature has one adaptive loop, `adaptive_gl`, and one calling
-convention: every integrand is an array function. It takes a 1-D array of
-n nodes and returns one value per node, shape (n,), or a row of k values
-per node, shape (n, k). All k components share the panels, and each keeps
-its own error sum, so each meets the absolute tolerance by itself.
+The quadrature has one adaptive loop, `adaptive_panels`. It bisects panels
+and asks a function of the panel bounds for each panel's 15-point
+Gauss-Legendre sums. `adaptive_gl` hands it the node rule, which evaluates
+an integrand on the panels' nodes (`gl_panels`); a caller with a cheaper
+closed form of the sums, such as scattering's real Cauchy kernel, hands it
+those sums instead, and keeps the same heap, error rule and stop on a
+non-finite panel. Every integrand is an array function. It takes a 1-D
+array of n nodes and returns one value per node, shape (n,), or a row of k
+values per node, shape (n, k). All k components share the panels, and each
+keeps its own error sum, so each meets the absolute tolerance by itself.
 `quad_path` and `quad_ray_to_inf` map polylines and rays onto it; they
 return a complex scalar for an (n,) integrand and a (k,) array otherwise.
 Every polyline segment takes the square-root substitution u -> u^2 at both
@@ -42,6 +47,8 @@ __all__ = [
     "theta_sum",
     "cut_sqrt",
     "brentq",
+    "gl_panels",
+    "adaptive_panels",
     "adaptive_gl",
     "quad_path",
     "quad_ray_to_inf",
@@ -333,32 +340,54 @@ _GL_NODES = np.array([-v for v in _GL_HALF_NODES[::-1]] + [0.0] + list(_GL_HALF_
 _GL_WEIGHTS = np.array(_GL_HALF_WEIGHTS[::-1] + (0.2025782419255613,) + _GL_HALF_WEIGHTS)
 
 
+def gl_panels(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 15-point Gauss-Legendre rule on the panels [lo[i], hi[i]].
+
+    lo and hi are arrays of P bounds. Both results have shape (P, 15): row
+    i holds panel i's nodes and its weights, the rule's weights times the
+    panel's half-width.
+    """
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return mid[:, None] + half[:, None] * _GL_NODES, half[:, None] * _GL_WEIGHTS
+
+
 def _gl_sums(f, lo, hi) -> np.ndarray:
     """15-point Gauss-Legendre sums of f over the panels [lo[i], hi[i]], from one call of f."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    vals = np.asarray(f((mid[:, None] + half[:, None] * _GL_NODES).ravel()))
-    vals = vals.reshape(lo.size, _GL_NODES.size, *vals.shape[1:])
-    return np.einsum("p,j,pj...->p...", half, _GL_WEIGHTS, vals)
+    nodes, weights = gl_panels(lo, hi)
+    vals = np.asarray(f(nodes.ravel()))
+    vals = vals.reshape(*nodes.shape, *vals.shape[1:])
+    return np.einsum("pj,pj...->p...", weights, vals)
 
 
 def adaptive_gl(f, a: float, b: float, tol: float, max_panels: int) -> np.ndarray:
     """Adaptive 15-point Gauss-Legendre integral of f over [a, b].
 
     f maps a 1-D array of n nodes to values of shape (n,) or (n, k); the
-    result has shape () or (k,). A panel's estimate is the sum of the rules
-    on its two halves, and its error |whole - left - right| is kept per
-    component. The panel whose largest component error is largest comes off
-    a heap and is bisected until every component's error sum is at most
-    tol. A child's whole-panel rule is its parent's half-panel rule, so each
-    bisection evaluates f on 60 new nodes: 45 + 60 (panels - 1) in all.
+    result has shape () or (k,). This is adaptive_panels with the node rule
+    _gl_sums, so each bisection evaluates f on 60 new nodes: 45 + 60
+    (panels - 1) in all.
+    """
+    return adaptive_panels(lambda lo, hi: _gl_sums(f, lo, hi), a, b, tol, max_panels)
+
+
+def adaptive_panels(sums, a: float, b: float, tol: float, max_panels: int) -> np.ndarray:
+    """Adaptive integral over [a, b] from panel sums.
+
+    sums(lo, hi) takes the bounds of P panels and returns, with shape (P,)
+    or (P, k), each panel's 15-point Gauss-Legendre sum (gl_panels gives the
+    nodes and weights); the result has shape () or (k,). A panel's estimate
+    is the sum of the rules on its two halves, and its error |whole - left -
+    right| is kept per component. The panel whose largest component error is
+    largest comes off a heap and is bisected until every component's error
+    sum is at most tol. A child's whole-panel rule is its parent's
+    half-panel rule, so each bisection asks sums for 4 new quarter panels.
 
     A panel with a non-finite value stops the loop at once: the
     QuadratureConvergenceError names that panel and carries the estimate and
     error sum of the finite panels before it (NaN and inf if it is [a, b]).
     """
     m = 0.5 * (a + b)
-    whole, left, right = _gl_sums(f, [a, a, m], [b, m, b])
+    whole, left, right = sums(np.array([a, a, m]), np.array([b, m, b]))
     if not np.all(np.isfinite([whole, left, right])):
         raise _non_finite(a, b, np.full(whole.shape, np.nan + 0j), np.full(whole.shape, np.inf))
     bounds = np.empty((max_panels, 2))
@@ -390,7 +419,7 @@ def adaptive_gl(f, a: float, b: float, tol: float, max_panels: int) -> np.ndarra
         lo, hi = bounds[row]
         m = 0.5 * (lo + hi)
         ql, qr = 0.5 * (lo + m), 0.5 * (m + hi)
-        quarters = _gl_sums(f, [lo, ql, m, qr], [ql, m, qr, hi])
+        quarters = sums(np.array([lo, ql, m, qr]), np.array([ql, m, qr, hi]))
         finite = np.isfinite(quarters.reshape(2, -1)).all(axis=1)
         if not finite.all():
             bad_lo, bad_hi = (lo, m) if not finite[0] else (m, hi)

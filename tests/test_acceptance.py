@@ -164,7 +164,7 @@ def test_criterion_2_scattering():
 def test_criterion_3_genus0():
     p = BarrierParams(1.0, 1.0, 0.1)
     band = build_band_g0(0.0, 0.2, p)
-    worst_band = max(abs(_phi0_imagcut(z, 0.0, 0.2, p)[0].imag)
+    worst_band = max(abs(_phi0_imagcut(z, 0.0, 0.2, p).imag)
                      for z in band.points if abs(z.imag) < 0.999)
     ok = worst_band < 1e-9
     samples = [(0.0, 0.15), (0.2, 0.1), (0.5, 0.05), (-0.3, 0.2), (0.0, 0.3),

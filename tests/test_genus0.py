@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ class TestBandContour:
     def test_band_condition(self, x, t):
         # includes the near-axis small-t band and t close to the breaking time
         band = build_band_g0(x, t, P)
-        worst = max(abs(_phi0_imagcut(z, x, t, P)[0].imag)
+        worst = max(abs(_phi0_imagcut(z, x, t, P).imag)
                     for z in band.points if abs(z.imag) < 0.999)
         assert worst < 1e-9
 
@@ -82,7 +83,15 @@ class TestBandContour:
             z = roots[np.argmax(roots.imag)]
             assert z.imag > 0
             assert abs(z - xi0) < 10 * math.sqrt(d)
-            assert abs(_phi0_imagcut(z, x, t, P)[0].imag) < 1e-12
+            assert abs(_phi0_imagcut(z, x, t, P).imag) < 1e-12
+
+    def test_phi0_at_branch_points(self):
+        # nu = 0 at +-iq leaves phi0 = -t q^2, and no division by nu warns
+        x, t = 0.3, 0.15
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in (1j * P.q, -1j * P.q):
+                assert _phi0_imagcut(z, x, t, P) == -t * P.q ** 2
 
     @pytest.mark.parametrize("x,t", [(0.0, 0.2), (0.0, 0.02), (0.9, 0.02), (0.0, 0.34)])
     def test_band_is_one_ordered_polyline(self, x, t):
@@ -91,7 +100,7 @@ class TestBandContour:
         assert pts[0] == -1j * P.q and pts[-1] == 1j * P.q
         assert pts[len(pts) // 2] == level_topology(x - P.L, t, P.q).crossings[0]
         assert np.max(np.abs(np.diff(pts))) <= 0.05 * P.q
-        worst = max(abs(_phi0_imagcut(z, x, t, P)[0].imag)
+        worst = max(abs(_phi0_imagcut(z, x, t, P).imag)
                     for z in pts if abs(z.imag) < 0.999 * P.q)
         assert worst <= 1e-12
 

@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
-from sqnls import genus1, specfun
+from sqnls import genus1, scattering, specfun
 from sqnls.genus1 import (
     RealityError,
     abel_map,
@@ -355,7 +355,8 @@ class TestModulationConstants:
 
     def test_chi_transforms_run_once_per_xi(self, monkeypatch):
         # one band pass carries both bands, and its first panels converge:
-        # chi_batch runs once per xi, on all 180 band points
+        # chi_batch runs once per xi, on band 1's 90 points; band 2's are
+        # their conjugates and take the reflected values
         p, x, t, st = _s2_point()
         sizes = []
         chi_batch = genus1.chi_batch
@@ -366,7 +367,7 @@ class TestModulationConstants:
 
         monkeypatch.setattr(genus1, "chi_batch", counting)
         modulation_constants(st.alpha, x, t, p)
-        assert sizes == [180, 180]
+        assert sizes == [90, 90]
 
     def test_one_quadrature_pass_per_contour(self, monkeypatch):
         # the band pass (band 1's columns and the p0 weights of both bands),
@@ -487,16 +488,19 @@ class TestModulationConstants:
 
     def test_band_pass_budget(self, monkeypatch):
         # one pass carries two bands, so it gets twice the panel budget of a
-        # per-band run; the both-ended segment doubles it again for its halves
+        # per-band run; the both-ended segment doubles it again for its halves.
+        # Every pass enters specfun's loop: the band pass through adaptive_gl,
+        # the chi transforms with their Cauchy sums from scattering
         p, x, t, st, xi0, xi1 = _band_point(0.25, 0.5)
         budgets = []
-        adaptive_gl = specfun.adaptive_gl
+        adaptive_panels = specfun.adaptive_panels
 
-        def recording(f, a, b, tol, max_panels):
+        def recording(sums, a, b, tol, max_panels):
             budgets.append(max_panels)
-            return adaptive_gl(f, a, b, tol, max_panels)
+            return adaptive_panels(sums, a, b, tol, max_panels)
 
-        monkeypatch.setattr(specfun, "adaptive_gl", recording)
+        monkeypatch.setattr(specfun, "adaptive_panels", recording)
+        monkeypatch.setattr(scattering, "adaptive_panels", recording)
         genus1._band_pass(st.alpha, x - p.L, t, xi0, xi1, p.q, QuadratureSpec(1e-10, 7),
                           QuadratureSpec(1e-11, 50))
         # the band pass comes first; the chi transforms run inside it

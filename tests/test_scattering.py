@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sqnls import scattering
 from sqnls.scattering import (
     BarrierParams,
     BranchBoundaryError,
@@ -267,6 +268,12 @@ class TestSpectralWeights:
             k = kappa_weight(complex(s), P.q)
             assert k.real <= 0 and abs(k.imag) < 1e-14
 
+    def test_kappa_exactly_real_on_axis(self):
+        # chi_batch's real Cauchy kernel drops kappa's imaginary part on the ray
+        s = np.concatenate((-np.logspace(-6.0, 8.0, 29), [0.0], np.logspace(-6.0, 8.0, 29)))
+        for q in (0.5, 1.0, 2.0):
+            assert np.all(kappa_weight(s, q).imag == 0.0)
+
     def test_delta_bounded_near_xi0(self):
         xi0, xi1 = 1.2, -1.5
         vals = []
@@ -356,24 +363,85 @@ def _chi_reference(z: complex, a: float, q: float) -> complex:
     return 1j * complex(*parts)
 
 
-class TestChiBatch:
-    @pytest.mark.parametrize("mu", [0.9, 1.3, 1.4, 1.41])
-    def test_band_nodes_match_scipy(self, mu):
-        from sqnls.genus1 import solve_endpoint
+def _band_nodes(mu: float, q: float = 1.0) -> tuple[np.ndarray, float]:
+    # band 1's nodes, then band 2's (their conjugates), clustered towards both
+    # ends of each band as the outer rule's are; at mu = 1.41 the band end
+    # alpha sits within 0.1 of xi0
+    from sqnls.genus1 import solve_endpoint
 
+    alpha = solve_endpoint(mu, q).alpha
+    s = 0.5 * (1.0 - np.cos(np.pi * np.arange(1, 13) / 13))
+    z1 = 1j * q + s * (alpha - 1j * q)
+    return np.concatenate((z1, z1.conj())), mu - alpha.real
+
+
+def _chi_node_rule(z: np.ndarray, a: float, q: float, spec: QuadratureSpec):
+    # chi_batch's ray rule as a node integrand, kappa / (s - z) by complex
+    # division at every ray node, and the number of ray nodes it took
+    nodes = []
+
+    def f(s: np.ndarray) -> np.ndarray:
+        nodes.append(s.size)
+        return kappa_weight(s, q)[:, None] / (s[:, None] - z)
+
+    return -1j * quad_ray_to_inf(f, a, -1.0, spec), sum(nodes)
+
+
+def _chi_batch_counted(monkeypatch, z: np.ndarray, a: float, q: float, spec: QuadratureSpec):
+    # chi_batch and the number of ray nodes at which it evaluated kappa
+    nodes = []
+
+    def counting(s, q):
+        nodes.append(np.size(s))
+        return kappa_weight(s, q)
+
+    with monkeypatch.context() as m:
+        m.setattr(scattering, "kappa_weight", counting)
+        return chi_batch(z, a, q, spec), sum(nodes)
+
+
+class TestChiBatch:
+    MU = [0.9, 1.3, 1.4, 1.41]
+
+    @pytest.mark.parametrize("mu", MU)
+    def test_band_nodes_match_scipy(self, mu):
         q = 1.0
-        alpha = solve_endpoint(mu, q).alpha
-        xi0 = mu - alpha.real
-        # nodes clustered towards both ends of each band, as the outer rule's are;
-        # at mu = 1.41 the band end alpha sits within 0.1 of xi0
-        s = 0.5 * (1.0 - np.cos(np.pi * np.arange(1, 13) / 13))
-        z = np.concatenate((1j * q + s * (alpha - 1j * q),
-                            -1j * q + s * (alpha.conjugate() + 1j * q)))
+        z, xi0 = _band_nodes(mu, q)
         for a in (xi0, xi0 - 1.5):
             got = chi_batch(z, a, q)
             ref = np.array([_chi_reference(zj, a, q) for zj in z])
             assert np.max(np.abs(got.real - ref.real)) <= 1e-10
             assert np.max(np.abs(got.imag - ref.imag)) <= 1e-10
+
+    @pytest.mark.parametrize("mu", MU)
+    def test_reflection_is_exact(self, mu):
+        # kappa is real on the ray, so chi(conj z, a) = -conj chi(z, a) holds
+        # to the bit; genus1's band pass takes band 2's chi from band 1's by it
+        z, xi0 = _band_nodes(mu)
+        z1 = z[:z.size // 2]
+        for a in (xi0, xi0 - 1.5):
+            assert np.array_equal(chi_batch(z1.conj(), a, 1.0), -chi_batch(z1, a, 1.0).conj())
+
+    @pytest.mark.parametrize("mu", MU)
+    def test_real_kernel_matches_node_rule(self, monkeypatch, mu):
+        # the real Cauchy sums keep the node rule's panel tree: the same ray
+        # nodes, and values within rounding
+        z, xi0 = _band_nodes(mu)
+        spec = QuadratureSpec(1e-11)
+        for a in (xi0, xi0 - 1.5):
+            ref, ref_nodes = _chi_node_rule(z, a, 1.0, spec)
+            got, got_nodes = _chi_batch_counted(monkeypatch, z, a, 1.0, spec)
+            assert np.max(np.abs(got - ref)) <= 1e-14
+            assert got_nodes == ref_nodes
+
+    @pytest.mark.parametrize("tol", [1e-11, 1e-14])
+    def test_real_kernel_matches_node_rule_at_the_kink(self, monkeypatch, tol):
+        # the kink case of test_ray_rule_misses_the_kink_at_zero refines most
+        z, a, spec = np.array([0.38 + 0.81j]), 0.4544, QuadratureSpec(tol)
+        ref, ref_nodes = _chi_node_rule(z, a, 1.0, spec)
+        got, got_nodes = _chi_batch_counted(monkeypatch, z, a, 1.0, spec)
+        assert abs(got[0] - ref[0]) <= 1e-14
+        assert got_nodes == ref_nodes
 
     def test_chi_integral_is_one_element_batch(self):
         for z, a in ((0.3 + 0.5j, 1.2), (-2.0 - 0.1j, -0.5), (1.5 + 0j, 1.2)):

@@ -474,11 +474,12 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams) -
     def ray_terms(z: np.ndarray) -> np.ndarray:
         # rho = (2tz + x - L) - S (t (2z + a + a*) + x - L), 1 - S as (1 - S^2)/(1 + S):
         # the direct form cancels terms of size 2t|z| to O(1/|z|^2), and the ray map amplifies it
-        s_val = big_s(z, a, q)
-        one_minus_s = ((2.0 * a.real * z + q * q - abs(a) ** 2)
-                       / ((z * z + q * q) * (1.0 + s_val)))
+        zq = z * z + q * q
+        r_val = big_r(z, a, q)
+        s_val = r_val / zq
+        one_minus_s = (2.0 * a.real * z + q * q - abs(a) ** 2) / (zq * (1.0 + s_val))
         rho = (2.0 * t * z + (x - L)) * one_minus_s - s_val * t * (a + ac)
-        inv_r = 1.0 / big_r(z, a, q)
+        inv_r = 1.0 / r_val
         return np.stack((rho, inv_r, z * (z - a.real) * inv_r - 1.0), axis=1)
 
     ray = quad_ray_to_inf(ray_terms, 1j * q, 1j, quad, sqrt_start=True)

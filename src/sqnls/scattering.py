@@ -291,9 +291,14 @@ def kappa_weight(s, q: float):
     """-(1/2 pi) log(1 + |r0|^2), analytically continued off the real axis.
 
     s is a point or an array of points; r0 = -iq / (nu + s) with nu on the
-    imaginary-segment branch. At s = 0 that branch's midpoint value -q gives
-    (nu + s)^2 = q^2, as the value +q would.
+    imaginary-segment branch. Real s gives real values, from |nu + s| =
+    |s| + sqrt(s^2 + q^2): at s = 0 that is q, as the branch's midpoint
+    value -q gives (nu + s)^2 = q^2 in the continuation.
     """
+    s = np.asarray(s)
+    if not np.iscomplexobj(s):
+        d = np.abs(s) + np.hypot(s, q)
+        return (np.log1p(q * q / (d * d)) / (-2 * math.pi))[()]
     nu = cut_sqrt(s, 0.0, 1j * q)
     w = q * q / (nu + s) ** 2
     # log(1 + w) = log|1 + w| + i arg(1 + w), with |1 + w|^2 - 1 summed from
@@ -322,17 +327,29 @@ def chi_batch(z, a: float, q: float, quad: QuadratureSpec | None = None) -> np.n
         quad = QuadratureSpec(target_abs_tol=1e-11)
     if np.any((z.imag == 0) & (z.real < a)):
         raise BranchBoundaryError("real z below a: use chi_integral with side=+1 or -1")
-    x, y = z.real, z.imag
-    y2 = y * y
+    y = z.imag
+    # Re z_j and Im z_j^2 at every node of the 4 panels a bisection asks for,
+    # so that no elementwise step of the sums broadcasts, which costs numpy
+    # one inner loop per node
+    x_rows, y2_rows = rows = np.empty((2, 4, 15, z.size))
+    rows[0], rows[1] = z.real, y * y
 
     def cauchy_sums(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         u, w = gl_panels(lo, hi)
         v = 1.0 - u
         s = a - u / v
-        c = (w * kappa_weight(s, q).real / v ** 2)[:, None, :]
-        dr = s[:, :, None] - x
-        inv = 1.0 / (dr * dr + y2)
-        return (c @ (dr * inv))[:, 0] + 1j * (c @ inv)[:, 0] * y
+        c = (w * kappa_weight(s, q) / (v * v))[:, None, :]
+        p = lo.size
+        dr = np.repeat(s, z.size).reshape(p, 15, z.size)
+        dr -= x_rows[:p]
+        inv = dr * dr
+        inv += y2_rows[:p]
+        np.reciprocal(inv, out=inv)
+        dr *= inv
+        out = np.empty((p, z.size), dtype=complex)
+        out.real = (c @ dr)[:, 0]
+        out.imag = (c @ inv)[:, 0] * y
+        return out
 
     return 1j * adaptive_panels(cauchy_sums, 0.0, 1.0, quad.target_abs_tol, quad.max_subdivisions)
 

@@ -338,6 +338,10 @@ _GL_HALF_WEIGHTS = (0.1984314853271116, 0.1861610000155622, 0.16626920581699398,
                     0.030753241996117203)
 _GL_NODES = np.array([-v for v in _GL_HALF_NODES[::-1]] + [0.0] + list(_GL_HALF_NODES))
 _GL_WEIGHTS = np.array(_GL_HALF_WEIGHTS[::-1] + (0.2025782419255613,) + _GL_HALF_WEIGHTS)
+# halved, so that a panel's width times them is its half-width times the
+# rule's, to the bit: halving is exact
+_GL_NODES_HALVED = 0.5 * _GL_NODES
+_GL_WEIGHTS_HALVED = 0.5 * _GL_WEIGHTS
 
 
 def gl_panels(lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -347,8 +351,8 @@ def gl_panels(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     i holds panel i's nodes and its weights, the rule's weights times the
     panel's half-width.
     """
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return mid[:, None] + half[:, None] * _GL_NODES, half[:, None] * _GL_WEIGHTS
+    width = (hi - lo)[:, None]
+    return (0.5 * (lo + hi))[:, None] + width * _GL_NODES_HALVED, width * _GL_WEIGHTS_HALVED
 
 
 def _gl_sums(f, lo, hi) -> np.ndarray:
@@ -390,23 +394,16 @@ def adaptive_panels(sums, a: float, b: float, tol: float, max_panels: int) -> np
     whole, left, right = sums(np.array([a, a, m]), np.array([b, m, b]))
     if not np.all(np.isfinite([whole, left, right])):
         raise _non_finite(a, b, np.full(whole.shape, np.nan + 0j), np.full(whole.shape, np.inf))
-    bounds = np.empty((max_panels, 2))
+    bounds = [(a, b)]
     halves = np.empty((max_panels, 2) + whole.shape, dtype=complex)
     errs = np.empty((max_panels,) + whole.shape)
-    heap: list[tuple[float, int]] = []
-
-    def put(row: int, lo: float, hi: float, whole, left, right):
-        err = np.abs(whole - left - right)
-        bounds[row] = lo, hi
-        halves[row] = left, right
-        errs[row] = err
-        heapq.heappush(heap, (-float(err.max()), row))
-
-    put(0, a, b, whole, left, right)
+    halves[0] = left, right
+    errs[0] = err = np.abs(whole - left - right)
+    heap = [(-float(err.max()), 0)]
     n = 1
     while True:
         total_err = errs[:n].sum(axis=0)
-        if np.all(total_err <= tol):
+        if (total_err <= tol).all():
             return halves[:n].sum(axis=(0, 1))
         if n >= max_panels:
             raise QuadratureConvergenceError(
@@ -415,18 +412,27 @@ def adaptive_panels(sums, a: float, b: float, tol: float, max_panels: int) -> np
                 halves[:n].sum(axis=(0, 1))[()],
                 total_err[()],
             )
-        _, row = heapq.heappop(heap)
+        row = heapq.heappop(heap)[1]
         lo, hi = bounds[row]
         m = 0.5 * (lo + hi)
         ql, qr = 0.5 * (lo + m), 0.5 * (m + hi)
         quarters = sums(np.array([lo, ql, m, qr]), np.array([ql, m, qr, hi]))
-        finite = np.isfinite(quarters.reshape(2, -1)).all(axis=1)
-        if not finite.all():
-            bad_lo, bad_hi = (lo, m) if not finite[0] else (m, hi)
-            raise _non_finite(bad_lo, bad_hi, halves[:n].sum(axis=(0, 1)), total_err)
-        left, right = halves[row].copy()
-        put(row, lo, m, left, quarters[0], quarters[1])
-        put(n, m, hi, right, quarters[2], quarters[3])
+        # one sum is finite unless a value is (or the sum overflows)
+        if not math.isfinite(abs(quarters.sum())):
+            finite = np.isfinite(quarters.reshape(2, -1)).all(axis=1)
+            if not finite.all():
+                bad_lo, bad_hi = (lo, m) if not finite[0] else (m, hi)
+                raise _non_finite(bad_lo, bad_hi, halves[:n].sum(axis=(0, 1)), total_err)
+        # the children [lo, m] (row) and [m, hi] (n) at once: each one's
+        # whole-panel rule is a half-panel rule of the parent
+        err = np.abs(halves[row] - quarters[0::2] - quarters[1::2])
+        halves[row], halves[n] = quarters[:2], quarters[2:]
+        errs[row], errs[n] = err
+        bounds[row] = lo, m
+        bounds.append((m, hi))
+        err_left, err_right = err.reshape(2, -1).max(axis=1).tolist()
+        heapq.heappush(heap, (-err_left, row))
+        heapq.heappush(heap, (-err_right, n))
         n += 1
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sqnls import scattering
+from sqnls import scattering, specfun
 from sqnls.scattering import (
     BarrierParams,
     BranchBoundaryError,
@@ -20,7 +20,7 @@ from sqnls.scattering import (
     nu_imag_cut,
     scattering_data,
 )
-from sqnls.specfun import QuadratureSpec, quad_path, quad_ray_to_inf
+from sqnls.specfun import QuadratureSpec, cut_sqrt, gl_panels, quad_path, quad_ray_to_inf
 
 P = BarrierParams(1.0, 1.0, 0.2)
 IMAG_CUT = BranchCut("imaginary_segment")
@@ -342,6 +342,78 @@ class TestImagCutForms:
                 assert abs(kj - ref) <= 1e-15 * abs(ref)
 
 
+def _kappa_continuation(s, q: float):
+    # kappa_weight's complex continuation on its own, as it was before real
+    # input took the real form: cut_sqrt's nu, then log(1 + w) summed from w
+    nu = cut_sqrt(s, 0.0, 1j * q)
+    w = q * q / (nu + s) ** 2
+    wr, wi = w.real, w.imag
+    log_1pw = 0.5 * np.log1p(wr * (wr + 2.0) + wi * wi) + 1j * np.arctan2(wi, 1.0 + wr)
+    return -log_1pw[()] / (2 * math.pi)
+
+
+def _ray_nodes(a: float) -> np.ndarray:
+    # the 15-point nodes of 64 equal panels of chi_batch's ray map
+    # s = a - u / (1 - u), from s = a to s ~ -1e4
+    lo = np.linspace(0.0, 1.0, 65)[:-1]
+    u = gl_panels(lo, lo + 1.0 / 64)[0].ravel()
+    return a - u / (1.0 - u)
+
+
+class TestKappaRealPath:
+    # (s, kappa(s)) at q = 2 from 40-digit arithmetic: a spread from -1e8 to
+    # 0.45 with the kink at s = 0, and the four of 8,000 points on [-1e8, 3.2]
+    # where the real form is furthest from the exact value (3.7-3.9 ulp)
+    REF_Q2 = [
+        (-100000000.0, -1.5915494309189529598e-17),
+        (-150000.0, -7.0735530255205090314e-12),
+        (-37.5, -0.00011297606388597955592),
+        (-2.886, -0.014841716437642847371),
+        (-1.755, -0.029696675853900189216),
+        (-1.035, -0.050130931881835084992),
+        (-0.3, -0.088303835987204214818),
+        (-1e-06, -0.11031772049887414512),
+        (-1.9724227361148536e-08, -0.11031779850672166284),
+        (0.0, -0.1103178000763257967),
+        (3.981071705534977e-07, -0.11031776839596691278),
+        (0.45, -0.078733352217200110202),
+    ]
+
+    def test_real_input_gives_real_dtype(self):
+        assert kappa_weight(np.array([-2.0, 0.0, 0.5]), 1.0).dtype == np.float64
+        assert isinstance(kappa_weight(-0.7, 1.0), np.float64)
+        assert isinstance(kappa_weight(0, 1.0), np.float64)
+        assert kappa_weight(np.array([-2.0, 0.5]) + 0j, 1.0).dtype == np.complex128
+
+    def test_real_form_is_the_continuation_on_the_ray(self):
+        # both forms round several times; on these 6,882 nodes from -1e8 to
+        # 0.45 they part by at most 7 ulp, and the real form is the closer
+        # one to the exact values (at most 3.9 ulp from them, the
+        # continuation 4.9)
+        s = np.concatenate((-np.logspace(-12.0, 8.0, 4001), [0.0],
+                            _ray_nodes(0.0), _ray_nodes(-3.0), _ray_nodes(0.4544)))
+        for q in (0.5, 1.0, 2.0):
+            real, cont = kappa_weight(s, q), _kappa_continuation(s + 0j, q)
+            assert np.all(cont.imag == 0.0)
+            assert np.all(np.abs(real - cont.real) <= 8 * np.spacing(np.abs(cont.real)))
+
+    def test_real_form_against_40_digits(self):
+        s, ref = np.array(self.REF_Q2).T
+        got = kappa_weight(s, 2.0)
+        assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.abs(ref)))
+
+    def test_kink_value_is_exact(self):
+        for q in (0.5, 1.0, 1.3, 2.0):
+            assert kappa_weight(0.0, q) == -math.log(2.0) / (2 * math.pi)
+            assert kappa_weight(np.zeros(3), q).tolist() == [-math.log(2.0) / (2 * math.pi)] * 3
+
+    def test_complex_input_keeps_the_continuation(self):
+        for q in (0.5, 1.3):
+            z = np.concatenate((_grid(q), _ray_nodes(0.4544) + 0j, [0j, 1e-9j, -2.5 + 0j]))
+            assert np.array_equal(kappa_weight(z, q), _kappa_continuation(z, q))
+            assert kappa_weight(complex(z[5]), q) == _kappa_continuation(complex(z[5]), q)
+
+
 def _kappa_real(s: float, q: float) -> float:
     # kappa on the real axis from |nu + s| = |s| + sqrt(s^2 + q^2)
     return -math.log1p(q * q / (abs(s) + math.hypot(s, q)) ** 2) / (2 * math.pi)
@@ -442,6 +514,103 @@ class TestChiBatch:
         got, got_nodes = _chi_batch_counted(monkeypatch, z, a, 1.0, spec)
         assert abs(got[0] - ref[0]) <= 1e-14
         assert got_nodes == ref_nodes
+
+    # chi_batch on band 1's nodes (_band_nodes) at two mu, at a = xi0 > 0 and
+    # a = xi0 - 1.5 < 0: the number of panels of the ray rule and the values,
+    # as they stood when the kernel was first pinned. The s2_field reference
+    # figures of the benchmark carry the kink error of these panel trees, so
+    # a change of tree must fail here.
+    PINNED_TREES = [
+        (0.9, 0.0, 13, [
+            complex(0.09090564053363218, 0.020348077883350642),
+            complex(0.0912133768445808, 0.021714389107713106),
+            complex(0.09163999490743524, 0.02396182116638708),
+            complex(0.09206595322090687, 0.02702961835781547),
+            complex(0.09234734825065193, 0.030805109712550766),
+            complex(0.09234504732234304, 0.03510783025698447),
+            complex(0.09196291683180757, 0.039686006499956065),
+            complex(0.09118546309581352, 0.0442335675706245),
+            complex(0.0900992988705681, 0.04842774942390439),
+            complex(0.08888476037692396, 0.051975586193290964),
+            complex(0.08777567731241886, 0.054650581477351745),
+            complex(0.08700003314122803, 0.05630590849465221),
+        ]),
+        (0.9, -1.5, 1, [
+            complex(0.0062956632254282064, 0.010925237655023918),
+            complex(0.0061743500517872285, 0.010935624829811492),
+            complex(0.0059817073806468, 0.01094715197886342),
+            complex(0.005731460084917947, 0.010953080752807383),
+            complex(0.005441389267850162, 0.010947217102291192),
+            complex(0.005131619797655121, 0.010925848874438392),
+            complex(0.004822529004134353, 0.01088886624889886),
+            complex(0.004532756642501441, 0.010839788839124693),
+            complex(0.004277792132374188, 0.010784851108779357),
+            complex(0.004069372439442911, 0.01073158332989834),
+            complex(0.003915611555279986, 0.01068735730789749),
+            complex(0.0038215730627562815, 0.010658208299428663),
+        ]),
+        (1.3, 0.0, 15, [
+            complex(0.0974017127500834, 0.017190919384520307),
+            complex(0.0988388988704431, 0.019521301153360107),
+            complex(0.10106157142157372, 0.023563933747857785),
+            complex(0.10377009148903037, 0.02951159574622921),
+            complex(0.10648433760305942, 0.03752342290755944),
+            complex(0.10854520153996146, 0.04758322674591906),
+            complex(0.10921947797219436, 0.05932692686726135),
+            complex(0.10794607825294134, 0.07193567946856225),
+            complex(0.10464836833120743, 0.08422004777235698),
+            complex(0.09992391434861164, 0.09491065590198745),
+            complex(0.09496372605098415, 0.10300091628827808),
+            complex(0.09119975238349344, 0.1079443715019255),
+        ]),
+        (1.3, -1.5, 1, [
+            complex(0.008861257136000437, 0.013388405186830477),
+            complex(0.008576677904779444, 0.01353152750666629),
+            complex(0.008110505026505274, 0.01373369159405595),
+            complex(0.007482668566466689, 0.013947726363292567),
+            complex(0.00673126938717605, 0.01412337450111319),
+            complex(0.005912424847219873, 0.014221771740647714),
+            complex(0.005091714152608202, 0.01422700800220943),
+            complex(0.004330788074994163, 0.01414889984218778),
+            complex(0.0036763689192383367, 0.014016284390198395),
+            complex(0.003156505284364974, 0.013865765641017607),
+            complex(0.0027835891530342124, 0.013731770413294259),
+            complex(0.002560480421259773, 0.0136406732038046),
+        ]),
+    ]
+
+    @staticmethod
+    def _panels(monkeypatch, z: np.ndarray, a: float, spec: QuadratureSpec | None = None):
+        # chi_batch and the number of panels its adaptive ray rule ends with
+        calls = []
+
+        def counting(sums, lo, hi, tol, max_panels):
+            def counted(l, h):
+                calls.append(l.size)
+                return sums(l, h)
+
+            return specfun.adaptive_panels(counted, lo, hi, tol, max_panels)
+
+        with monkeypatch.context() as m:
+            m.setattr(scattering, "adaptive_panels", counting)
+            got = chi_batch(z, a, 1.0, spec)
+        return got, len(calls)
+
+    @pytest.mark.parametrize("mu,shift,panels,ref", PINNED_TREES)
+    def test_ray_tree_is_pinned(self, monkeypatch, mu, shift, panels, ref):
+        z, xi0 = _band_nodes(mu)
+        got, n = self._panels(monkeypatch, z[:z.size // 2], xi0 + shift)
+        assert n == panels
+        assert np.max(np.abs(got - np.array(ref))) <= 1e-15
+
+    @pytest.mark.parametrize("tol", [1e-11, 1e-14])
+    def test_ray_tree_is_pinned_at_the_kink(self, monkeypatch, tol):
+        # the kink case of test_ray_rule_misses_the_kink_at_zero stops on 5
+        # panels at either tolerance
+        got, n = self._panels(monkeypatch, np.array([0.38 + 0.81j]), 0.4544,
+                              QuadratureSpec(tol))
+        assert n == 5
+        assert abs(got[0] - complex(0.08528165687441348, 0.05256240928229461)) <= 1e-15
 
     def test_chi_integral_is_one_element_batch(self):
         for z, a in ((0.3 + 0.5j, 1.2), (-2.0 - 0.1j, -0.5), (1.5 + 0j, 1.2)):

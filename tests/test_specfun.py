@@ -257,6 +257,18 @@ class TestAdaptiveGL:
         assert np.array_equal(specfun._GL_NODES, nodes)
         assert np.array_equal(specfun._GL_WEIGHTS, weights)
 
+    def test_panel_nodes_are_the_half_width_form(self):
+        # gl_panels scales the halved rule by the width; halving is exact, so
+        # the nodes and weights are mid + half * node and half * weight to the bit
+        rng = np.random.default_rng(7)
+        for p in (1, 3, 4, 9):
+            lo = rng.uniform(-2.0, 1.0, p)
+            hi = lo + rng.uniform(1e-9, 2.0, p) * rng.choice([1e-6, 1.0], p)
+            nodes, weights = specfun.gl_panels(lo, hi)
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            assert np.array_equal(nodes, mid[:, None] + half[:, None] * specfun._GL_NODES)
+            assert np.array_equal(weights, half[:, None] * specfun._GL_WEIGHTS)
+
     def test_components_meet_tolerance_each(self):
         # a smooth component of size ~1e6 and a narrow peak of size ~1: one
         # error norm over both would let the peak stop short
@@ -287,6 +299,22 @@ class TestAdaptiveGL:
         assert [x.size for x in seen] == [45] + [60] * (panels - 1)
         assert np.unique(nodes).size == nodes.size
         assert abs(val - 2.0 * math.atan(1.0 / math.sqrt(1e-3)) / math.sqrt(1e-3)) < 1e-11
+
+    def test_kink_tree_is_pinned(self):
+        # no panel bound meets the kink of |u - 0.3| e^u, so the panels around
+        # it carry its error: the value, 1.2e-13 from the exact
+        # 2 e^0.3 - 0.3 e - 1.3, and the 17 panels are pinned as they stood
+        # when the loop was first pinned, like chi_batch's ray trees
+        nodes = []
+
+        def f(u):
+            nodes.append(u.size)
+            return np.abs(u - 0.3) * np.exp(u)
+
+        val = adaptive_gl(f, 0.0, 1.0, 1e-12, 400)
+        assert len(nodes) == 17
+        assert abs(val - (2.0 * math.exp(0.3) - 0.3 * math.e - 1.3)) <= 1e-12
+        assert abs(val - 0.584233066614168) <= 1e-15
 
     def test_convergence_error_at_panel_cap(self):
         nodes = []

@@ -17,7 +17,8 @@ digest run.py records), and per workload and metric the inclusive quartiles
 of each side, every run and the number of pairs the change wins (a strictly
 lower value). ``--claim W:M`` adds whether the change won at least 9 of 10
 pairs on metric M of workload W by a median gap larger than the parent's
-interquartile range. Nothing in either checkout is edited.
+interquartile range, with every change run correct and no larger share of
+failed operations than the parent's. Nothing in either checkout is edited.
 """
 
 from __future__ import annotations
@@ -71,7 +72,11 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {root} failed: {proc.stderr.strip()[-2000:]}")
-    return json.loads(lines[-1])
+    try:
+        return json.loads(lines[-1])
+    except json.JSONDecodeError:
+        raise RuntimeError(f"{' '.join(cmd)} in {root}: the last output line is not JSON: "
+                           f"{lines[-1][:2000]!r}") from None
 
 
 def quartiles(runs: list[float]) -> dict:
@@ -105,15 +110,26 @@ def summarize(results: dict, bounds: dict) -> dict:
 
 
 def claim(summary: dict, workload: str, metric: str) -> dict:
-    m = summary[workload]["metrics"][metric]
+    """Whether the change's gain on one metric of one workload holds.
+
+    It holds when the change wins at least 9 of 10 pairs, its median beats
+    the parent's by more than the parent's interquartile range, every change
+    run is correct and the change fails no larger share of its attempted
+    operations than the parent.
+    """
+    w = summary[workload]
+    m = w["metrics"][metric]
     gap = m["parent"]["median"] - m["change"]["median"]
     pairs = len(m["parent_runs"])
+    share = {side: w["failed"][side] / max(w["attempted"][side], 1) for side in SIDES}
     return {
         "workload": workload, "metric": metric,
         "parent_median": m["parent"]["median"], "change_median": m["change"]["median"],
         "change_max": max(m["change_runs"]), "change_wins": m["change_wins"],
         "median_gap": gap, "parent_iqr": m["parent_iqr"],
-        "met": m["change_wins"] >= 0.9 * pairs and gap > m["parent_iqr"],
+        "change_correct": w["correct"]["change"], "failed_share": share,
+        "met": (m["change_wins"] >= 0.9 * pairs and gap > m["parent_iqr"]
+                and w["correct"]["change"] and share["change"] <= share["parent"]),
     }
 
 

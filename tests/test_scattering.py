@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sqnls import scattering, specfun
+from sqnls import scattering
 from sqnls.scattering import (
     BarrierParams,
     BranchBoundaryError,
@@ -579,37 +579,22 @@ class TestChiBatch:
         ]),
     ]
 
-    @staticmethod
-    def _panels(monkeypatch, z: np.ndarray, a: float, spec: QuadratureSpec | None = None):
-        # chi_batch and the number of panels its adaptive ray rule ends with
-        calls = []
-
-        def counting(sums, lo, hi, tol, max_panels):
-            def counted(l, h):
-                calls.append(l.size)
-                return sums(l, h)
-
-            return specfun.adaptive_panels(counted, lo, hi, tol, max_panels)
-
-        with monkeypatch.context() as m:
-            m.setattr(scattering, "adaptive_panels", counting)
-            got = chi_batch(z, a, 1.0, spec)
-        return got, len(calls)
-
     @pytest.mark.parametrize("mu,shift,panels,ref", PINNED_TREES)
     def test_ray_tree_is_pinned(self, monkeypatch, mu, shift, panels, ref):
+        # P panels take 45 + 60 (P - 1) ray nodes
         z, xi0 = _band_nodes(mu)
-        got, n = self._panels(monkeypatch, z[:z.size // 2], xi0 + shift)
-        assert n == panels
+        got, nodes = _chi_batch_counted(monkeypatch, z[:z.size // 2], xi0 + shift, 1.0,
+                                        QuadratureSpec(1e-11))
+        assert nodes == 45 + 60 * (panels - 1)
         assert np.max(np.abs(got - np.array(ref))) <= 1e-15
 
     @pytest.mark.parametrize("tol", [1e-11, 1e-14])
     def test_ray_tree_is_pinned_at_the_kink(self, monkeypatch, tol):
         # the kink case of test_ray_rule_misses_the_kink_at_zero stops on 5
         # panels at either tolerance
-        got, n = self._panels(monkeypatch, np.array([0.38 + 0.81j]), 0.4544,
-                              QuadratureSpec(tol))
-        assert n == 5
+        got, nodes = _chi_batch_counted(monkeypatch, np.array([0.38 + 0.81j]), 0.4544, 1.0,
+                                        QuadratureSpec(tol))
+        assert nodes == 45 + 60 * 4
         assert abs(got[0] - complex(0.08528165687441348, 0.05256240928229461)) <= 1e-15
 
     def test_chi_integral_is_one_element_batch(self):

@@ -449,7 +449,8 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams) -
     ac = a.conjugate()
     mu = -(x - L) / (2.0 * t)
     xi0 = mu - a.real
-    roots = rho1_real_roots(a, xi0, t, L, q)
+    # only the left root is read: the right one is not solved for
+    roots = rho1_real_roots(a, xi0, t, L, q, right=False)
     if not roots:
         raise ValueError("rho1 has no real roots here: (x, t) is past the second breaking time")
     xi1 = roots[0]

@@ -155,11 +155,13 @@ def rho1_bump_max(alpha: complex, xi0: float, t: float, L: float, q: float
 
 
 def rho1_real_roots(alpha: complex, xi0: float, t: float, L: float, q: float,
-                    double_tol: float = 1e-9) -> list[float]:
+                    double_tol: float = 1e-9, right: bool = True) -> list[float]:
     """Real zeros of rho1 on lambda < 0: two simple roots, one double, or none.
 
     The root count follows the sign of rho1_bump_max. A double root
-    (|max| < double_tol) is reported twice.
+    (|max| < double_tol) is reported twice. With right=False the right
+    simple root is not solved for, and two simple roots come back as the
+    left one alone.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -174,8 +176,9 @@ def rho1_real_roots(alpha: complex, xi0: float, t: float, L: float, q: float,
     if f_star < 0:
         return []
     left = brentq(f, lam_lo, lam_star, xtol=1e-14)
-    right = brentq(f, lam_star, lam_hi, xtol=1e-14)
-    return [left, right]
+    if not right:
+        return [left]
+    return [left, brentq(f, lam_star, lam_hi, xtol=1e-14)]
 
 
 def first_breaking_time(x: float, p) -> float:

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from sqnls.nls_direct import (
     InstabilityError,
     SolverConfig,
+    _rotation_factor,
     barrier_initial_data,
     default_config,
     evolve,
@@ -139,6 +139,27 @@ def _unfused_strang(cfg):
     return out
 
 
+class TestRotationFactor:
+    ULP = np.finfo(float).eps  # the spacing of doubles at 1
+
+    @staticmethod
+    def _factor(theta):
+        half = np.asarray(theta, dtype=float) / 2.0
+        return _rotation_factor(half, np.empty_like(half), np.empty(half.shape, dtype=complex))
+
+    def test_within_4_ulp_of_exp(self):
+        # theta over [0, 1e3], and within 1e-6 of pi where tau = tan(theta/2)
+        # passes 1e6 and 2/(1 + tau^2) - 1 nears -1
+        theta = np.concatenate([np.linspace(0.0, 1e3, 1_000_001),
+                                np.pi + np.linspace(-1e-6, 1e-6, 100_001), [np.pi]])
+        rot = self._factor(theta)
+        assert np.max(np.abs(rot - np.exp(1j * theta))) <= 4 * self.ULP
+        assert np.max(np.abs(np.abs(rot) - 1.0)) <= 4 * self.ULP
+
+    def test_exact_at_zero(self):
+        assert self._factor([0.0])[0] == 1.0
+
+
 class TestFusedStep:
     # a snapshot at t = 0, uneven intervals, and one interval of one step
     TIMES = (0.0, 0.0123, 0.0133, 0.03)
@@ -170,10 +191,10 @@ class TestInstability:
     TIMES = (0.0, 0.01, 0.02)
 
     def _assert_raised_at_first_step(self, monkeypatch, attr, corrupt, message):
-        # evolve imports scipy.fft when it runs and calls the module's
-        # attributes, so patching the module object reaches it
-        original = getattr(scipy.fft, attr)
-        monkeypatch.setattr(scipy.fft, attr,
+        # evolve looks its transforms up on np.fft when it runs and keeps
+        # what they return, so patching the module object reaches psi
+        original = getattr(np.fft, attr)
+        monkeypatch.setattr(np.fft, attr,
                             lambda *a, **kw: corrupt(original(*a, **kw)))
         cfg = default_config(P, self.TIMES[-1], self.TIMES)
         with pytest.raises(InstabilityError, match=message) as err:

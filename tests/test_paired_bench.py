@@ -7,10 +7,13 @@ from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "paired_bench.py"
-_SPEC = importlib.util.spec_from_file_location("paired_bench", _PATH)
+_ROOT = Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location("paired_bench", _ROOT / "tools" / "paired_bench.py")
 pb = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(pb)
+
+# the end-to-end metrics, bounds and directions the benchmark declares
+END_TO_END = json.loads((_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
 
 
 def _run(op_ms: float, correct: bool = True, failed: int = 0, attempted: int = 100) -> dict:
@@ -69,12 +72,16 @@ class TestSummarize:
         assert s["correct"] == {"parent": True, "change": False}
 
 
+def _claim(summary: dict, workload: str = "w", metric: str = "op_ms_p50") -> dict:
+    return pb.claim(summary, workload, metric, pb.regressions(summary, END_TO_END))
+
+
 class TestClaim:
     @staticmethod
     def _claim(change_ms: list, parent_ms: list = PARENT_MS, **change_kw) -> dict:
         parent = [_run(v) for v in parent_ms]
         change = [_run(v, **change_kw) for v in change_ms]
-        return pb.claim(_summary(parent, change), "w", "op_ms_p50")
+        return _claim(_summary(parent, change))
 
     def test_met(self):
         c = self._claim([v - 1.0 for v in PARENT_MS])
@@ -101,7 +108,7 @@ class TestClaim:
         parent = [_run(v) for v in PARENT_MS]
         change = [_run(v - 1.0) for v in PARENT_MS]
         change[3] = _run(PARENT_MS[3] - 1.0, correct=False)
-        c = pb.claim(_summary(parent, change), "w", "op_ms_p50")
+        c = _claim(_summary(parent, change))
         assert c["change_wins"] == 10
         assert not c["change_correct"]
         assert not c["met"]
@@ -113,7 +120,55 @@ class TestClaim:
         # the same share as the parent's passes
         parent = [_run(v, failed=1) for v in PARENT_MS]
         change = [_run(v - 1.0, failed=1) for v in PARENT_MS]
-        assert pb.claim(_summary(parent, change), "w", "op_ms_p50")["met"]
+        assert _claim(_summary(parent, change))["met"]
+
+
+def _curves_run(op_ms: float, rss_mb: float) -> dict:
+    return {"correct": True, "attempted": 1000, "failed": 0,
+            "metrics": {"op_ms_p50": {"value": op_ms, "unit": "ms"},
+                        "peak_rss_mb": {"value": rss_mb, "unit": "MB"}}}
+
+
+class TestRegressions:
+    @staticmethod
+    def _summary(parent: list, change: list) -> dict:
+        bounds = {m["name"]: m["bound"] for m in END_TO_END}
+        return {"curves": {"pairs": len(parent),
+                           **pb.summarize({"parent": parent, "change": change}, bounds)}}
+
+    def test_rss_past_its_bound_is_listed_and_fails_the_claim(self):
+        # a change that met its curves op_ms_p50 claim (0.194 -> 0.129 ms)
+        # while peak_rss_mb rose 40.99 -> 43.39 MB, +5.9 % against the 5 % bound
+        parent = [_curves_run(0.194 + 0.001 * i, 40.99) for i in range(-5, 5)]
+        change = [_curves_run(0.129 + 0.001 * i, 43.39) for i in range(-5, 5)]
+        s = self._summary(parent, change)
+        (reg,) = pb.regressions(s, END_TO_END)
+        assert (reg["workload"], reg["metric"]) == ("curves", "peak_rss_mb")
+        assert (reg["parent_median"], reg["change_median"]) == (40.99, 43.39)
+        assert reg["median_change_rel"] == pytest.approx(43.39 / 40.99 - 1.0)
+        assert reg["bound"] == 0.05
+        c = _claim(s, "curves")
+        assert c["change_wins"] == 10
+        assert c["median_gap"] > c["parent_iqr"]
+        assert c["regressions"] == 1
+        assert not c["met"]
+
+    def test_within_the_bound_is_not_listed(self):
+        parent = [_curves_run(0.194, 40.99)] * 10
+        change = [_curves_run(0.129, 40.99 * 1.049)] * 10
+        s = self._summary(parent, change)
+        assert pb.regressions(s, END_TO_END) == []
+        assert _claim(s, "curves")["met"]
+
+    def test_a_gain_is_not_listed(self):
+        parent = [_curves_run(0.194, 61.25)] * 10
+        change = [_curves_run(0.129, 39.2)] * 10
+        assert pb.regressions(self._summary(parent, change), END_TO_END) == []
+
+    def test_higher_is_better_regresses_downwards(self):
+        s = self._summary([_curves_run(1.0, 40.0)] * 3, [_curves_run(1.0, 30.0)] * 3)
+        spec = [{"name": "peak_rss_mb", "bound": 0.05, "better": "higher"}]
+        assert [r["metric"] for r in pb.regressions(s, spec)] == ["peak_rss_mb"]
 
 
 class TestRunOnce:

@@ -81,6 +81,22 @@ class TestRho1:
         assert len(roots) == 2
         assert abs(roots[0] - roots[1]) < 1e-3
 
+    def test_left_root_alone(self):
+        # right=False skips the right root's solve and changes no other answer
+        cases = [self._setup(0.9, 0.05), self._setup(0.9, 5.0)]
+        t2 = second_breaking_time(0.5, P)
+        mu = (P.L - 0.5) / (2 * t2)
+        st = solve_endpoint(mu, P.q)
+        cases.append((st.alpha, mu - st.alpha.real, t2))
+        (simple, none, double) = [
+            (rho1_real_roots(a, xi0, t, 1.0, 1.0, double_tol=1e-7),
+             rho1_real_roots(a, xi0, t, 1.0, 1.0, double_tol=1e-7, right=False))
+            for a, xi0, t in cases]
+        assert len(simple[0]) == 2 and simple[0][0] < simple[0][1]
+        assert simple[1] == simple[0][:1]
+        assert none == ([], [])
+        assert double[0] == double[1] == [double[0][0]] * 2
+
     def test_big_s_normalization(self):
         alpha = 0.5 + 0.6j
         for lam in (-8.0, -2.0, 3.0, 11.0):

@@ -15,10 +15,13 @@ each run's standard output is read, the JSON result that run.py prints.
 The output file holds the machine, each side's sha256 of ``src/`` (the
 digest run.py records), and per workload and metric the inclusive quartiles
 of each side, every run and the number of pairs the change wins (a strictly
-lower value). ``--claim W:M`` adds whether the change won at least 9 of 10
-pairs on metric M of workload W by a median gap larger than the parent's
-interquartile range, with every change run correct and no larger share of
-failed operations than the parent's. Nothing in either checkout is edited.
+lower value). Its ``regressions`` list names every workload and end-to-end
+metric whose change median is worse than the parent's by more than the
+metric's ``BENCHMARK.json`` bound. ``--claim W:M`` adds whether the change
+won at least 9 of 10 pairs on metric M of workload W by a median gap larger
+than the parent's interquartile range, with every change run correct, no
+larger share of failed operations than the parent's and an empty
+``regressions`` list. Nothing in either checkout is edited.
 """
 
 from __future__ import annotations
@@ -109,13 +112,37 @@ def summarize(results: dict, bounds: dict) -> dict:
     }
 
 
-def claim(summary: dict, workload: str, metric: str) -> dict:
+def regressions(summary: dict, end_to_end: list[dict]) -> list[dict]:
+    """Every workload and end-to-end metric whose change median is worse than
+    the parent's by more than the metric's relative bound.
+
+    end_to_end is BENCHMARK.json's list of metrics, each with its name,
+    bound and whether lower or higher is better.
+    """
+    found = []
+    for workload, w in summary.items():
+        for spec in end_to_end:
+            m = w["metrics"].get(spec["name"])
+            if m is None:
+                continue
+            worse = m["median_change_rel"] if spec["better"] == "lower" else -m["median_change_rel"]
+            if worse > spec["bound"]:
+                found.append({"workload": workload, "metric": spec["name"],
+                              "parent_median": m["parent"]["median"],
+                              "change_median": m["change"]["median"],
+                              "median_change_rel": m["median_change_rel"],
+                              "bound": spec["bound"]})
+    return found
+
+
+def claim(summary: dict, workload: str, metric: str, regressed: list[dict]) -> dict:
     """Whether the change's gain on one metric of one workload holds.
 
     It holds when the change wins at least 9 of 10 pairs, its median beats
     the parent's by more than the parent's interquartile range, every change
-    run is correct and the change fails no larger share of its attempted
-    operations than the parent.
+    run is correct, the change fails no larger share of its attempted
+    operations than the parent and no metric regressed (regressed is what
+    regressions() returns).
     """
     w = summary[workload]
     m = w["metrics"][metric]
@@ -128,8 +155,10 @@ def claim(summary: dict, workload: str, metric: str) -> dict:
         "change_max": max(m["change_runs"]), "change_wins": m["change_wins"],
         "median_gap": gap, "parent_iqr": m["parent_iqr"],
         "change_correct": w["correct"]["change"], "failed_share": share,
+        "regressions": len(regressed),
         "met": (m["change_wins"] >= 0.9 * pairs and gap > m["parent_iqr"]
-                and w["correct"]["change"] and share["change"] <= share["parent"]),
+                and w["correct"]["change"] and share["change"] <= share["parent"]
+                and not regressed),
     }
 
 
@@ -172,10 +201,11 @@ def main(argv: list[str] | None = None) -> int:
                      "first alternating from pair to pair (parent first in pairs 1, 3, 5, ...); "
                      "quartiles are inclusive, a win is a strictly lower value"),
         "workloads": summary,
+        "regressions": regressions(summary, spec["end_to_end"]),
     }
     if args.claim:
         workload, metric = args.claim.split(":")
-        record["claim"] = claim(summary, workload, metric)
+        record["claim"] = claim(summary, workload, metric, record["regressions"])
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -1,9 +1,9 @@
 """Semiclassical focusing NLS asymptotics for square-barrier initial data.
 
-Subpackages:
+Modules:
   specfun        elliptic integrals, dilogarithm, theta sums, path quadrature
   scattering     exact forward-scattering data of the barrier
-  phase_geometry level-set topology, breaking curves
+  phase_geometry level-set topology, band endpoint, breaking curves
   genus0         pre-break (plane-wave) asymptotics
   genus1         post-break (theta-function) asymptotics
   nls_direct     split-step Fourier reference integrator

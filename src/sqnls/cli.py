@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .field import _fmt, breaking_curves, classify, sample_grid
+from .field import _POINT_ERRORS, _fmt, breaking_curves, classify, sample_grid
 from .genus0 import psi_asy_g0
 from .genus1 import modulation_constants, solve_endpoint
 from .nls_direct import evolve, validation_config
@@ -204,8 +204,12 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "endpoint":
-        sys.stdout.write("mu,m,re_alpha,im_alpha,Omega,eta,T0,Y0,H\n")
-        sys.stdout.write(endpoint_line(args.mu, p) + "\n")
+        try:
+            row = endpoint_line(args.mu, p)
+        except _POINT_ERRORS as exc:
+            sys.stderr.write(f"sqnls endpoint: {exc}\n")
+            return 1
+        sys.stdout.write("mu,m,re_alpha,im_alpha,Omega,eta,T0,Y0,H\n" + row + "\n")
         return 0
 
     raise AssertionError("unreachable")

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .phase_geometry import big_r, big_s, rho1_real_roots
+from .phase_geometry import _M_BRACKET, _endpoint, _v_from_mu, big_r, big_s, rho1_real_roots
 from .scattering import BarrierParams, _dist_to_polyline, chi_batch
-from .specfun import (QuadratureSpec, brentq, complete_elliptic, complete_elliptic_m1, cut_sqrt,
-                      quad_path, quad_ray_to_inf, theta_sum)
+from .specfun import (QuadratureSpec, complete_elliptic, cut_sqrt, quad_path, quad_ray_to_inf,
+                      theta_sum)
 
 __all__ = [
     "RealityError",
@@ -37,14 +37,6 @@ __all__ = [
     "modulation_constants",
     "psi_asy_g1",
 ]
-
-# boundary side of R entering oriented-contour integrals: the plus side is
-# the left of the overall -iq -> +iq orientation of the cut system, which in
-# the local coordinate u = Im((z-c)/d) of each half-cut is u < 0 on the upper
-# band (traversed alpha -> iq) and u > 0 on the lower one (-iq -> alpha*)
-_BAND1_SIDE = -1.0
-_BAND2_SIDE = +1.0
-
 
 class RealityError(RuntimeError):
     """A period or modulation constant that must be real came out complex.
@@ -114,44 +106,6 @@ def elliptic_parameter(alpha: complex, q: float) -> float:
     return 1.0 - abs(alpha - 1j * q) ** 2 / abs(alpha + 1j * q) ** 2
 
 
-# Taylor coefficients of A(m) = ((2-m)E - 2(1-m)K)/(m^2 E) at m = 0, from the
-# hypergeometric series of K and E; the terms left out add < 1e-17 at m = 0.03
-_A_TAYLOR = (3 / 8, 3 / 16, 111 / 1024, 141 / 2048, 1533 / 32768, 2193 / 65536,
-             836103 / 33554432, 1286193 / 67108864, 16254219 / 1073741824,
-             26249379 / 2147483648)
-
-
-def _endpoint(m1: float, q: float) -> tuple[complex, float]:
-    """(alpha, mu) at the complementary parameter m1 = 1 - m, without cancellation.
-
-    alpha = q (sqrt(4A - (1+mA)^2) + i m A) with A = ((2-m)E - 2(1-m)K)/(m^2 E),
-    and mu = (2 a^2 - b^2 + q^2) / (2 a) from the moment relation, alpha = a + ib.
-    Near m = 1 the radicand and q^2 - b^2 both vanish like m1; they are
-    written as m1 times factors that do not cancel, through
-    D = (A - 1)/m1 = ((3 - m1)E - 2K)/(m^2 E):
-      4A - (1+mA)^2 = m1 (A - m1 D^2/(1 + sqrt A)^2)(2 sqrt A + 1 + mA),
-      q^2 - b^2     = q^2 m1 (1 - D + m1 D)(1 + mA).
-    """
-    m = 1.0 - m1
-    if m < 0.03:
-        # near its removable singularity at m = 0 A's closed form cancels like 1e-16 / m^2
-        A = 0.0
-        for c in reversed(_A_TAYLOR):
-            A = A * m + c
-        D = (A - 1.0) / m1
-    else:
-        K, E = complete_elliptic_m1(m1)
-        D = ((3.0 - m1) * E - 2.0 * K) / (m * m * E)
-        A = 1.0 + m1 * D
-    s_a = math.sqrt(A)
-    rad = m1 * (A - m1 * D * D / (1.0 + s_a) ** 2) * (2.0 * s_a + 1.0 + m * A)
-    if rad < -1e-12:
-        raise ValueError(f"negative radicand {rad} in the endpoint formula")
-    a = q * math.sqrt(max(rad, 0.0))
-    b2_gap = q * q * m1 * (1.0 - D + m1 * D) * (1.0 + m * A)
-    return complex(a, q * m * A), (2.0 * a * a + b2_gap) / (2.0 * a)
-
-
 def alpha_from_m(m: float, q: float) -> complex:
     """Band endpoint alpha = q (sqrt(4A - (1+mA)^2) + i m A) from the parameter m."""
     if not (0 < m < 1):
@@ -170,10 +124,6 @@ def mu_from_m(m: float, q: float) -> float:
     return _endpoint(1.0 - m, q)[1]
 
 
-# the m bracket that solve_endpoint inverts mu on, in v = -log(1 - m); mu falls with m
-_M_BRACKET = (1e-14, 1.0 - 1e-14)
-
-
 def endpoint_mu_floor(q: float) -> float:
     """Smallest mu that solve_endpoint inverts, mu(1 - 1e-14) ~ 1.85e-6 q.
 
@@ -181,18 +131,6 @@ def endpoint_mu_floor(q: float) -> float:
     solve_endpoint raises RuntimeError.
     """
     return mu_from_m(_M_BRACKET[1], q)
-
-
-def _v_from_mu(mu: float, q: float) -> float:
-    """v = -log(1 - m) at mu by brentq on _endpoint(exp(-v)): v resolves m near 1."""
-    if not (0 < mu < math.sqrt(2.0) * q):
-        raise ValueError(f"mu = {mu} outside the oscillatory window (0, sqrt2 q)")
-    v_lo, v_hi = (-math.log1p(-m) for m in _M_BRACKET)
-    f = lambda v: _endpoint(math.exp(-v), q)[1] - mu
-    f_lo, f_hi = f(v_lo), f(v_hi)
-    if f_lo * f_hi > 0:
-        raise RuntimeError(f"no sign change for mu = {mu}: [{f_lo}, {f_hi}]")
-    return brentq(f, v_lo, v_hi, xtol=1e-15, rtol=8.9e-16)
 
 
 def solve_endpoint(mu: float, q: float) -> EndpointState:
@@ -253,39 +191,34 @@ def _cut1(alpha: complex, q: float) -> tuple[complex, complex]:
     return 0.5 * (1j * q + alpha), 0.5 * (alpha - 1j * q)
 
 
-def _cut2(alpha: complex, q: float) -> tuple[complex, complex]:
-    # segment [-iq, alpha*]; s = -1 at -iq, +1 at alpha*
-    c1, d1 = _cut1(alpha, q)
-    return c1.conjugate(), d1.conjugate()
+def _r_on_cut(s: np.ndarray, alpha: complex, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """(z, R_side) at parameters s in (-1, 1) on band 1, z = c1 + s d1.
 
-
-def _r_on_cut(s: np.ndarray, c: complex, d: complex, c_other: complex, d_other: complex,
-              u_sign: float) -> tuple[np.ndarray, np.ndarray]:
-    """(z, R_side) at parameters s in (-1, 1) on the cut c +- d.
-
-    The boundary value of the local factor is u_sign * i * d * sqrt(1-s^2);
-    the opposite cut's factor is single-valued there.
+    R_side is the boundary value of R on the plus side, the left of the
+    overall -iq -> +iq orientation of the cut system; in the local
+    coordinate u = Im((z - c1)/d1) it is the side u < 0, where the local
+    factor is -i d1 sqrt(1 - s^2). Band 2's factor is single-valued there.
     """
+    c, d = _cut1(alpha, q)
     z = c + s * d
-    loc = u_sign * 1j * d * np.sqrt(np.maximum(1.0 - s * s, 0.0))
-    return z, loc * cut_sqrt(z, c_other, d_other)
+    loc = -1j * d * np.sqrt(np.maximum(1.0 - s * s, 0.0))
+    return z, loc * cut_sqrt(z, c.conjugate(), d.conjugate())
 
 
 def _cut_integral(g, alpha: complex, q: float, quad: QuadratureSpec) -> np.ndarray:
     """integral over s in (-1, 1) of g(z(s), R_side(z(s))) dz along band 1.
 
-    g takes arrays of n points z and boundary values R_side (the
-    _BAND1_SIDE value) and returns shape (n,) or (n, k); the integral then
+    g takes arrays of n points z and boundary values R_side (as _r_on_cut
+    gives them) and returns shape (n,) or (n, k); the integral then
     has shape () or (k,), each component to the tolerance of quad.
     Orientation is increasing s (iq -> alpha). Integrands with 1/R blow up
     like an inverse square root at both ends, which the endpoint
     substitution absorbs.
     """
-    c1, d1 = _cut1(alpha, q)
-    c2, d2 = _cut2(alpha, q)
+    d1 = _cut1(alpha, q)[1]
 
     def param_integrand(s: np.ndarray) -> np.ndarray:
-        z, r_side = _r_on_cut(s.real, c1, d1, c2, d2, _BAND1_SIDE)
+        z, r_side = _r_on_cut(s.real, alpha, q)
         return g(z, r_side) * d1
 
     return quad_path(param_integrand, [-1.0, 1.0], quad)
@@ -295,7 +228,7 @@ def _b_cycle(num, alpha: complex, q: float, quad: QuadratureSpec) -> complex:
     """b-period of num(z)/R(z) dz as a collapsed two-sided integral over [iq, alpha].
 
     A loop winding once around the cut equals the jump integral
-    2 * int_{iq->alpha} num / R_side with the _BAND1_SIDE boundary value.
+    2 * int_{iq->alpha} num / R_side with _r_on_cut's boundary value.
     """
     return 2.0 * _cut_integral(lambda z, r: num(z) / r, alpha, q, quad)
 
@@ -393,42 +326,31 @@ def _segments_too_close(a0: complex, a1: complex, b0: complex, b1: complex,
 
 def _band_pass(a: complex, x_minus_l: float, t: float, xi0: float, xi1: float, q: float,
                quad: QuadratureSpec, chi_quad: QuadratureSpec) -> np.ndarray:
-    """Every band integral of modulation_constants, in one pass over the cut parameter.
+    """Every band integral of modulation_constants, in one pass over band 1.
 
-    The first three columns are band 1's, oriented iq -> alpha as in
+    The five columns are oriented iq -> alpha and scaled by d1 as in
     _cut_integral: the Omega loop (R/(z^2+q^2)) (t (2z + a + a*) + x - L),
-    1/R and num2/R with num2 = z (z - Re alpha). The last four are the slope
-    and moment integrals of the p0 weight j = (log term) - 2 (chi(z, xi1) +
-    chi(z, xi0)): the oriented integrals of j / R and (z - Re alpha) j / R
-    along band 1 (alpha -> iq) and band 2 (-iq -> alpha*). Band 2 is band
-    1's mirror image, so each node s of the shared cut parameter maps to a
-    point z on band 1 and to conj z on band 2. The chi transforms run once
-    per xi on band 1's points only, and band 2 takes chi(conj z) = -conj
-    chi(z), since kappa is real on the ray. The pass has both bands' panel
-    budgets, 2 quad.max_subdivisions, which the both-ended segment doubles
-    again.
+    1/R, num2/R with num2 = z (z - Re alpha), and the slope and moment
+    integrals of the p0 weight j = log(2 (z + iq)/q) - 2 (chi(z, xi1) +
+    chi(z, xi0)), that is j / R and (z - Re alpha) j / R along alpha -> iq.
+    Band 2, [alpha*, -iq], is band 1's mirror image: at conj z, R and chi
+    are conj R(z) and -conj chi(z) (kappa is real on the ray), and its log
+    term log(q / (2 (conj z - iq))) is -conj of band 1's. So band 2's p0
+    integrals, oriented -iq -> alpha*, are the conjugates of band 1's, and
+    each two-band sum is 2 Re of a p0 column.
     """
     ac = a.conjugate()
-    c1, d1 = _cut1(a, q)
-    c2, d2 = _cut2(a, q)
-    quad = replace(quad, max_subdivisions=2 * quad.max_subdivisions)
-    # band 1 runs against increasing s in the p0 columns: sign -1
-    scale = np.array([-d1, d2])
+    d1 = _cut1(a, q)[1]
 
     def terms(s: np.ndarray) -> np.ndarray:
-        z1, r1 = _r_on_cut(s.real, c1, d1, c2, d2, _BAND1_SIDE)
-        z2, r2 = _r_on_cut(s.real, c2, d2, c1, d1, _BAND2_SIDE)
-        loop = (r1 / (z1 * z1 + q * q)) * (t * (2 * z1 + a + ac) + x_minus_l)
-        band1 = np.stack((loop, 1.0 / r1, z1 * (z1 - a.real) / r1), axis=1) * d1
-        z = np.concatenate((z1, z2))
-        logterm = np.concatenate((np.log(2.0 * (z1 + 1j * q) / q),
-                                  np.log(q / (2.0 * (z2 - 1j * q)))))
-        chi1 = chi_batch(z1, xi1, q, chi_quad) + chi_batch(z1, xi0, q, chi_quad)
-        chi = np.concatenate((chi1, -chi1.conj()))
-        j_over_r = ((logterm - 2.0 * chi) / np.concatenate((r1, r2))).reshape(2, s.size)
-        z_rel = z.reshape(2, s.size) - a.real
-        p0 = np.stack((j_over_r, z_rel * j_over_r), axis=2) * scale[:, None, None]
-        return np.concatenate((band1, p0.transpose(1, 0, 2).reshape(s.size, 4)), axis=1)
+        z, r = _r_on_cut(s.real, a, q)
+        loop = (r / (z * z + q * q)) * (t * (2 * z + a + ac) + x_minus_l)
+        chi = chi_batch(z, xi1, q, chi_quad) + chi_batch(z, xi0, q, chi_quad)
+        j_over_r = (np.log(2.0 * (z + 1j * q) / q) - 2.0 * chi) / r
+        z_rel = z - a.real
+        # the p0 columns run against increasing s
+        return np.stack((loop, 1.0 / r, z * z_rel / r, -j_over_r, -z_rel * j_over_r),
+                        axis=1) * d1
 
     return quad_path(terms, [-1.0, 1.0], quad)
 
@@ -466,7 +388,7 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams) -
 
     # one adaptive pass per contour, each integrand a column; (num2 + c_tau)/R
     # with num2 = z^2 - Re(alpha) z has a zero a-period. The band pass carries
-    # band 1's Omega loop and b-periods of 1/R and num2/R, and the p0 weights
+    # band 1's Omega loop, b-periods of 1/R and num2/R, and p0 weights
     band = _band_pass(a, x - L, t, xi0, xi1, q, quad, chi_quad)
     # Omega: real part of the collapsed loop integral around the upper band
     omega = real("gap-jump constant", -2.0 * band[0])
@@ -506,10 +428,11 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams) -
     p1_slope = real("p1 slope", -1j * omega / (2 * math.pi) * gap_inv_r)
     tau1_b = real("tau1 b-period", p1_slope * b_num)
 
-    # p0: band pieces with the j weight, gap pieces with the constant -i pi/2
-    p0_slope = real("p0 slope", (band[3] + band[5] - 0.5j * math.pi * gap_inv_r) / (2 * math.pi),
+    # p0: band pieces with the j weight (over both bands, 2 Re of band 1's),
+    # gap pieces with the constant -i pi/2
+    p0_slope = real("p0 slope", (2.0 * band[3].real - 0.5j * math.pi * gap_inv_r) / (2 * math.pi),
                     1e-7)
-    p0_const = (band[4] + band[6] - 0.5j * math.pi * gap_rel) / (2 * math.pi) + math.pi / 4.0
+    p0_const = (2.0 * band[4].real - 0.5j * math.pi * gap_rel) / (2 * math.pi) + math.pi / 4.0
 
     # Y0 = p0_const + p0' (iq - int_{iq}^{inf} ((num2 + c_tau)/R - 1)), up the
     # imaginary axis: no cut lies in Re z > 0, Im z > q, since Im alpha < q

@@ -3,7 +3,8 @@
 The pre-break phase geometry is controlled by a one-parameter family of
 level sets Im(2 nu (t z + b) - t q^2) = 0; their topology is known in
 closed form. The post-break boundary comes from a double-root condition on
-the derivative density rho1 of the second modified phase.
+the derivative density rho1 of the second modified phase. The closed-form
+band endpoint (alpha, mu) and its inversion in mu sit beside the T2 searches.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .specfun import brentq, cut_sqrt
+from .specfun import brentq, complete_elliptic_m1, cut_sqrt
 
 __all__ = [
     "LevelTopology",
@@ -188,6 +189,60 @@ def first_breaking_time(x: float, p) -> float:
     return (p.L - abs(x)) / (2.0 * math.sqrt(2.0) * p.q)
 
 
+# Taylor coefficients of A(m) = ((2-m)E - 2(1-m)K)/(m^2 E) at m = 0, from the
+# hypergeometric series of K and E; the terms left out add < 1e-17 at m = 0.03
+_A_TAYLOR = (3 / 8, 3 / 16, 111 / 1024, 141 / 2048, 1533 / 32768, 2193 / 65536,
+             836103 / 33554432, 1286193 / 67108864, 16254219 / 1073741824,
+             26249379 / 2147483648)
+
+
+def _endpoint(m1: float, q: float) -> tuple[complex, float]:
+    """(alpha, mu) at the complementary parameter m1 = 1 - m, without cancellation.
+
+    alpha = q (sqrt(4A - (1+mA)^2) + i m A) with A = ((2-m)E - 2(1-m)K)/(m^2 E),
+    and mu = (2 a^2 - b^2 + q^2) / (2 a) from the moment relation, alpha = a + ib.
+    Near m = 1 the radicand and q^2 - b^2 both vanish like m1; they are
+    written as m1 times factors that do not cancel, through
+    D = (A - 1)/m1 = ((3 - m1)E - 2K)/(m^2 E):
+      4A - (1+mA)^2 = m1 (A - m1 D^2/(1 + sqrt A)^2)(2 sqrt A + 1 + mA),
+      q^2 - b^2     = q^2 m1 (1 - D + m1 D)(1 + mA).
+    """
+    m = 1.0 - m1
+    if m < 0.03:
+        # near its removable singularity at m = 0 A's closed form cancels like 1e-16 / m^2
+        A = 0.0
+        for c in reversed(_A_TAYLOR):
+            A = A * m + c
+        D = (A - 1.0) / m1
+    else:
+        K, E = complete_elliptic_m1(m1)
+        D = ((3.0 - m1) * E - 2.0 * K) / (m * m * E)
+        A = 1.0 + m1 * D
+    s_a = math.sqrt(A)
+    rad = m1 * (A - m1 * D * D / (1.0 + s_a) ** 2) * (2.0 * s_a + 1.0 + m * A)
+    if rad < -1e-12:
+        raise ValueError(f"negative radicand {rad} in the endpoint formula")
+    a = q * math.sqrt(max(rad, 0.0))
+    b2_gap = q * q * m1 * (1.0 - D + m1 * D) * (1.0 + m * A)
+    return complex(a, q * m * A), (2.0 * a * a + b2_gap) / (2.0 * a)
+
+
+# the m bracket that _v_from_mu inverts mu on, in v = -log(1 - m); mu falls with m
+_M_BRACKET = (1e-14, 1.0 - 1e-14)
+
+
+def _v_from_mu(mu: float, q: float) -> float:
+    """v = -log(1 - m) at mu by brentq on _endpoint(exp(-v)): v resolves m near 1."""
+    if not (0 < mu < math.sqrt(2.0) * q):
+        raise ValueError(f"mu = {mu} outside the oscillatory window (0, sqrt2 q)")
+    v_lo, v_hi = (-math.log1p(-m) for m in _M_BRACKET)
+    f = lambda v: _endpoint(math.exp(-v), q)[1] - mu
+    f_lo, f_hi = f(v_lo), f(v_hi)
+    if f_lo * f_hi > 0:
+        raise RuntimeError(f"no sign change for mu = {mu}: [{f_lo}, {f_hi}]")
+    return brentq(f, v_lo, v_hi, xtol=1e-15, rtol=8.9e-16)
+
+
 # w = (log m1)^2 of the search's start t = 1.0001 T1(x), where mu = (L - |x|)/(2t)
 # is sqrt2 q / 1.0001 for every x, and m depends on mu/q only (mpmath, 50 digits)
 _W_START = 0.001422189960133937
@@ -209,9 +264,6 @@ def second_breaking_time(x: float, p, tol: float = 1e-8) -> float:
     window ends: the bracket grows in steps of 10, 20, 40, ... in w up to
     the endpoint solver's floor m = 1 - 1e-14 or t = 1e4 L/q.
     """
-    # deferred: genus1 builds on this module
-    from .genus1 import _M_BRACKET, _endpoint
-
     x = abs(x)
     first_breaking_time(x, p)  # rejects |x| >= L
     q, L = p.q, p.L
@@ -264,15 +316,13 @@ def ray_breaking_time(mu: float, p) -> float:
     t doubles from 0.1 until rho1's bump maximum turns negative, and the
     last doubling brackets the root of the bump maximum.
     """
-    from .genus1 import solve_endpoint  # deferred: genus1 builds on this module
-
     q, L = p.q, p.L
-    state = solve_endpoint(mu, q)
-    xi0 = mu - state.alpha.real
+    alpha = _endpoint(math.exp(-_v_from_mu(mu, q)), q)[0]
+    xi0 = mu - alpha.real
 
     @functools.cache
     def gap(t: float) -> float:
-        return rho1_bump_max(state.alpha, xi0, t, L, q)[0]
+        return rho1_bump_max(alpha, xi0, t, L, q)[0]
 
     t_hi = 0.1
     while gap(t_hi) > 0:

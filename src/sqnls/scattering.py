@@ -193,14 +193,8 @@ def _csinc(w: complex) -> complex:
     return cmath.sin(w) / w
 
 
-def scattering_data(z: complex, p: BarrierParams) -> tuple[complex, complex, complex]:
-    """Exact (a, b, r) of the single barrier at spectral point z.
-
-    a and b are entire; their values do not depend on the branch given to
-    nu because only even combinations enter. Raises if z is (numerically)
-    an eigenvalue, where r has a pole.
-    """
-    z = complex(z)
+def _a_and_b(z: complex, p: BarrierParams) -> tuple[complex, complex]:
+    """The entire functions (a, b) at z, with no pole check."""
     q, L, eps = p.q, p.L, p.eps
     nu = cmath.sqrt(z * z + q * q)  # any branch; a, b are even in nu
     phi = 2.0 * L * nu / eps
@@ -213,6 +207,18 @@ def scattering_data(z: complex, p: BarrierParams) -> tuple[complex, complex, com
         a = ((nu + z) / (2 * nu)) * cmath.exp(2j * L * (z - nu) / eps) \
             + ((nu - z) / (2 * nu)) * cmath.exp(2j * L * (z + nu) / eps)
         b = q * (cmath.exp(-2j * L * nu / eps) - cmath.exp(2j * L * nu / eps)) / (2j * nu)
+    return a, b
+
+
+def scattering_data(z: complex, p: BarrierParams) -> tuple[complex, complex, complex]:
+    """Exact (a, b, r) of the single barrier at spectral point z.
+
+    a and b are entire; their values do not depend on the branch given to
+    nu because only even combinations enter. Raises if z is (numerically)
+    an eigenvalue, where r has a pole.
+    """
+    z = complex(z)
+    a, b = _a_and_b(z, p)
     if abs(a) < 1e-300:
         raise ZeroDivisionError(f"a({z}) = 0 to machine precision: z is an eigenvalue, r has a pole")
     return a, b, b / a
@@ -263,20 +269,12 @@ def connection_coefficient(z_k: complex, p: BarrierParams) -> complex:
     matches the residue of r at z_k since a is entire and the zero simple.
     """
     z_k = complex(z_k)
-    a_val, b_val, _ = (None, None, None)
-    try:
-        a_val, b_val, _ = scattering_data(z_k, p)
-    except ZeroDivisionError:
-        # dead-on eigenvalue: a underflowed, recompute b alone from trig form
-        q, L, eps = p.q, p.L, p.eps
-        nu = cmath.sqrt(z_k * z_k + q * q)
-        b_val = -q * (2 * L / eps) * _csinc(2 * L * nu / eps)
-        a_val = 0.0
+    a_val, b_val = _a_and_b(z_k, p)
     if abs(a_val) > 1e-10 * max(1.0, abs(b_val)):
         raise ValueError(f"|a(z_k)| = {abs(a_val):.2e}: z_k is not an eigenvalue")
     h = 1e-6 * max(1.0, abs(z_k))
-    a_plus = scattering_data(z_k + h, p)[0]
-    a_minus = scattering_data(z_k - h, p)[0]
+    a_plus = _a_and_b(z_k + h, p)[0]
+    a_minus = _a_and_b(z_k - h, p)[0]
     a_prime = (a_plus - a_minus) / (2 * h)
     if abs(a_prime) < 1e-10:
         raise ValueError("a'(z_k) vanishes: zero is not simple")

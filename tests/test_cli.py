@@ -287,6 +287,15 @@ class TestCliOutput:
         assert capsys.readouterr().out.splitlines() == [
             "mu,m,re_alpha,im_alpha,Omega,eta,T0,Y0,H", endpoint_line(0.9, P)]
 
+    def test_endpoint_command_fails_cleanly(self, capsys):
+        # at mu = 1e-3 the segment pass alpha* -> alpha does not converge:
+        # the command prints no CSV, only the error, as field does
+        assert main(["endpoint", "--mu", "1e-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sqnls endpoint: adaptive quadrature: ")
+        assert captured.err.count("\n") == 1
+
     def test_validate_command(self, tmp_path):
         out = tmp_path / "val.csv"
         main(["--eps", "0.1", "validate", "--eps-list", "0.1", "--out", str(out)])

@@ -4,7 +4,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
-from sqnls import genus1, scattering, specfun
+from sqnls import genus1, phase_geometry, scattering, specfun
 from sqnls.genus1 import (
     RealityError,
     abel_map,
@@ -38,7 +38,7 @@ def _s2_point(x=0.25, frac=0.5, eps=0.05):
 
 
 # points of the band pass tests: near mu = sqrt2 q (t just past T1) and near
-# t = T2 the shared heap must refine both bands at once
+# t = T2 the one heap must refine the Omega loop, the b-periods and the p0 weights at once
 _BAND_POINTS = [(0.25, 0.5, 1e-10), (0.05, 0.001, 1e-12), (0.95, 0.001, 1e-12),
                 (0.05, 0.999, 1e-12), (0.95, 0.999, 1e-12)]
 
@@ -97,7 +97,7 @@ class TestEndpointPrecision:
 
     @pytest.mark.parametrize("m1,a_ref,b_ref,mu_ref", REFERENCE)
     def test_no_cancellation_near_m_one(self, m1, a_ref, b_ref, mu_ref):
-        alpha, mu = genus1._endpoint(m1, 1.0)
+        alpha, mu = phase_geometry._endpoint(m1, 1.0)
         assert abs(alpha.real - a_ref) <= 1e-13 * a_ref
         assert abs(alpha.imag - b_ref) <= 1e-13 * b_ref
         assert abs(mu - mu_ref) <= 1e-13 * mu_ref
@@ -124,7 +124,7 @@ class TestEndpointPrecision:
         # A has a removable singularity at m = 0, where its closed form
         # cancels like 1e-16 / m^2: the closed form misses alpha by 5e-13
         # relative at m = 0.031 and 0.05, above the switch to the series
-        alpha, mu = genus1._endpoint(1.0 - m, 1.0)
+        alpha, mu = phase_geometry._endpoint(1.0 - m, 1.0)
         assert abs(alpha - complex(a_ref, b_ref)) <= 1e-12 * abs(complex(a_ref, b_ref))
         assert abs(mu - mu_ref) <= 1e-12 * mu_ref
 
@@ -149,7 +149,7 @@ class TestEndpointPrecision:
 
     @pytest.mark.parametrize("m", [1e-5, 0.037, 0.5, 0.9])
     def test_from_m_is_the_m1_form(self, m):
-        alpha, mu = genus1._endpoint(1.0 - m, Q)
+        alpha, mu = phase_geometry._endpoint(1.0 - m, Q)
         assert alpha_from_m(m, Q) == alpha
         assert mu_from_m(m, Q) == mu
 
@@ -331,7 +331,7 @@ class TestModulationConstants:
 
         def perturbed(*args):
             band1.append(band_pass(*args))
-            return band1[-1] + np.array([0.0, 0.0, 1e-10j, 0.0, 0.0, 0.0, 0.0])
+            return band1[-1] + np.array([0.0, 0.0, 1e-10j, 0.0, 0.0])
 
         monkeypatch.setattr(genus1, "_band_pass", perturbed)
         mods = modulation_constants(st.alpha, x, t, p)
@@ -354,9 +354,8 @@ class TestModulationConstants:
         assert abs(m1.eta / t1v - m2.eta / t2v) < 1e-8 * max(1.0, abs(m1.eta / t1v))
 
     def test_chi_transforms_run_once_per_xi(self, monkeypatch):
-        # one band pass carries both bands, and its first panels converge:
-        # chi_batch runs once per xi, on band 1's 90 points; band 2's are
-        # their conjugates and take the reflected values
+        # one band pass over band 1, and its first panels converge:
+        # chi_batch runs once per xi, on band 1's 90 points
         p, x, t, st = _s2_point()
         sizes = []
         chi_batch = genus1.chi_batch
@@ -370,7 +369,7 @@ class TestModulationConstants:
         assert sizes == [90, 90]
 
     def test_one_quadrature_pass_per_contour(self, monkeypatch):
-        # the band pass (band 1's columns and the p0 weights of both bands),
+        # the band pass (band 1's columns and p0 weights),
         # the segment alpha* -> alpha and the ray iq -> i inf; the chi
         # transforms run in scattering's namespace
         calls = []
@@ -424,39 +423,40 @@ class TestModulationConstants:
 
     @pytest.mark.parametrize("x,frac,tol", _BAND_POINTS)
     def test_band_pass_matches_per_band_route(self, x, frac, tol):
-        # band 1's columns against _cut_integral, and the p0 band integrals
-        # against each band on its own cut, with its own log term and chi
-        # transforms
+        # band 1's columns against _cut_integral; band 2's p0 integrals are
+        # the conjugates of band 1's, and the sum over both bands is 2 Re of
+        # them. Each band runs on its own cut with its own log term and chi
+        # transforms: band 2 = [alpha*, -iq] is built here, with its side +1
+        # boundary value, since the library takes it by reflection
         from sqnls.scattering import chi_batch
 
         p, x, t, st, xi0, xi1 = _band_point(x, frac)
         a, q = st.alpha, p.q
         quad, chi_quad = QuadratureSpec(tol), QuadratureSpec(1e-11)
 
-        def terms(band):
-            def g(z, r_side):
-                if band == 1:
-                    logterm = np.log(2.0 * (z + 1j * q) / q)
-                else:
-                    logterm = np.log(q / (2.0 * (z - 1j * q)))
-                j = logterm - 2.0 * (chi_batch(z, xi1, q, chi_quad)
-                                     + chi_batch(z, xi0, q, chi_quad))
-                return np.stack((j / r_side, (z - a.real) * j / r_side), axis=1)
-            return g
+        def p0_terms(z, r_side, logterm):
+            j = logterm - 2.0 * (chi_batch(z, xi1, q, chi_quad) + chi_batch(z, xi0, q, chi_quad))
+            return np.stack((j / r_side, (z - a.real) * j / r_side), axis=1)
 
         def band2(s):
-            c1, d1 = genus1._cut1(a, q)
-            c2, d2 = genus1._cut2(a, q)
-            z, r_side = genus1._r_on_cut(s.real, c2, d2, c1, d1, genus1._BAND2_SIDE)
-            return terms(2)(z, r_side) * d2
+            # s = -1 at -iq, +1 at alpha*; the local factor is +i d2 sqrt(1 - s^2)
+            c1, d1 = 0.5 * (1j * q + a), 0.5 * (a - 1j * q)
+            c2, d2 = c1.conjugate(), d1.conjugate()
+            s = s.real
+            z = c2 + s * d2
+            r_side = 1j * d2 * np.sqrt(1.0 - s * s) * specfun.cut_sqrt(z, c1, d1)
+            return p0_terms(z, r_side, np.log(q / (2.0 * (z - 1j * q)))) * d2
 
-        per_band = np.concatenate((
-            genus1._cut_integral(_band1_terms(a, x - p.L, t, q), a, q, quad),
-            -genus1._cut_integral(terms(1), a, q, quad),
-            specfun.quad_path(band2, [-1.0, 1.0], quad)))
+        band1_p0 = -genus1._cut_integral(
+            lambda z, r: p0_terms(z, r, np.log(2.0 * (z + 1j * q) / q)), a, q, quad)
+        band2_p0 = specfun.quad_path(band2, [-1.0, 1.0], quad)
         one_pass = genus1._band_pass(a, x - p.L, t, xi0, xi1, q, quad, chi_quad)
-        assert one_pass.shape == (7,)
+        assert one_pass.shape == (5,)
+        per_band = np.concatenate((
+            genus1._cut_integral(_band1_terms(a, x - p.L, t, q), a, q, quad), band1_p0))
         assert np.max(np.abs(one_pass - per_band)) < 1e-12
+        assert np.max(np.abs(one_pass[3:].conj() - band2_p0)) < 1e-12
+        assert np.max(np.abs(2.0 * one_pass[3:].real - (band1_p0 + band2_p0))) < 1e-12
 
     @pytest.mark.parametrize("x,frac,tol", _BAND_POINTS)
     def test_band1_adds_no_panel(self, x, frac, tol, monkeypatch):
@@ -487,8 +487,8 @@ class TestModulationConstants:
         assert band1 <= p0
 
     def test_band_pass_budget(self, monkeypatch):
-        # one pass carries two bands, so it gets twice the panel budget of a
-        # per-band run; the both-ended segment doubles it again for its halves.
+        # the band pass has a per-band run's panel budget, which the
+        # both-ended segment doubles for its halves.
         # Every pass enters specfun's loop: the band pass through adaptive_gl,
         # the chi transforms with their Cauchy sums from scattering
         p, x, t, st, xi0, xi1 = _band_point(0.25, 0.5)
@@ -504,7 +504,7 @@ class TestModulationConstants:
         genus1._band_pass(st.alpha, x - p.L, t, xi0, xi1, p.q, QuadratureSpec(1e-10, 7),
                           QuadratureSpec(1e-11, 50))
         # the band pass comes first; the chi transforms run inside it
-        assert budgets[0] == 4 * 7
+        assert budgets[0] == 2 * 7
         assert set(budgets[1:]) == {50}
 
     def test_xi0_positive_on_grid(self):

@@ -322,7 +322,7 @@ class TestT2SearchCost:
         # the start point is a constant, and the search makes no more bump
         # searches than the nested design did (7, 9 and 21 at x = 0.1, 0.5
         # and 0.9, one endpoint solve per bump search)
-        solves = self._count(monkeypatch, genus1, "_v_from_mu")
+        solves = self._count(monkeypatch, phase_geometry, "_v_from_mu")
         bumps = self._count(monkeypatch, phase_geometry, "rho1_bump_max")
         for x, nested_bumps in ((0.1, 7), (0.5, 9), (0.9, 21)):
             solves.clear()
@@ -337,7 +337,7 @@ class TestT2SearchCost:
     def test_no_mu_solved_twice(self, monkeypatch, x):
         # brentq evaluates its bracket ends again and the double-root polish
         # revisits the root: each must come from the search's own cache
-        solves = self._count(monkeypatch, genus1, "_endpoint")
+        solves = self._count(monkeypatch, phase_geometry, "_endpoint")
         second_breaking_time(x, P)
         m1s = [args[0] for args in solves]
         assert len(m1s) > 0
@@ -350,7 +350,7 @@ class TestT2SearchCost:
         p = BarrierParams(q, 1.0, 0.05)
         x = frac * p.L
         mu = (p.L - x) / (2.0 * 1.0001 * first_breaking_time(x, p))
-        w = genus1._v_from_mu(mu, q) ** 2
+        w = phase_geometry._v_from_mu(mu, q) ** 2
         assert abs(w - phase_geometry._W_START) <= 1e-11 * w
 
     def test_no_ray_time_bumped_twice(self, monkeypatch):

@@ -5,10 +5,10 @@ Modules:
   scattering     exact forward-scattering data of the barrier
   phase_geometry level-set topology, band endpoint, breaking curves
   genus0         pre-break (plane-wave) asymptotics
-  genus1         post-break (theta-function) asymptotics
+  genus1         post-break (theta-function) asymptotics, the envelope diagnostic
   nls_direct     split-step Fourier reference integrator
-  field          region classification, grid sampling, breaking-curve table
-  cli            command line
+  field          region classification, grid sampling, the table of every command
+  cli            command line: arguments, config file, dispatch, exit status
 """
 
 from .field import Region, classify, psi_asymptotic

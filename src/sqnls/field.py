@@ -1,9 +1,11 @@
-"""Region classification, grid sampling and the breaking-curve table.
+"""Region classification, grid sampling and the table of every command.
 
 The space-time plane splits into S0 (|x| > L), S1 (before the first
 breaking time), S2 (between the breaking curves) and the boundaries and
-beyond, which no leading-order form covers. Numbers go out with 17
-significant digits, so identical configurations give identical text.
+beyond, which no leading-order form covers. Each command of the command
+line is one function here that returns its output lines: numbers go out
+with 17 significant digits, so identical configurations give identical
+text. A command that cannot make its table whole raises TableError.
 """
 
 from __future__ import annotations
@@ -15,12 +17,14 @@ import numpy as np
 
 from .genus0 import RegionError, psi_asy_g0
 from .genus1 import RealityError, modulation_constants, psi_asy_g1, solve_endpoint
-from .nls_direct import GridField, evolve, validation_config
-from .phase_geometry import PinchPointError, first_breaking_time, second_breaking_time
+from .nls_direct import evolve, validation_config
+from .phase_geometry import (PinchPointError, first_breaking_time, ray_breaking_time,
+                             second_breaking_time)
 from .scattering import BarrierParams
 from .specfun import QuadratureConvergenceError
 
-__all__ = ["Region", "classify", "psi_asymptotic", "sample_grid", "breaking_curves"]
+__all__ = ["Region", "TableError", "EmptyPatchError", "classify", "psi_asymptotic", "sample_grid",
+           "classify_table", "breaking_curves", "field_table", "validate_table", "endpoint_table"]
 
 _BOUNDARY_RTOL = 1e-12
 _POINT_ERRORS = (QuadratureConvergenceError, RealityError, RegionError)
@@ -33,6 +37,18 @@ class Region:
     label: str  # 'S0' | 'S1' | 'S2' | 'beyond_scope'
     T1: float | None = None
     T2: float | None = None
+
+
+class TableError(RuntimeError):
+    """A command's table could not be made whole; lines holds what of it was made."""
+
+    def __init__(self, message: str, lines: list[str] | None = None):
+        super().__init__(message)
+        self.lines = lines or []
+
+
+class EmptyPatchError(TableError):
+    """A validate patch holds no grid node; raised before any solver runs."""
 
 
 _T2_CACHE: dict[tuple, float | None] = {}
@@ -102,14 +118,13 @@ def sample_grid(x_range: tuple[float, float], t_range: tuple[float, float],
                 resolution: tuple[int, int], p: BarrierParams, mode: str) -> dict:
     """Evaluate fields on a rectangular (x, t) grid.
 
-    Returns a dict with keys 'x', 't', 'regions' and 'errors', and the
-    per-mode entries 'asymptotic' and/or 'numeric' (lists of GridField, one
-    per t; 'both' mode gives both, and a caller compares them point by
-    point). 'errors' lists the per-point failures: a
-    QuadratureConvergenceError, RealityError or RegionError at one point is
-    recorded there and leaves that point empty; any other error propagates.
-    The numeric fields come from the validation_config solver run,
-    interpolated linearly onto the grid.
+    Returns a dict with keys 'x', 't', 'regions' (nt rows of nx Regions),
+    'errors', and 'asymptotic' and/or 'numeric' by mode ('both' gives both),
+    each an (nt, nx) complex array. A beyond-scope point of the asymptotic
+    field is NaN, a null marker, never a guess; so is a point where a
+    QuadratureConvergenceError, RealityError or RegionError is raised, and
+    'errors' records it. Any other error propagates. The numeric field is
+    the validation_config solver run, interpolated linearly onto the grid.
     """
     if mode not in ("asymptotic", "numeric", "both"):
         raise ValueError("mode must be 'asymptotic', 'numeric' or 'both'")
@@ -122,31 +137,21 @@ def sample_grid(x_range: tuple[float, float], t_range: tuple[float, float],
     out: dict = {"x": xs, "t": ts, "regions": regions, "errors": []}
 
     if mode in ("asymptotic", "both"):
-        fields = []
+        vals = np.full((nt, nx), np.nan + 1j * np.nan)
         for i, t in enumerate(ts):
-            vals = np.full(nx, np.nan + 1j * np.nan, dtype=complex)
             for j, x in enumerate(xs):
-                reg = regions[i][j]
-                if reg.label == "beyond_scope":
-                    continue  # null marker, never a guess
+                if regions[i][j].label == "beyond_scope":
+                    continue
                 try:
-                    vals[j] = psi_asymptotic(float(x), float(t), p, reg)
+                    vals[i, j] = psi_asymptotic(float(x), float(t), p, regions[i][j])
                 except _POINT_ERRORS as exc:
                     out["errors"].append({"x": float(x), "t": float(t), "error": repr(exc)})
-            fields.append(GridField(xs.copy(), vals, float(t),
-                                    region_labels=[r.label for r in regions[i]]))
-        out["asymptotic"] = fields
+        out["asymptotic"] = vals
 
     if mode in ("numeric", "both"):
-        t_final = float(ts[-1])
-        raw = evolve(validation_config(p, t_final, [float(t) for t in ts]))
-        fields = []
-        for i, snap in enumerate(raw):
-            re = np.interp(xs, snap.x_nodes, snap.values.real)
-            im = np.interp(xs, snap.x_nodes, snap.values.imag)
-            fields.append(GridField(xs.copy(), re + 1j * im, float(ts[i]),
-                                    region_labels=[r.label for r in regions[i]]))
-        out["numeric"] = fields
+        snaps = evolve(validation_config(p, float(ts[-1]), [float(t) for t in ts]))
+        out["numeric"] = np.array([np.interp(xs, s.x_nodes, s.values.real)
+                                   + 1j * np.interp(xs, s.x_nodes, s.values.imag) for s in snaps])
 
     return out
 
@@ -155,6 +160,12 @@ def _fmt(v: float | None) -> str:
     if v is None or (isinstance(v, float) and math.isnan(v)):
         return ""
     return f"{v:.17g}"
+
+
+def classify_table(x: float, t: float, p: BarrierParams) -> list[str]:
+    """The line region,T1,T2 of one point; a breaking time is empty where there is none."""
+    reg = classify(x, t, p)
+    return [f"{reg.label},{_fmt(reg.T1)},{_fmt(reg.T2)}"]
 
 
 def breaking_curves(x_min: float, x_max: float, nx: int, p: BarrierParams) -> list[str]:
@@ -170,3 +181,107 @@ def breaking_curves(x_min: float, x_max: float, nx: int, p: BarrierParams) -> li
         t2 = _t2_cached(x, p)
         lines.append(f"{_fmt(x)},{_fmt(t1)},{_fmt(t2)}")
     return lines
+
+
+def field_table(p: BarrierParams, x_min: float | None = None, x_max: float | None = None,
+                t_min: float | None = None, t_max: float | None = None, nx: int = 41,
+                nt: int = 4, mode: str = "asymptotic") -> list[str]:
+    """CSV lines of sample_grid: x,t,region,re_psi,im_psi,abs_psi.
+
+    A range end left None follows the barrier: x in [-2L, 2L], t in
+    [0.05, 0.2] L/q. Beyond-scope points read NA with empty values. Mode
+    'numeric' prints the solver's field in the value columns; 'both' adds
+    re_num,im_num,abs_num,abs_err, with abs_err empty where psi_asy is. A
+    failed point is left empty, and TableError carries the whole table.
+    """
+    t_unit = p.L / p.q
+    x_range = (-2.0 * p.L if x_min is None else x_min, 2.0 * p.L if x_max is None else x_max)
+    t_range = (0.05 * t_unit if t_min is None else t_min, 0.2 * t_unit if t_max is None else t_max)
+    res = sample_grid(x_range, t_range, (nx, nt), p, mode)
+    both = mode == "both"
+    header = "x,t,region,re_psi,im_psi,abs_psi"
+    lines = [header + ",re_num,im_num,abs_num,abs_err" if both else header]
+    shown = res["numeric" if mode == "numeric" else "asymptotic"]
+    for i, t in enumerate(res["t"]):
+        for j, x in enumerate(res["x"]):
+            label, v = res["regions"][i][j].label, shown[i, j]
+            label = "NA" if label == "beyond_scope" else label
+            row = f"{_fmt(float(x))},{_fmt(float(t))},{label},"
+            empty = np.isnan(v.real)
+            row += ",," if empty else f"{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))}"
+            if both:
+                u = res["numeric"][i, j]
+                row += f",{_fmt(u.real)},{_fmt(u.imag)},{_fmt(abs(u))},"
+                row += "" if empty else _fmt(abs(u - v))
+            lines.append(row)
+    errors = res["errors"]
+    if errors:
+        first = errors[0]
+        raise TableError(f"{len(errors)} point(s) failed and were left empty; first at "
+                         f"x = {first['x']:g}, t = {first['t']:g}: {first['error']}", lines)
+    return lines
+
+
+def validate_table(p: BarrierParams, eps_list: list[float], t: float | None = None) -> list[str]:
+    """CSV lines eps,region,patch_lo,patch_hi,linf,l2 and a JSON summary line.
+
+    Per eps, the S1 row compares the validation_config solver with the S1
+    wave form at t (default 0.15 L/q) on the grid nodes of |x| <= L/2 with
+    t < T1(x); the S0 row gives the solver's |psi| on [1.5 L, 2 L] at
+    0.2 L/q. patch_lo and patch_hi are the first and last nodes used. Every
+    eps's patches are checked before any solver runs: a patch without a
+    grid node raises EmptyPatchError.
+    """
+    t_unit = p.L / p.q
+    t_s1 = 0.15 * t_unit if t is None else t
+    t_s0 = 0.2 * t_unit
+    times = sorted({t_s1, t_s0})
+    runs = []
+    for eps in eps_list:
+        pe = BarrierParams(p.q, p.L, eps)
+        cfg = validation_config(pe, times[-1], times)
+        x = cfg.x_nodes
+        s1 = np.array([abs(xx) <= 0.5 * pe.L and t_s1 < first_breaking_time(float(xx), pe)
+                       for xx in x])
+        s0 = (x >= 1.5 * pe.L) & (x <= 2.0 * pe.L)
+        for name, mask in (("S1", s1), ("S0", s0)):
+            if not np.any(mask):
+                raise EmptyPatchError(f"the {name} patch holds no grid node (q = {pe.q:g}, "
+                                      f"L = {pe.L:g}, eps = {eps:g}, t = {t_s1:g})")
+        runs.append((pe, cfg, x, s1, s0))
+    lines = ["eps,region,patch_lo,patch_hi,linf,l2"]
+    entries = []
+    for pe, cfg, x, s1, s0 in runs:
+        snaps = evolve(cfg)
+        asy = np.array([psi_asy_g0(float(xx), t_s1, pe) for xx in x[s1]])
+        diff = np.abs(snaps[times.index(t_s1)].values[s1] - asy)
+        tail = np.abs(snaps[times.index(t_s0)].values[s0])
+        for region, mask, err in (("S1", s1, diff), ("S0", s0, tail)):
+            linf, l2 = float(np.max(err)), float(math.sqrt(np.mean(err ** 2)))
+            lines.append(",".join([_fmt(pe.eps), region] + [_fmt(v) for v in (
+                float(x[mask][0]), float(x[mask][-1]), linf, l2)]))
+            # the text of json.dumps(summary, sort_keys=True), which writes floats
+            # by repr; the json module would be one more import of `import sqnls`
+            l2_key = f'"l2": {l2!r}, ' if region == "S1" else ""
+            entries.append(f'{{"eps": {float(pe.eps)!r}, {l2_key}"linf": {linf!r}, '
+                           f'"region": "{region}"}}')
+    lines.append(f'{{"entries": [{", ".join(entries)}], "t": {float(t_s1)!r}}}')
+    return lines
+
+
+def endpoint_table(mu: float, p: BarrierParams) -> list[str]:
+    """Header and row mu,m,re_alpha,im_alpha,Omega,eta,T0,Y0,H of one ray.
+
+    The modulation constants need a concrete (x, t); the canonical choice is
+    the midpoint t = T2_ray/2 of the oscillatory window on the ray of
+    constant mu through (L, 0). A point error raises TableError.
+    """
+    try:
+        state = solve_endpoint(mu, p.q)
+        t_ref = 0.5 * ray_breaking_time(mu, p)
+        mods = modulation_constants(state.alpha, p.L - 2.0 * mu * t_ref, t_ref, p)
+    except _POINT_ERRORS as exc:
+        raise TableError(str(exc)) from exc
+    vals = [mu, state.m, state.alpha.real, state.alpha.imag,
+            mods.Omega, mods.eta, mods.T0, mods.Y0, mods.H]
+    return ["mu,m,re_alpha,im_alpha,Omega,eta,T0,Y0,H", ",".join(_fmt(v) for v in vals)]

@@ -21,16 +21,8 @@ from .phase_geometry import first_breaking_time, level_topology
 from .scattering import BarrierParams, kappa_weight, nu_imag_cut
 from .specfun import QuadratureSpec, dilog, quad_ray_to_inf
 
-__all__ = [
-    "RegionError",
-    "BandContour",
-    "stationary_points_g0",
-    "build_band_g0",
-    "omega_phase",
-    "omega_selfsimilar",
-    "psi_asy_g0",
-    "wkb_laplace_residual",
-]
+__all__ = ["RegionError", "BandContour", "stationary_points_g0", "build_band_g0", "omega_phase",
+           "omega_selfsimilar", "psi_asy_g0", "wkb_laplace_residual"]
 
 
 class RegionError(ValueError):

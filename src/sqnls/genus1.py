@@ -21,22 +21,10 @@ from .scattering import BarrierParams, _dist_to_polyline, chi_batch
 from .specfun import (QuadratureSpec, complete_elliptic, cut_sqrt, quad_path, quad_ray_to_inf,
                       theta_sum)
 
-__all__ = [
-    "RealityError",
-    "EndpointState",
-    "ModulationParams",
-    "elliptic_parameter",
-    "alpha_from_m",
-    "mu_from_m",
-    "endpoint_mu_floor",
-    "solve_endpoint",
-    "endpoint_residuals",
-    "char_speed",
-    "period_integrals",
-    "abel_map",
-    "modulation_constants",
-    "psi_asy_g1",
-]
+__all__ = ["RealityError", "EndpointState", "ModulationParams", "elliptic_parameter",
+           "alpha_from_m", "mu_from_m", "endpoint_mu_floor", "solve_endpoint",
+           "endpoint_residuals", "char_speed", "period_integrals", "abel_map",
+           "modulation_constants", "psi_asy_g1", "envelope_defect"]
 
 class RealityError(RuntimeError):
     """A period or modulation constant that must be real came out complex.
@@ -463,3 +451,18 @@ def psi_asy_g1(x: float, t: float, p: BarrierParams, state: EndpointState,
                 f"{name} vanished; upstream reality violation (zeros need complex T)")
     amp = q - state.alpha.imag
     return amp * (th_num0 / th_den0) * (th_num1 / th_den1) * cmath.exp(-2j * mods.Y0)
+
+
+def envelope_defect(alpha: complex, mods: ModulationParams, q: float) -> float:
+    """Relative miss of the largest modulus of psi_asy_g1 from q + Im alpha.
+
+    Over the fast phase T the genus-1 modulus runs over [q - b, q + b],
+    b = Im alpha (the trace formula for the branch points iq and alpha;
+    Kamchatnov, Phys. Rep. 286 (1997)). The minimum, at T = 0, holds by
+    construction; the maximum, at T = pi, only when alpha, H and A_inf agree:
+    (q - b) |Theta(0) Theta(2A + i pi) / (Theta(2A) Theta(i pi))| = q + b.
+    """
+    b, two_a, H = alpha.imag, 2.0 * mods.A_inf, mods.H
+    ratio = (theta_sum(0.0, H) * theta_sum(two_a + 1j * math.pi, H)
+             / (theta_sum(two_a, H) * theta_sum(1j * math.pi, H)))
+    return abs((q - b) * abs(ratio) - (q + b)) / (q + b)

@@ -80,14 +80,11 @@ class GridField:
     x_nodes: np.ndarray
     values: np.ndarray
     t: float
-    region_labels: list | None = None
 
     def __post_init__(self):
         if len(self.x_nodes) != len(self.values):
             raise ValueError("x_nodes and values must have the same length")
-        # NaN entries are allowed as beyond-scope null markers; infinities are not
-        finite = self.values[~np.isnan(self.values.real)]
-        if finite.size and not np.isfinite(np.sum(np.abs(finite) ** 2)):
+        if not np.isfinite(np.sum(np.abs(self.values) ** 2)):
             raise ValueError("field has non-finite L2 norm")
 
 

@@ -15,19 +15,9 @@ from dataclasses import dataclass
 
 from .specfun import brentq, complete_elliptic_m1, cut_sqrt
 
-__all__ = [
-    "LevelTopology",
-    "PinchPointError",
-    "level_topology",
-    "rho1_real_roots",
-    "rho1_value",
-    "rho1_slope",
-    "rho1_bump_max",
-    "first_breaking_time",
-    "second_breaking_time",
-    "ray_breaking_time",
-    "big_s",
-]
+__all__ = ["LevelTopology", "PinchPointError", "level_topology", "rho1_real_roots", "rho1_value",
+           "rho1_slope", "rho1_bump_max", "first_breaking_time", "second_breaking_time",
+           "ray_breaking_time", "big_s"]
 
 
 class PinchPointError(RuntimeError):

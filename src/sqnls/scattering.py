@@ -18,21 +18,9 @@ import numpy as np
 from .specfun import (QuadratureSpec, adaptive_panels, brentq, cut_sqrt, gl_panels, quad_path,
                       quad_ray_to_inf)
 
-__all__ = [
-    "BarrierParams",
-    "BranchCut",
-    "BranchBoundaryError",
-    "nu_branch",
-    "nu_imag_cut",
-    "scattering_data",
-    "eigenvalues",
-    "eigenvalue_phase",
-    "connection_coefficient",
-    "kappa_weight",
-    "chi_integral",
-    "chi_batch",
-    "multistep_scattering",
-]
+__all__ = ["BarrierParams", "BranchCut", "BranchBoundaryError", "nu_branch", "nu_imag_cut",
+           "scattering_data", "eigenvalues", "eigenvalue_phase", "connection_coefficient",
+           "kappa_weight", "chi_integral", "chi_batch", "multistep_scattering"]
 
 
 class BranchBoundaryError(ValueError):
@@ -193,21 +181,44 @@ def _csinc(w: complex) -> complex:
     return cmath.sin(w) / w
 
 
-def _a_and_b(z: complex, p: BarrierParams) -> tuple[complex, complex]:
-    """The entire functions (a, b) at z, with no pole check."""
+def _csinc_slope(w: complex) -> complex:
+    # (cos w - sinc w) / w^2 = sinc'(w) / w, from its series where it cancels
+    if abs(w) < 0.1:
+        w2 = w * w
+        return -1.0 / 3.0 + w2 / 30.0 - w2 * w2 / 840.0 + w2 * w2 * w2 / 45360.0
+    return (cmath.cos(w) - _csinc(w)) / (w * w)
+
+
+def _a_and_b(z: complex, p: BarrierParams, shift: float = 0.0
+             ) -> tuple[complex, complex, complex, float]:
+    """(a, a', b, size) at z, with no pole check; a' is exact.
+
+    a, a' and size, the modulus of the larger of the two terms summed into a,
+    come times exp(shift): shift = 2 L Im z / eps takes out the modulus of
+    a's factor exp(2iLz/eps), which underflows far up the imaginary axis.
+    """
     q, L, eps = p.q, p.L, p.eps
+    k = 2 * L / eps
     nu = cmath.sqrt(z * z + q * q)  # any branch; a, b are even in nu
     phi = 2.0 * L * nu / eps
     if abs(phi.imag) <= 30.0:
-        # trig form, smooth through nu = 0
-        a = (cmath.cos(phi) - 1j * z * (2 * L / eps) * _csinc(phi)) * cmath.exp(2j * L * z / eps)
-        b = -q * (2 * L / eps) * _csinc(phi)
+        # trig form, smooth through nu = 0: a = A exp(2iLz/eps), A = cos phi - i k z sinc phi
+        sinc = _csinc(phi)
+        t0, t1 = cmath.cos(phi), -1j * z * k * sinc
+        d_big_a = -k * sinc * (k * z + 1j) - 1j * k ** 3 * z * z * _csinc_slope(phi)
+        e = cmath.exp(2j * L * z / eps + shift)
+        a, a_prime = (t0 + t1) * e, (d_big_a + 1j * k * (t0 + t1)) * e
+        size = max(abs(t0), abs(t1)) * abs(e)
+        b = -q * k * sinc
     else:
         # exponential split keeps the combined exponents moderate
-        a = ((nu + z) / (2 * nu)) * cmath.exp(2j * L * (z - nu) / eps) \
-            + ((nu - z) / (2 * nu)) * cmath.exp(2j * L * (z + nu) / eps)
+        e1 = cmath.exp(2j * L * (z - nu) / eps + shift)
+        e2 = cmath.exp(2j * L * (z + nu) / eps + shift)
+        t0, t1 = ((nu + z) / (2 * nu)) * e1, ((nu - z) / (2 * nu)) * e2
+        a, size = t0 + t1, max(abs(t0), abs(t1))
+        a_prime = q * q / (2 * nu * nu) * ((e1 - e2) / nu + 1j * k * (e1 + e2))
         b = q * (cmath.exp(-2j * L * nu / eps) - cmath.exp(2j * L * nu / eps)) / (2j * nu)
-    return a, b
+    return a, a_prime, b, size
 
 
 def scattering_data(z: complex, p: BarrierParams) -> tuple[complex, complex, complex]:
@@ -218,7 +229,7 @@ def scattering_data(z: complex, p: BarrierParams) -> tuple[complex, complex, com
     an eigenvalue, where r has a pole.
     """
     z = complex(z)
-    a, b = _a_and_b(z, p)
+    a, _, b, _ = _a_and_b(z, p)
     if abs(a) < 1e-300:
         raise ZeroDivisionError(f"a({z}) = 0 to machine precision: z is an eigenvalue, r has a pole")
     return a, b, b / a
@@ -265,20 +276,22 @@ def eigenvalues(p: BarrierParams) -> list[float]:
 def connection_coefficient(z_k: complex, p: BarrierParams) -> complex:
     """c_k = b(z_k) / a'(z_k) at a simple zero z_k of a.
 
-    a' comes from a centered difference with step 1e-6 max(1, |z_k|); that
-    matches the residue of r at z_k since a is entire and the zero simple.
+    a and a' are taken times exp(2 L Im z_k / eps), which takes out their
+    factor exp(2iLz/eps): z_k is an eigenvalue when the Newton step a/a' is
+    below 1e-10 q, a simple one when a' is above 1e-10 of a's larger term
+    times 2L/eps. c_k itself carries exp(2 L Im z_k / eps), and past
+    2 L Im z_k / eps ~ 709 it overflows (OverflowError).
     """
     z_k = complex(z_k)
-    a_val, b_val = _a_and_b(z_k, p)
-    if abs(a_val) > 1e-10 * max(1.0, abs(b_val)):
-        raise ValueError(f"|a(z_k)| = {abs(a_val):.2e}: z_k is not an eigenvalue")
-    h = 1e-6 * max(1.0, abs(z_k))
-    a_plus = _a_and_b(z_k + h, p)[0]
-    a_minus = _a_and_b(z_k - h, p)[0]
-    a_prime = (a_plus - a_minus) / (2 * h)
-    if abs(a_prime) < 1e-10:
+    k = 2 * p.L / p.eps
+    shift = k * z_k.imag
+    a_val, a_prime, b_val, size = _a_and_b(z_k, p, shift)
+    if abs(a_val) > 1e-10 * p.q * abs(a_prime):
+        raise ValueError(f"|a| = {abs(a_val):.2e}, |a'| = {abs(a_prime):.2e}: "
+                         "z_k is not an eigenvalue")
+    if abs(a_prime) <= 1e-10 * k * size:
         raise ValueError("a'(z_k) vanishes: zero is not simple")
-    return b_val / a_prime
+    return b_val * math.exp(shift) / a_prime
 
 
 # ---------------------------------------------------------------------------

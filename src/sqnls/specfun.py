@@ -35,24 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "QuadratureSpec",
-    "QuadratureConvergenceError",
-    "complete_elliptic",
-    "complete_elliptic_m1",
-    "ellipk",
-    "ellipe",
-    "complete_elliptic_series",
-    "dilog",
-    "theta_sum",
-    "cut_sqrt",
-    "brentq",
-    "gl_panels",
-    "adaptive_panels",
-    "adaptive_gl",
-    "quad_path",
-    "quad_ray_to_inf",
-]
+__all__ = ["QuadratureSpec", "QuadratureConvergenceError", "complete_elliptic",
+           "complete_elliptic_m1", "ellipk", "ellipe", "complete_elliptic_series", "dilog",
+           "theta_sum", "cut_sqrt", "brentq", "gl_panels", "adaptive_panels", "adaptive_gl",
+           "quad_path", "quad_ray_to_inf"]
 
 _LN_INV_EPS = math.log(1e16)
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import sqnls
-from sqnls.cli import endpoint_line, load_config, main
-from sqnls.field import breaking_curves, classify, sample_grid
+from sqnls.cli import load_config, main
+from sqnls.field import breaking_curves, classify, endpoint_table, sample_grid
 from sqnls.nls_direct import evolve, validation_config
 from sqnls.phase_geometry import PinchPointError, first_breaking_time, second_breaking_time
 from sqnls.scattering import BarrierParams
@@ -113,14 +113,13 @@ class TestClassify:
 class TestSampleGrid:
     def test_all_exterior_zero(self):
         res = sample_grid((1.5, 2.5), (0.1, 0.3), (5, 2), P, "asymptotic")
-        for fld in res["asymptotic"]:
-            assert np.all(fld.values == 0)
-            assert all(lab == "S0" for lab in fld.region_labels)
+        assert res["asymptotic"].shape == (2, 5)
+        assert np.all(res["asymptotic"] == 0)
+        assert all(reg.label == "S0" for row in res["regions"] for reg in row)
 
     def test_plane_wave_rows(self):
         res = sample_grid((-0.4, 0.4), (0.05, 0.1), (5, 2), P, "asymptotic")
-        for fld in res["asymptotic"]:
-            assert np.allclose(np.abs(fld.values), P.q)
+        assert np.allclose(np.abs(res["asymptotic"]), P.q)
 
     def test_partition_property(self):
         res = sample_grid((-1.5, 1.5), (0.05, 0.45), (7, 3), P, "asymptotic")
@@ -130,26 +129,24 @@ class TestSampleGrid:
 
     def test_beyond_scope_is_nan_marker(self):
         res = sample_grid((0.9, 1.1), (0.05, 0.1), (3, 2), P, "asymptotic")
-        fld = res["asymptotic"][0]
-        j = list(fld.region_labels).index("beyond_scope")
-        assert math.isnan(fld.values[j].real)
+        j = [reg.label for reg in res["regions"][0]].index("beyond_scope")
+        assert math.isnan(res["asymptotic"][0, j].real)
 
     def test_both_mode_fields_agree_in_s1(self):
         p = BarrierParams(1.0, 1.0, 0.2)
         res = sample_grid((-0.4, 0.4), (0.05, 0.1), (5, 2), p, "both")
-        for asy, num in zip(res["asymptotic"], res["numeric"]):
-            assert set(asy.region_labels) == {"S1"}
-            assert np.max(np.abs(num.values - asy.values)) < 0.5
+        assert {reg.label for row in res["regions"] for reg in row} == {"S1"}
+        assert np.max(np.abs(res["numeric"] - res["asymptotic"])) < 0.5
 
     def test_numeric_mode_uses_validation_config(self):
         p = BarrierParams(1.0, 1.0, 0.2)
         xs = np.linspace(-1.5, 1.5, 7)
         res = sample_grid((-1.5, 1.5), (0.05, 0.1), (7, 2), p, "numeric")
         snaps = evolve(validation_config(p, 0.1, [0.05, 0.1]))
-        for fld, snap in zip(res["numeric"], snaps):
+        for row, snap in zip(res["numeric"], snaps):
             ref = (np.interp(xs, snap.x_nodes, snap.values.real)
                    + 1j * np.interp(xs, snap.x_nodes, snap.values.imag))
-            assert np.array_equal(fld.values, ref)
+            assert np.array_equal(row, ref)
 
     def test_untyped_point_error_propagates(self, monkeypatch):
         import sqnls.field
@@ -163,10 +160,9 @@ class TestSampleGrid:
 
     def test_order_independence(self):
         res1 = sample_grid((-0.4, 0.4), (0.05, 0.1), (5, 2), P, "asymptotic")
-        vals = [res1["asymptotic"][i].values.copy() for i in (0, 1)]
+        vals = res1["asymptotic"].copy()
         res2 = sample_grid((-0.4, 0.4), (0.05, 0.1), (5, 2), P, "asymptotic")
-        for i in (0, 1):
-            assert np.array_equal(vals[i], res2["asymptotic"][i].values, equal_nan=True)
+        assert np.array_equal(vals, res2["asymptotic"], equal_nan=True)
 
     def test_resolution_validated(self):
         with pytest.raises(ValueError):
@@ -268,7 +264,7 @@ class TestCliOutput:
         assert a.read_bytes() == b.read_bytes()
 
     def test_endpoint_line(self):
-        line = endpoint_line(0.9, P)
+        line = endpoint_table(0.9, P)[1]
         parts = line.split(",")
         assert len(parts) == 9
         mu, m, re_a, im_a, omega, eta, t0, y0, h = map(float, parts)
@@ -284,8 +280,8 @@ class TestCliOutput:
     def test_endpoint_command(self, capsys):
         # the defaults q = L = 1, eps = 0.1 are P
         assert main(["endpoint", "--mu", "0.9"]) == 0
-        assert capsys.readouterr().out.splitlines() == [
-            "mu,m,re_alpha,im_alpha,Omega,eta,T0,Y0,H", endpoint_line(0.9, P)]
+        assert capsys.readouterr().out.splitlines() == endpoint_table(0.9, P)
+        assert endpoint_table(0.9, P)[0] == "mu,m,re_alpha,im_alpha,Omega,eta,T0,Y0,H"
 
     def test_endpoint_command_fails_cleanly(self, capsys):
         # at mu = 1e-3 the segment pass alpha* -> alpha does not converge:
@@ -303,10 +299,11 @@ class TestCliOutput:
         assert lines[0] == "eps,region,patch_lo,patch_hi,linf,l2"
         assert len(lines) == 4  # S1 row, S0 row, JSON summary
         summary = json.loads(lines[-1])
+        assert lines[-1] == json.dumps(summary, sort_keys=True)
         assert summary["entries"][0]["region"] == "S1"
         assert summary["entries"][0]["linf"] < 0.5
 
-    @pytest.mark.parametrize("q, L", [(2.0, 1.0), (1.0, 2.0)])
+    @pytest.mark.parametrize("q, L", [(2.0, 1.0), (1.0, 2.0), (3.0, 1.0)])
     def test_validate_patches_follow_q_and_L(self, tmp_path, q, L):
         out = tmp_path / "val.csv"
         assert main(["--q", str(q), "--L", str(L), "validate", "--eps-list", "0.1",
@@ -314,31 +311,36 @@ class TestCliOutput:
         lines = out.read_text(encoding="utf-8").splitlines()
         s1, s0 = (line.split(",") for line in lines[1:3])
         p = BarrierParams(q, L, 0.1)
-        # S1: the printed range is the nodes compared, inside |x| <= L/2 and before T1
+        # the windows scale with the barrier: S1 at t = 0.15 L/q, S0 at 0.2 L/q
+        t_s1, t_s0 = 0.15 * (L / q), 0.2 * (L / q)
+        assert json.loads(lines[-1])["t"] == t_s1
+        x = validation_config(p, t_s0, [t_s1, t_s0]).x_nodes
+        # S1: the printed range is the nodes compared, all of |x| <= L/2 before T1
+        in_s1 = [xx for xx in x if abs(xx) <= 0.5 * L and t_s1 < first_breaking_time(xx, p)]
         assert s1[1] == "S1"
-        lo, hi = float(s1[2]), float(s1[3])
-        assert lo == -hi and 0 < hi <= 0.5 * L
-        assert 0.15 < first_breaking_time(hi, p)
-        dx = 8.0 / 2048  # the eps = 0.1 validation grid on [-4, 4]
-        assert hi + dx > 0.5 * L or first_breaking_time(hi + dx, p) <= 0.15
+        assert (float(s1[2]), float(s1[3])) == (in_s1[0], in_s1[-1])
+        assert float(s1[2]) == -float(s1[3]) and 0 < float(s1[3]) <= 0.5 * L
         assert float(s1[4]) < 0.5
-        # S0: the window [L + 1/2, L + 1] outside the barrier, where the field is small
+        # S0: the nodes of [1.5 L, 2 L] outside the barrier, where the field is small
+        in_s0 = x[(x >= 1.5 * L) & (x <= 2.0 * L)]
         assert s0[1] == "S0"
-        assert (float(s0[2]), float(s0[3])) == (L + 0.5, L + 1.0)
+        assert (float(s0[2]), float(s0[3])) == (in_s0[0], in_s0[-1])
+        assert in_s0[0] - 1.5 * L < x[1] - x[0] and 2.0 * L - in_s0[-1] <= x[1] - x[0]
         assert float(s0[4]) < 0.5
 
     def test_validate_empty_patch_fails(self, capsys, monkeypatch):
-        # T1(0) = 1 / (6 sqrt 2) < 0.15: no point of |x| <= L/2 is still in S1
-        assert main(["--q", "3", "validate", "--eps-list", "0.1"]) != 0
+        # at q = 3 the default S1 time 0.05 is before T1(0) = 1 / (6 sqrt 2); at
+        # --t 0.15 no point of |x| <= L/2 is still in S1
+        assert main(["--q", "3", "validate", "--eps-list", "0.1", "--t", "0.15"]) != 0
         err = capsys.readouterr().err
-        assert "S1 patch" in err
+        assert err.startswith("sqnls validate: the S1 patch holds no grid node")
 
         # the patches are checked before the solver runs
         def no_solve(cfg):
             raise AssertionError("evolve ran before the patch check")
 
-        monkeypatch.setattr("sqnls.cli.evolve", no_solve)
-        assert main(["--q", "3", "validate", "--eps-list", "0.1"]) == 1
+        monkeypatch.setattr("sqnls.field.evolve", no_solve)
+        assert main(["--q", "3", "validate", "--eps-list", "0.1", "--t", "0.15"]) == 1
         assert capsys.readouterr().err == err
 
     def test_field_reports_failed_points(self, capsys, monkeypatch):

@@ -12,6 +12,7 @@ from sqnls.genus1 import (
     char_speed,
     elliptic_parameter,
     endpoint_residuals,
+    envelope_defect,
     modulation_constants,
     mu_from_m,
     period_integrals,
@@ -562,3 +563,39 @@ class TestWaveForm:
         assert np.all(np.isfinite(amps))
         assert max(amps) < 2.5 * p.q
         assert min(amps) > 0.0
+
+
+# the s2_field benchmark's cell centres (|x| / L, (t - T1) / (T2 - T1)) and barriers
+S2_CELLS = ((0.20, 0.30), (0.40, 0.50), (0.55, 0.70))
+S2_BARRIERS = ((1.0, 1.0), (2.0, 1.0), (1.0, 2.0))
+MODULATION_TOL = 1e-10  # absolute tolerance of each quadrature of modulation_constants
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize("q, L", S2_BARRIERS)
+    @pytest.mark.parametrize("fx, ft", S2_CELLS)
+    def test_maximum_modulus_at_s2_cell_centres(self, q, L, fx, ft):
+        # (q - b) |Theta(0) Theta(2A + i pi) / (Theta(2A) Theta(i pi))| = q + b,
+        # b = Im alpha. The bound carries each quadrature's tolerance tol to A
+        # and H: A = c I_ray and H = c I_b, with c = 2 pi i / a, a = -2 I_seg and
+        # I_b = 2 I_band, so |dc| <= |c|^2 tol / pi, |dA| <= |c| tol (1 + |A| / pi)
+        # and |dH| <= |c| tol (2 + |H| / pi); the defect moves by at most its
+        # slopes in Re A, Im A and H times these. alpha is exact to rounding.
+        p = BarrierParams(q, L, 0.05)
+        x = fx * L
+        t1, t2 = first_breaking_time(x, p), second_breaking_time(x, p)
+        t = t1 + ft * (t2 - t1)
+        st = solve_endpoint((L - x) / (2 * t), q)
+        mods = modulation_constants(st.alpha, x, t, p)
+        c = abs(mods.c_nu)
+        d_a = c * MODULATION_TOL * (1 + abs(mods.A_inf) / math.pi)
+        d_h = c * MODULATION_TOL * (2 + abs(mods.H) / math.pi)
+
+        def slope(name, step):
+            # |d defect| from both sides: the defect is a modulus, near zero here
+            h, v = 1e-6, getattr(mods, name)
+            return sum(envelope_defect(st.alpha, replace(mods, **{name: v + sign * h * step}), q)
+                       for sign in (1, -1)) / (2 * h)
+
+        bound = (slope("A_inf", 1) + slope("A_inf", 1j)) * d_a + slope("H", 1) * d_h
+        assert envelope_defect(st.alpha, mods, q) <= bound

@@ -243,6 +243,44 @@ class TestConnectionCoefficients:
         with pytest.raises(ValueError):
             connection_coefficient(0.5j, P)
 
+    @pytest.mark.parametrize("q, L, eps", [(1.0, 1.0, 0.05), (1.0, 1.0, 0.02), (2.0, 1.0, 0.05),
+                                           (1.0, 2.0, 0.05), (0.5, 1.0, 0.03), (1.0, 1.0, 0.005)])
+    def test_every_eigenvalue_matches_the_phase_form(self, q, L, eps):
+        # at eps = 0.005 the roots near y = q are steep: |a| there reaches 2e-10
+        # of a's terms, so only a test on the Newton step a/a' takes them all
+        # a(iy) = exp(-k y) q cos(Phi(y)) / nu with k = 2L/eps, nu = sqrt(q^2 - y^2)
+        # and Phi = eigenvalue_phase; at a zero, exp(k y) a'(iy) = i q sin(Phi) Phi' / nu
+        # and b(iy) = -q sin(k nu) / nu, so exp(-k y) c_k = i sin(k nu) / (sin(Phi) Phi')
+        p = BarrierParams(q, L, eps)
+        k = 2 * L / eps
+        evs = eigenvalues(p)
+        assert abs(len(evs) - 2 * q * L / (math.pi * eps)) <= 1
+        for y in evs:
+            ck = connection_coefficient(1j * y, p)
+            assert math.isfinite(abs(ck))
+            nu = math.sqrt(q * q - y * y)
+            slope = -(k * y + 1.0) / nu  # Phi'(y)
+            h = 1e-7 * nu
+            fd = (eigenvalue_phase(y + h, p) - eigenvalue_phase(y - h, p)) / (2 * h)
+            assert abs(fd - slope) < 1e-5 * abs(slope)
+            closed = 1j * math.sin(k * nu) / (math.sin(eigenvalue_phase(y, p)) * slope)
+            assert abs(ck * math.exp(-k * y) - closed) < 1e-12 * abs(closed)
+            # and the residue of r = b/a, on a circle clear of the other zeros
+            rad = 0.25 * min([abs(y - o) for o in evs if o != y] + [y, q - y])
+            poly = [1j * y + rad * cmath.exp(2j * math.pi * j / 24) for j in range(25)]
+            res = quad_path(lambda z: np.array([scattering_data(v, p)[2] for v in z]), poly,
+                            QuadratureSpec(1e-11 * abs(ck))) / (2j * math.pi)
+            assert abs(ck - res) < 1e-8 * abs(ck)
+
+    @pytest.mark.parametrize("z", [0.3 + 0.2j, 1.5 - 0.4j, 0.2 + 3.0j, -2.0 + 1.5j])
+    def test_derivative_is_exact_in_both_forms(self, z):
+        # the trig form at |Im phi| <= 30, the exponential split beyond it
+        p = BarrierParams(1.0, 1.0, 0.05)
+        h = 1e-5
+        _, a_prime, _, _ = scattering._a_and_b(z, p)
+        fd = (scattering_data(z + h, p)[0] - scattering_data(z - h, p)[0]) / (2 * h)
+        assert abs(a_prime - fd) < 1e-7 * abs(a_prime)
+
 
 class TestSpectralWeights:
     def test_jump_relation_limit(self):

@@ -13,8 +13,11 @@ the innermost quadrature entry point of sqnls.specfun in the traceback
 together with the sqnls function that called it, which names one of the
 passes of an S2 point (the band pass, the segment alpha* -> alpha, the ray
 iq -> i inf, or a chi transform). numpy RuntimeWarnings are recorded and
-counted, not printed. The S2 constants do not depend on eps, so one eps
-serves. The scans import sqnls from the checkout's src/.
+counted, not printed. At every point that evaluates, the scan also takes
+the envelope defect (genus1.envelope_defect: the relative miss of the wave
+form's largest modulus from q + Im alpha) and reports the worst per (q, L).
+The S2 constants do not depend on eps, so one eps serves. The scans import
+sqnls from the checkout's src/.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import sqnls  # noqa: E402
 from sqnls.field import RegionError  # noqa: E402
+from sqnls.genus1 import envelope_defect, modulation_constants  # noqa: E402
 
 BARRIERS = ((1.0, 1.0), (2.0, 1.0), (1.0, 2.0))
 EDGE_FRACTIONS = (0.99, 0.995, 0.998, 0.999, 0.9995, 0.9998)
@@ -81,15 +85,22 @@ SCANS = (
 )
 
 
+def defect_at(x: float, t: float, p) -> float:
+    """The envelope defect of the S2 constants at (x, t), as psi_asymptotic takes them."""
+    state = sqnls.solve_endpoint((p.L - abs(x)) / (2.0 * t), p.q)
+    return envelope_defect(state.alpha, modulation_constants(state.alpha, abs(x), t, p), p.q)
+
+
 def scan(points_of) -> dict:
-    """Failures of one scan: per (q, L), per pass, and the warning count."""
+    """Failures of one scan: per (q, L) with the worst envelope defect, per
+    pass, and the warning count."""
     per_barrier = {}
     per_pass = collections.Counter()
     n_warnings = 0
     for q, L in BARRIERS:
         p = sqnls.BarrierParams(q, L, EPS)
         points = points_of(p)
-        failed = 0
+        evaluated = []
         for x, t in points:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always", RuntimeWarning)
@@ -98,20 +109,26 @@ def scan(points_of) -> dict:
                     if reg.label != "S2":
                         raise RegionError(f"region {reg.label}")
                     sqnls.psi_asymptotic(x, t, p, reg)
+                    evaluated.append((x, t))
                 except Exception as exc:  # every failure is counted by where it happened
-                    failed += 1
                     per_pass[failing_pass(exc)] += 1
             n_warnings += sum(issubclass(w.category, RuntimeWarning) for w in caught)
-        per_barrier[(q, L)] = (failed, len(points))
+        with warnings.catch_warnings():
+            # the same constants again, whose warnings are counted above
+            warnings.simplefilter("ignore", RuntimeWarning)
+            worst = max((defect_at(x, t, p) for x, t in evaluated), default=0.0)
+        per_barrier[(q, L)] = (len(points) - len(evaluated), len(points), worst)
     return {"per_barrier": per_barrier, "per_pass": per_pass, "warnings": n_warnings}
 
 
 def report(title: str, result: dict) -> None:
-    failed = sum(f for f, _ in result["per_barrier"].values())
-    total = sum(n for _, n in result["per_barrier"].values())
+    failed = sum(f for f, _, _ in result["per_barrier"].values())
+    total = sum(n for _, n, _ in result["per_barrier"].values())
     print(f"{title}\n  failed {failed} of {total} points")
-    for (q, L), (f, n) in result["per_barrier"].items():
-        print(f"  q={q:g} L={L:g}: {f} of {n}")
+    for (q, L), (f, n, worst) in result["per_barrier"].items():
+        defect = (f"worst envelope defect {worst:.2g} over the {n - f} that evaluate"
+                  if f < n else "none evaluates")
+        print(f"  q={q:g} L={L:g}: {f} of {n}; {defect}")
     for name, count in result["per_pass"].most_common():
         print(f"  pass {name}: {count}")
     print(f"  numpy RuntimeWarnings: {result['warnings']}")

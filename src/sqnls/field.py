@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .genus0 import RegionError, psi_asy_g0
-from .genus1 import RealityError, modulation_constants, psi_asy_g1, solve_endpoint
+from .genus1 import RealityError, modulation_constants, psi_asy_g1
 from .nls_direct import evolve, validation_config
 from .phase_geometry import (PinchPointError, first_breaking_time, ray_breaking_time,
-                             second_breaking_time)
+                             second_breaking_time, solve_endpoint)
 from .scattering import BarrierParams
 from .specfun import QuadratureConvergenceError
 

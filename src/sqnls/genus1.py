@@ -1,10 +1,10 @@
-"""Post-break (oscillatory) asymptotics: endpoint system, periods, theta form.
+"""Post-break (oscillatory) asymptotics: periods, modulation constants, theta form.
 
-The moving band endpoint alpha depends on (x, t) only through the
-self-similar variable mu = -(x-L)/(2t) and solves a pair of elliptic
-integral equations. Every modulation constant is an Abelian integral over
-the band cut [iq, alpha] (closed-form boundary values), the segment
-alpha* -> alpha or the ray iq -> i inf, and each contour takes one pass.
+The band endpoint alpha, a function of mu = -(x-L)/(2t) alone, comes from
+phase_geometry's endpoint solver, whose names this module re-exports. Every
+modulation constant is an Abelian integral over the band cut [iq, alpha]
+(closed-form boundary values), the segment alpha* -> alpha or the ray
+iq -> i inf, and each contour takes one pass.
 """
 
 from __future__ import annotations
@@ -12,14 +12,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .phase_geometry import _M_BRACKET, _endpoint, _v_from_mu, big_r, big_s, rho1_real_roots
-from .scattering import BarrierParams, _dist_to_polyline, chi_batch
-from .specfun import (QuadratureSpec, complete_elliptic, cut_sqrt, quad_path, quad_ray_to_inf,
-                      theta_sum)
+from .phase_geometry import (EndpointState, alpha_from_m, band_cut, big_r, elliptic_parameter,
+                             endpoint_mu_floor, endpoint_residuals, mu_from_m, rho1_real_roots,
+                             solve_endpoint)
+from .scattering import BarrierParams, chi_batch
+from .specfun import (QuadratureSpec, complete_elliptic, cut_sqrt, cut_sqrt_boundary, quad_path,
+                      quad_ray_to_inf, segment_distance, theta_sum)
 
 __all__ = ["RealityError", "EndpointState", "ModulationParams", "elliptic_parameter",
            "alpha_from_m", "mu_from_m", "endpoint_mu_floor", "solve_endpoint",
@@ -37,36 +38,6 @@ class RealityError(RuntimeError):
     def __init__(self, message: str, value: complex):
         super().__init__(message)
         self.value = value
-
-
-@dataclass(frozen=True)
-class EndpointState:
-    """Solved band endpoint at one value of the self-similar variable.
-
-    The residuals |F_M| and |F_G| of the endpoint system are lazy: they are
-    evaluated at the reference point t = 1 on the ray of constant mu (so
-    x - L = -2 mu) the first time either is read, once per state.
-    """
-
-    mu: float
-    m: float
-    alpha: complex
-    q: float
-
-    @cached_property
-    def _residuals(self) -> tuple[float, float]:
-        f_m, f_g = endpoint_residuals(self.alpha, -2.0 * self.mu, 1.0, self.q)
-        return abs(f_m), abs(f_g)
-
-    @property
-    def res_moment(self) -> float:
-        """|F_M|, the moment residual at t = 1."""
-        return self._residuals[0]
-
-    @property
-    def res_gap(self) -> float:
-        """|F_G|, the gap residual at t = 1."""
-        return self._residuals[1]
 
 
 @dataclass(frozen=True)
@@ -89,71 +60,6 @@ class ModulationParams:
             raise ValueError("the b-period H must be negative")
 
 
-def elliptic_parameter(alpha: complex, q: float) -> float:
-    """m = 1 - |alpha - iq|^2 / |alpha + iq|^2, in [0, 1] for alpha in C+."""
-    return 1.0 - abs(alpha - 1j * q) ** 2 / abs(alpha + 1j * q) ** 2
-
-
-def alpha_from_m(m: float, q: float) -> complex:
-    """Band endpoint alpha = q (sqrt(4A - (1+mA)^2) + i m A) from the parameter m."""
-    if not (0 < m < 1):
-        raise ValueError("m must lie in (0, 1)")
-    return _endpoint(1.0 - m, q)[0]
-
-
-def mu_from_m(m: float, q: float) -> float:
-    """Self-similar variable produced by the endpoint at parameter m.
-
-    From the moment relation: mu = (2 a^2 - b^2 + q^2) / (2 a) with
-    alpha = a + ib.
-    """
-    if not (0 < m < 1):
-        raise ValueError("m must lie in (0, 1)")
-    return _endpoint(1.0 - m, q)[1]
-
-
-def endpoint_mu_floor(q: float) -> float:
-    """Smallest mu that solve_endpoint inverts, mu(1 - 1e-14) ~ 1.85e-6 q.
-
-    Below it the root m lies past the top of the m bracket, and
-    solve_endpoint raises RuntimeError.
-    """
-    return mu_from_m(_M_BRACKET[1], q)
-
-
-def solve_endpoint(mu: float, q: float) -> EndpointState:
-    """Invert mu in v = -log(1 - m) and package the endpoint alpha(m).
-
-    No quadrature runs here: the residuals of the moment and gap functions
-    at the reference point t = 1 are computed when the returned state's
-    res_moment or res_gap is first read.
-    """
-    m1 = math.exp(-_v_from_mu(mu, q))
-    return EndpointState(mu=mu, m=1.0 - m1, alpha=_endpoint(m1, q)[0], q=q)
-
-
-def endpoint_residuals(alpha: complex, x_minus_l: float, t: float, q: float
-                       ) -> tuple[complex, complex]:
-    """Moment and gap functions (F_M, F_G) at a trial endpoint.
-
-    F_M is the closed quadratic form; F_G integrates S(lam) times the linear
-    factor along the straight segment from alpha* to alpha.
-    """
-    a = complex(alpha)
-    ac = a.conjugate()
-    f_m = t / 4.0 * (3 * a * a + 2 * a * ac + 3 * ac * ac + 4 * q * q) \
-        + x_minus_l / 2.0 * (a + ac)
-    if abs(a.imag) < 1e-14:
-        # degenerate real endpoint: S integrand collapses, integral vanishes
-        return f_m, 0.0 + 0.0j
-
-    def integrand(lam: np.ndarray) -> np.ndarray:
-        return big_s(lam, a, q) * (t * (2 * lam + a + ac) + x_minus_l)
-
-    f_g = quad_path(integrand, [ac, a], QuadratureSpec(target_abs_tol=1e-12))
-    return f_m, f_g
-
-
 def char_speed(alpha: complex, q: float) -> complex:
     """Characteristic speed of the moving Riemann invariant pair (alpha, iq)."""
     a = complex(alpha)
@@ -174,39 +80,24 @@ def char_speed(alpha: complex, q: float) -> complex:
 # cut geometry and boundary-value integrals
 # ---------------------------------------------------------------------------
 
-def _cut1(alpha: complex, q: float) -> tuple[complex, complex]:
-    # segment [iq, alpha] as midpoint and half-vector; s = -1 at iq, +1 at alpha
-    return 0.5 * (1j * q + alpha), 0.5 * (alpha - 1j * q)
-
-
-def _r_on_cut(s: np.ndarray, alpha: complex, q: float) -> tuple[np.ndarray, np.ndarray]:
-    """(z, R_side) at parameters s in (-1, 1) on band 1, z = c1 + s d1.
+def _cut_integral(g, alpha: complex, q: float, quad: QuadratureSpec) -> np.ndarray:
+    """integral over s in (-1, 1) of g(z, R_side) dz along band 1, z = c1 + s d1.
 
     R_side is the boundary value of R on the plus side, the left of the
-    overall -iq -> +iq orientation of the cut system; in the local
-    coordinate u = Im((z - c1)/d1) it is the side u < 0, where the local
-    factor is -i d1 sqrt(1 - s^2). Band 2's factor is single-valued there.
-    """
-    c, d = _cut1(alpha, q)
-    z = c + s * d
-    loc = -1j * d * np.sqrt(np.maximum(1.0 - s * s, 0.0))
-    return z, loc * cut_sqrt(z, c.conjugate(), d.conjugate())
-
-
-def _cut_integral(g, alpha: complex, q: float, quad: QuadratureSpec) -> np.ndarray:
-    """integral over s in (-1, 1) of g(z(s), R_side(z(s))) dz along band 1.
-
-    g takes arrays of n points z and boundary values R_side (as _r_on_cut
-    gives them) and returns shape (n,) or (n, k); the integral then
-    has shape () or (k,), each component to the tolerance of quad.
+    overall -iq -> +iq orientation of the cut system and the right of d1;
+    band 2's factor is single-valued there. g takes arrays of n points z and
+    boundary values R_side and returns shape (n,) or (n, k); the integral
+    then has shape () or (k,), each component to the tolerance of quad.
     Orientation is increasing s (iq -> alpha). Integrands with 1/R blow up
     like an inverse square root at both ends, which the endpoint
     substitution absorbs.
     """
-    d1 = _cut1(alpha, q)[1]
+    c1, d1 = band_cut(alpha, q)
 
     def param_integrand(s: np.ndarray) -> np.ndarray:
-        z, r_side = _r_on_cut(s.real, alpha, q)
+        s = s.real
+        z = c1 + s * d1
+        r_side = cut_sqrt_boundary(s, d1, -1) * cut_sqrt(z, c1.conjugate(), d1.conjugate())
         return g(z, r_side) * d1
 
     return quad_path(param_integrand, [-1.0, 1.0], quad)
@@ -216,7 +107,7 @@ def _b_cycle(num, alpha: complex, q: float, quad: QuadratureSpec) -> complex:
     """b-period of num(z)/R(z) dz as a collapsed two-sided integral over [iq, alpha].
 
     A loop winding once around the cut equals the jump integral
-    2 * int_{iq->alpha} num / R_side with _r_on_cut's boundary value.
+    2 * int_{iq->alpha} num / R_side with _cut_integral's boundary value.
     """
     return 2.0 * _cut_integral(lambda z, r: num(z) / r, alpha, q, quad)
 
@@ -259,8 +150,7 @@ def period_integrals(alpha: complex, q: float, quad: QuadratureSpec | None = Non
         raise ValueError("alpha = iq: the surface degenerates")
     H_val, a_period, c_nu = _normalize(seg_integral_inv_r(alpha, q, quad),
                                        _b_cycle(lambda z: 1.0 + 0j, alpha, q, quad))
-    a_inf = c_nu * quad_ray_to_inf(lambda z: 1.0 / big_r(z, alpha, q), 1j * q, 1j, quad,
-                                   sqrt_start=True)
+    a_inf = c_nu * quad_ray_to_inf(lambda z: 1.0 / big_r(z, alpha, q), 1j * q, 1j, quad)
     return H_val.real, a_period, a_inf, c_nu
 
 
@@ -288,24 +178,12 @@ def _path_clears_cuts(path: list[complex], alpha: complex, q: float) -> bool:
     cuts = [(1j * q, alpha), (alpha.conjugate(), -1j * q)]
     for a0, a1 in zip(path[:-1], path[1:]):
         for b0, b1 in cuts:
-            if _segments_too_close(a0, a1, b0, b1, 0.02 * q):
+            # a leg may start or end on a cut's endpoint (iq, alpha*): the 15 %
+            # of the leg next to a shared endpoint is not held to the clearance
+            lo, hi = (0.15 if min(abs(p - b0), abs(p - b1)) < 1e-12 else 0.0 for p in (a0, a1))
+            if segment_distance(a0 + lo * (a1 - a0), a1 - hi * (a1 - a0), b0, b1) < 0.02 * q:
                 return False
     return True
-
-
-def _segments_too_close(a0: complex, a1: complex, b0: complex, b1: complex,
-                        clearance: float) -> bool:
-    # shared endpoints (paths starting at iq or ending at alpha*) are fine
-    shared = [p for p in (a0, a1) if min(abs(p - b0), abs(p - b1)) < 1e-12]
-    n = 12
-    worst = math.inf
-    for i in range(n + 1):
-        s = i / n
-        pa = a0 + s * (a1 - a0)
-        if shared and min(abs(pa - sh) for sh in shared) < 0.15 * abs(a1 - a0):
-            continue
-        worst = min(worst, _dist_to_polyline(pa, [b0, b1]))
-    return worst < clearance
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +194,11 @@ def _band_pass(a: complex, x_minus_l: float, t: float, xi0: float, xi1: float, q
                quad: QuadratureSpec, chi_quad: QuadratureSpec) -> np.ndarray:
     """Every band integral of modulation_constants, in one pass over band 1.
 
-    The five columns are oriented iq -> alpha and scaled by d1 as in
-    _cut_integral: the Omega loop (R/(z^2+q^2)) (t (2z + a + a*) + x - L),
-    1/R, num2/R with num2 = z (z - Re alpha), and the slope and moment
-    integrals of the p0 weight j = log(2 (z + iq)/q) - 2 (chi(z, xi1) +
-    chi(z, xi0)), that is j / R and (z - Re alpha) j / R along alpha -> iq.
+    The five columns are _cut_integral's, oriented iq -> alpha: the Omega
+    loop (R/(z^2+q^2)) (t (2z + a + a*) + x - L), 1/R, num2/R with
+    num2 = z (z - Re alpha), and the slope and moment integrals of the p0
+    weight j = log(2 (z + iq)/q) - 2 (chi(z, xi1) + chi(z, xi0)), that is
+    j / R and (z - Re alpha) j / R along alpha -> iq.
     Band 2, [alpha*, -iq], is band 1's mirror image: at conj z, R and chi
     are conj R(z) and -conj chi(z) (kappa is real on the ray), and its log
     term log(q / (2 (conj z - iq))) is -conj of band 1's. So band 2's p0
@@ -328,19 +206,16 @@ def _band_pass(a: complex, x_minus_l: float, t: float, xi0: float, xi1: float, q
     each two-band sum is 2 Re of a p0 column.
     """
     ac = a.conjugate()
-    d1 = _cut1(a, q)[1]
 
-    def terms(s: np.ndarray) -> np.ndarray:
-        z, r = _r_on_cut(s.real, a, q)
+    def terms(z: np.ndarray, r: np.ndarray) -> np.ndarray:
         loop = (r / (z * z + q * q)) * (t * (2 * z + a + ac) + x_minus_l)
         chi = chi_batch(z, xi1, q, chi_quad) + chi_batch(z, xi0, q, chi_quad)
         j_over_r = (np.log(2.0 * (z + 1j * q) / q) - 2.0 * chi) / r
         z_rel = z - a.real
         # the p0 columns run against increasing s
-        return np.stack((loop, 1.0 / r, z * z_rel / r, -j_over_r, -z_rel * j_over_r),
-                        axis=1) * d1
+        return np.stack((loop, 1.0 / r, z * z_rel / r, -j_over_r, -z_rel * j_over_r), axis=1)
 
-    return quad_path(terms, [-1.0, 1.0], quad)
+    return _cut_integral(terms, a, q, quad)
 
 
 def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams) -> ModulationParams:
@@ -393,7 +268,7 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams) -
         inv_r = 1.0 / r_val
         return np.stack((rho, inv_r, z * (z - a.real) * inv_r - 1.0), axis=1)
 
-    ray = quad_ray_to_inf(ray_terms, 1j * q, 1j, quad, sqrt_start=True)
+    ray = quad_ray_to_inf(ray_terms, 1j * q, 1j, quad)
     # eta = -theta0(iq) + 2 int_inf^iq rho, theta0(iq) = 2t (iq)^2 + 2 (x - L) iq
     eta = real("band-jump constant", 2 * t * q * q - 2j * (x - L) * q - 2.0 * ray[0])
 

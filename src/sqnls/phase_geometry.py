@@ -3,8 +3,9 @@
 The pre-break phase geometry is controlled by a one-parameter family of
 level sets Im(2 nu (t z + b) - t q^2) = 0; their topology is known in
 closed form. The post-break boundary comes from a double-root condition on
-the derivative density rho1 of the second modified phase. The closed-form
-band endpoint (alpha, mu) and its inversion in mu sit beside the T2 searches.
+the derivative density rho1 of the second modified phase. The band endpoint
+sits beside the T2 searches: its cut [iq, alpha], its closed form in m and
+the endpoint solver that inverts it in mu.
 """
 
 from __future__ import annotations
@@ -13,11 +14,15 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .specfun import brentq, complete_elliptic_m1, cut_sqrt
+import numpy as np
 
-__all__ = ["LevelTopology", "PinchPointError", "level_topology", "rho1_real_roots", "rho1_value",
-           "rho1_slope", "rho1_bump_max", "first_breaking_time", "second_breaking_time",
-           "ray_breaking_time", "big_s"]
+from .specfun import QuadratureSpec, brentq, complete_elliptic_m1, cut_sqrt, quad_path
+
+__all__ = ["LevelTopology", "PinchPointError", "EndpointState", "level_topology",
+           "rho1_real_roots", "rho1_value", "rho1_slope", "rho1_bump_max", "first_breaking_time",
+           "second_breaking_time", "ray_breaking_time", "band_cut", "big_s", "big_r",
+           "elliptic_parameter", "alpha_from_m", "mu_from_m", "endpoint_mu_floor",
+           "solve_endpoint", "endpoint_residuals"]
 
 
 class PinchPointError(RuntimeError):
@@ -82,14 +87,18 @@ def big_s(z, alpha: complex, q: float):
     return big_r(z, alpha, q) / (z * z + q * q)
 
 
+def band_cut(alpha: complex, q: float) -> tuple[complex, complex]:
+    """(c1, d1): the cut [iq, alpha] is c1 + s d1, from s = -1 at iq to s = 1 at alpha."""
+    return 0.5 * (1j * q + alpha), 0.5 * (alpha - 1j * q)
+
+
 def big_r(z, alpha: complex, q: float):
     """R(z) = sqrt((z-iq)(z-alpha)(z+iq)(z-alpha*)) ~ z^2 at infinity.
 
     Cut along [iq, alpha] and [alpha*, -iq]: the product of the two cut_sqrt
     factors whose cuts are exactly those segments. z is a point or an array.
     """
-    c1 = 0.5 * (1j * q + alpha)
-    d1 = 0.5 * (alpha - 1j * q)
+    c1, d1 = band_cut(alpha, q)
     return cut_sqrt(z, c1, d1) * cut_sqrt(z, c1.conjugate(), d1.conjugate())
 
 
@@ -233,6 +242,101 @@ def _v_from_mu(mu: float, q: float) -> float:
     return brentq(f, v_lo, v_hi, xtol=1e-15, rtol=8.9e-16)
 
 
+@dataclass(frozen=True)
+class EndpointState:
+    """Solved band endpoint at one value of the self-similar variable.
+
+    The residuals |F_M| and |F_G| of the endpoint system are lazy: they are
+    evaluated at the reference point t = 1 on the ray of constant mu (so
+    x - L = -2 mu) the first time either is read, once per state.
+    """
+
+    mu: float
+    m: float
+    alpha: complex
+    q: float
+
+    @functools.cached_property
+    def _residuals(self) -> tuple[float, float]:
+        f_m, f_g = endpoint_residuals(self.alpha, -2.0 * self.mu, 1.0, self.q)
+        return abs(f_m), abs(f_g)
+
+    @property
+    def res_moment(self) -> float:
+        """|F_M|, the moment residual at t = 1."""
+        return self._residuals[0]
+
+    @property
+    def res_gap(self) -> float:
+        """|F_G|, the gap residual at t = 1."""
+        return self._residuals[1]
+
+
+def elliptic_parameter(alpha: complex, q: float) -> float:
+    """m = 1 - |alpha - iq|^2 / |alpha + iq|^2, in [0, 1] for alpha in C+."""
+    return 1.0 - abs(alpha - 1j * q) ** 2 / abs(alpha + 1j * q) ** 2
+
+
+def alpha_from_m(m: float, q: float) -> complex:
+    """Band endpoint alpha = q (sqrt(4A - (1+mA)^2) + i m A) from the parameter m."""
+    if not (0 < m < 1):
+        raise ValueError("m must lie in (0, 1)")
+    return _endpoint(1.0 - m, q)[0]
+
+
+def mu_from_m(m: float, q: float) -> float:
+    """Self-similar variable produced by the endpoint at parameter m.
+
+    From the moment relation: mu = (2 a^2 - b^2 + q^2) / (2 a) with
+    alpha = a + ib.
+    """
+    if not (0 < m < 1):
+        raise ValueError("m must lie in (0, 1)")
+    return _endpoint(1.0 - m, q)[1]
+
+
+def endpoint_mu_floor(q: float) -> float:
+    """Smallest mu that solve_endpoint inverts, mu(1 - 1e-14) ~ 1.85e-6 q.
+
+    Below it the root m lies past the top of the m bracket, and
+    solve_endpoint raises RuntimeError.
+    """
+    return mu_from_m(_M_BRACKET[1], q)
+
+
+def solve_endpoint(mu: float, q: float) -> EndpointState:
+    """Invert mu in v = -log(1 - m) and package the endpoint alpha(m).
+
+    No quadrature runs here: the residuals of the moment and gap functions
+    at the reference point t = 1 are computed when the returned state's
+    res_moment or res_gap is first read.
+    """
+    m1 = math.exp(-_v_from_mu(mu, q))
+    return EndpointState(mu=mu, m=1.0 - m1, alpha=_endpoint(m1, q)[0], q=q)
+
+
+def endpoint_residuals(alpha: complex, x_minus_l: float, t: float, q: float
+                       ) -> tuple[complex, complex]:
+    """Moment and gap functions (F_M, F_G) at a trial endpoint.
+
+    F_M is the closed quadratic form; F_G integrates S(lam) times the linear
+    factor along the straight segment from alpha* to alpha.
+    """
+    a = complex(alpha)
+    ac = a.conjugate()
+    f_m = t / 4.0 * (3 * a * a + 2 * a * ac + 3 * ac * ac + 4 * q * q) \
+        + x_minus_l / 2.0 * (a + ac)
+    if abs(a.imag) < 1e-14:
+        # degenerate real endpoint: S integrand collapses, integral vanishes
+        return f_m, 0.0 + 0.0j
+
+    def integrand(lam: np.ndarray) -> np.ndarray:
+        return big_s(lam, a, q) * (t * (2 * lam + a + ac) + x_minus_l)
+
+    f_g = quad_path(integrand, [ac, a], QuadratureSpec(target_abs_tol=1e-12))
+    return f_m, f_g
+
+
 # w = (log m1)^2 of the search's start t = 1.0001 T1(x), where mu = (L - |x|)/(2t)
 # is sqrt2 q / 1.0001 for every x, and m depends on mu/q only (mpmath, 50 digits)
 _W_START = 0.001422189960133937
@@ -307,7 +411,7 @@ def ray_breaking_time(mu: float, p) -> float:
     last doubling brackets the root of the bump maximum.
     """
     q, L = p.q, p.L
-    alpha = _endpoint(math.exp(-_v_from_mu(mu, q)), q)[0]
+    alpha = solve_endpoint(mu, q).alpha
     xi0 = mu - alpha.real
 
     @functools.cache

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .specfun import (QuadratureSpec, adaptive_panels, brentq, cut_sqrt, gl_panels, quad_path,
-                      quad_ray_to_inf)
+from .specfun import (QuadratureSpec, adaptive_panels, brentq, cut_sqrt, cut_sqrt_boundary,
+                      gl_panels, quad_path, quad_ray_to_inf, segment_distance)
 
 __all__ = ["BarrierParams", "BranchCut", "BranchBoundaryError", "nu_branch", "nu_imag_cut",
            "scattering_data", "eigenvalues", "eigenvalue_phase", "connection_coefficient",
@@ -98,20 +98,6 @@ def nu_imag_cut(z, q: float):
     return cut_sqrt(z, 0.0, 1j * q)
 
 
-def _dist_to_polyline(z: complex, pts: Sequence[complex]) -> float:
-    d = math.inf
-    for a, b in zip(pts[:-1], pts[1:]):
-        u = b - a
-        denom = abs(u) ** 2
-        if denom == 0:
-            d = min(d, abs(z - a))
-            continue
-        s = ((z - a).real * u.real + (z - a).imag * u.imag) / denom
-        s = min(1.0, max(0.0, s))
-        d = min(d, abs(z - (a + s * u)))
-    return d
-
-
 def _point_in_polygon(z: complex, verts: Sequence[complex]) -> bool:
     """Even-odd ray crossing; the polygon closes from the last vertex to the first."""
     x, y = z.real, z.imag
@@ -131,43 +117,35 @@ def nu_branch(z: complex, cut: BranchCut, q: float, side: int | None = None) -> 
     """Branch of sqrt(z^2 + q^2) cut along `cut`, normalized nu ~ z at infinity.
 
     For z within 1e-12 q of the cut a side (+1 = left of the -iq -> +iq
-    orientation, -1 = right) must be requested explicitly.
+    orientation, -1 = right) must be requested explicitly. A curved cut's
+    branch is the imaginary-segment branch with its sign flipped inside the
+    polygon that the cut closes with the segment [-iq, iq].
     """
     z = complex(z)
     if cut.kind == "imaginary_segment":
-        on_cut = abs(z.real) < 1e-12 * q and abs(z.imag) < q * (1 + 1e-12)
-        if on_cut:
+        if abs(z.real) < 1e-12 * q and abs(z.imag) < q * (1 + 1e-12):
             if side is None:
                 raise BranchBoundaryError("z on the imaginary-segment cut; pass side=+1 or -1")
-            # left of upward orientation is Re z < 0; nu continuous with -sqrt there
-            mag = math.sqrt(max(q * q - z.imag ** 2, 0.0))
-            return -mag if side > 0 else mag
+            return complex(cut_sqrt_boundary(z.imag / q, 1j * q, side))
         return nu_imag_cut(z, q)
 
     cut.validate_endpoints(q)
     pts = cut.polyline
-    scale = q
-    if _dist_to_polyline(z, pts) < 1e-12 * scale:
+    dists = [segment_distance(z, z, a, b) for a, b in zip(pts[:-1], pts[1:])]
+    i_near = min(range(len(dists)), key=dists.__getitem__)
+    probe = z
+    if dists[i_near] < 1e-12 * q:
         if side is None:
             raise BranchBoundaryError("z on the cut polyline; pass side=+1 or -1")
         # displace along the local left normal only to decide the sign flip
-        i_near = min(range(len(pts) - 1),
-                     key=lambda i: _dist_to_polyline(z, [pts[i], pts[i + 1]]))
         tang = pts[i_near + 1] - pts[i_near]
-        tang /= abs(tang)
-        z_probe = z + side * 1j * tang * (1e-6 * scale)
-        sign = -1.0 if _point_in_polygon(z_probe, pts) else 1.0
-        return sign * _nu0_near_axis(z, q)
-    sign = -1.0 if _point_in_polygon(z, pts) else 1.0
-    return sign * _nu0_near_axis(z, q)
-
-
-def _nu0_near_axis(z: complex, q: float) -> complex:
-    # imaginary-cut branch, with a tiny real offset when z falls on the open
-    # segment (the composite curved-cut branch is continuous there)
-    if abs(z.real) < 1e-13 * q and abs(z.imag) < q:
-        z = z + 1e-13 * q
-    return nu_imag_cut(z, q)
+        probe = z + side * 1j * (tang / abs(tang)) * (1e-6 * q)
+    sign = -1.0 if _point_in_polygon(probe, pts) else 1.0
+    if z.real == 0 and abs(z.imag) < q:
+        # the open segment [-iq, iq] closes the polygon, and the crossing test
+        # counts it to its right: take the segment branch's value from there
+        return sign * complex(cut_sqrt_boundary(z.imag / q, 1j * q, -1))
+    return sign * nu_imag_cut(z, q)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Everything here is self-contained and needs numpy only: complete elliptic
 integrals (AGM production scheme plus an independent power-series scheme
 for cross-checking), the real dilogarithm, the genus-1 theta sum, the
-branch square root `cut_sqrt` cut on a straight segment, the Brent root
-finder `brentq`, and an adaptive Gauss-Legendre quadrature over complex
-polylines and rays.
+branch square root `cut_sqrt` cut on a straight segment with its boundary
+values, the exact distance between segments, the Brent root finder `brentq`,
+and an adaptive Gauss-Legendre quadrature over complex polylines and rays.
 
 `brentq` follows scipy's `scipy.optimize.brentq` operation for operation,
 so it takes the same iterates.
@@ -23,8 +23,8 @@ keeps its own error sum, so each meets the absolute tolerance by itself.
 `quad_path` and `quad_ray_to_inf` map polylines and rays onto it; they
 return a complex scalar for an (n,) integrand and a (k,) array otherwise.
 Every polyline segment takes the square-root substitution u -> u^2 at both
-of its ends, which absorbs a half-integer power singularity at any vertex;
-a ray takes it at its finite end when the caller asks (sqrt_start).
+of its ends, which absorbs a half-integer power singularity at any vertex,
+and a ray takes it at its finite end.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ import numpy as np
 
 __all__ = ["QuadratureSpec", "QuadratureConvergenceError", "complete_elliptic",
            "complete_elliptic_m1", "ellipk", "ellipe", "complete_elliptic_series", "dilog",
-           "theta_sum", "cut_sqrt", "brentq", "gl_panels", "adaptive_panels", "adaptive_gl",
-           "quad_path", "quad_ray_to_inf"]
+           "theta_sum", "cut_sqrt", "cut_sqrt_boundary", "segment_distance", "brentq",
+           "gl_panels", "adaptive_panels", "adaptive_gl", "quad_path", "quad_ray_to_inf"]
 
 _LN_INV_EPS = math.log(1e16)
 
@@ -216,7 +216,7 @@ def theta_sum(w: complex, H: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# branch square root with a straight cut
+# straight cuts and segments
 # ---------------------------------------------------------------------------
 
 def cut_sqrt(z, c: complex, d: complex):
@@ -232,6 +232,41 @@ def cut_sqrt(z, c: complex, d: complex):
     mid = w == 0
     w = np.where(mid, 1.0, w)
     return np.where(mid, 1j * d, w * np.sqrt(1.0 - (d / w) ** 2))[()]
+
+
+def cut_sqrt_boundary(s, d: complex, side: int):
+    """cut_sqrt(c + s d, c, d) on its cut, -1 <= s <= 1, as the limit from one side.
+
+    side = +1 is the left of d, where Im((z - c) / d) > 0, and -1 the right:
+    side i d sqrt(1 - s^2). s may be an array; |s| past 1 by rounding gives 0.
+    """
+    return side * 1j * d * np.sqrt(np.maximum(1.0 - s * s, 0.0))
+
+
+def segment_distance(a0: complex, a1: complex, b0: complex, b1: complex) -> float:
+    """Least distance between the segments [a0, a1] and [b0, b1]: 0 where they cross or touch.
+
+    A segment may have zero length, so segment_distance(z, z, b0, b1) is the
+    distance of the point z from [b0, b1].
+    """
+    da, db, w = a1 - a0, b1 - b0, b0 - a0
+    cross = da.real * db.imag - da.imag * db.real
+    if cross != 0:
+        # a0 + s da = b0 + r db by Cramer's rule
+        s = (w.real * db.imag - w.imag * db.real) / cross
+        r = (w.real * da.imag - w.imag * da.real) / cross
+        if 0.0 <= s <= 1.0 and 0.0 <= r <= 1.0:
+            return 0.0
+    # segments that do not cross are nearest at an endpoint of one of them
+    return min(_point_segment_distance(z, p, d)
+               for z, p, d in ((a0, b0, db), (a1, b0, db), (b0, a0, da), (b1, a0, da)))
+
+
+def _point_segment_distance(z: complex, p: complex, d: complex) -> float:
+    # distance of z from the segment p + [0, 1] d
+    n = d.real * d.real + d.imag * d.imag
+    s = min(1.0, max(0.0, ((z - p) * d.conjugate()).real / n)) if n else 0.0
+    return abs(z - p - s * d)
 
 
 # ---------------------------------------------------------------------------
@@ -492,15 +527,15 @@ def quad_path(integrand, path, spec: QuadratureSpec):
     return total
 
 
-def quad_ray_to_inf(integrand, start: complex, direction: complex, spec: QuadratureSpec,
-                    sqrt_start: bool = False):
+def quad_ray_to_inf(integrand, start: complex, direction: complex, spec: QuadratureSpec):
     """Integrate an array integrand from `start` to infinity along `direction`.
 
     integrand takes arrays, and the result has the shape, as in quad_path. The
     semi-infinite ray is mapped to [0, 1) by lambda = start + u/(1-u) *
     direction, so the integrand must decay at least like |lambda|^-2 to keep
-    the transformed integrand bounded at u = 1. sqrt_start applies the
-    square-root substitution at the finite end.
+    the transformed integrand bounded at u = 1. The square-root substitution
+    u -> v^2 at the finite end, as at every polyline end, absorbs a
+    half-integer power singularity there.
     """
     d = complex(direction)
     if d == 0:
@@ -510,8 +545,5 @@ def quad_ray_to_inf(integrand, start: complex, direction: complex, spec: Quadrat
     def g(u: np.ndarray) -> np.ndarray:
         return _per_node(integrand(start + d * (u / (1.0 - u))), d / (1.0 - u) ** 2)
 
-    if sqrt_start:
-        # remove the finite-end singularity with u -> u^2 before the tail map
-        return adaptive_gl(lambda v: _per_node(g(v * v), 2.0 * v), 0.0, 1.0,
-                           spec.target_abs_tol, spec.max_subdivisions)
-    return adaptive_gl(g, 0.0, 1.0, spec.target_abs_tol, spec.max_subdivisions)
+    return adaptive_gl(lambda v: _per_node(g(v * v), 2.0 * v), 0.0, 1.0,
+                       spec.target_abs_tol, spec.max_subdivisions)

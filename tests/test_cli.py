@@ -303,7 +303,7 @@ class TestCliOutput:
         assert summary["entries"][0]["region"] == "S1"
         assert summary["entries"][0]["linf"] < 0.5
 
-    @pytest.mark.parametrize("q, L", [(2.0, 1.0), (1.0, 2.0), (3.0, 1.0)])
+    @pytest.mark.parametrize("q, L", [(2.0, 1.0), (1.0, 2.0), (3.0, 1.0), (1.0, 3.0)])
     def test_validate_patches_follow_q_and_L(self, tmp_path, q, L):
         out = tmp_path / "val.csv"
         assert main(["--q", str(q), "--L", str(L), "validate", "--eps-list", "0.1",

@@ -20,9 +20,9 @@ from sqnls.genus1 import (
     seg_integral_inv_r,
     solve_endpoint,
 )
-from sqnls.phase_geometry import first_breaking_time, second_breaking_time
+from sqnls.phase_geometry import big_r, first_breaking_time, second_breaking_time
 from sqnls.scattering import BarrierParams
-from sqnls.specfun import QuadratureSpec, complete_elliptic
+from sqnls.specfun import QuadratureSpec, complete_elliptic, quad_path
 
 Q = 1.0
 SQRT2 = math.sqrt(2.0)
@@ -187,7 +187,7 @@ class TestSolveEndpoint:
             calls.append(args)
             return endpoint_residuals(*args, **kwargs)
 
-        monkeypatch.setattr(genus1, "endpoint_residuals", counting)
+        monkeypatch.setattr(phase_geometry, "endpoint_residuals", counting)
         st = solve_endpoint(0.9, Q)
         assert calls == []
         first = (st.res_moment, st.res_gap)
@@ -276,6 +276,19 @@ class TestPeriods:
         assert abel_map(1j * Q, st.alpha, c_nu, Q, QUAD) == 0.0
         a_ast = abel_map(st.alpha.conjugate(), st.alpha, c_nu, Q, QUAD)
         assert abs(a_ast - (1j * math.pi + 0.5 * H)) < 1e-8
+
+    def test_abel_map_detours_round_a_crossed_cut(self):
+        # the straight path iq -> z crosses the cut [alpha*, -iq] between the
+        # points a sampled clearance check looks at. The detour leaves iq
+        # below the cut [iq, alpha], as abel_map's own detour does: one that
+        # leaves above it differs by the b-period H
+        st = solve_endpoint(0.6, Q)
+        _, _, _, c_nu = period_integrals(st.alpha, Q, QUAD)
+        z = 0.05 - 6j
+        detour = c_nu * quad_path(lambda lam: 1.0 / big_r(lam, st.alpha, Q),
+                                  [1j * Q, 2.0 + 0j, 2.0 - 6j, z], QuadratureSpec(1e-12))
+        assert abs(detour - (-2.3840 + 1.7223j)) < 1e-4
+        assert abs(abel_map(z, st.alpha, c_nu, Q, QUAD) - detour) < 1e-10
 
     def test_dual_path_invariance(self):
         st = solve_endpoint(0.8, Q)
@@ -419,7 +432,7 @@ class TestModulationConstants:
             inv_r = 1.0 / big_r(z, a, Q)
             return np.stack((inv_r, z * (z - a.real) * inv_r - 1.0), axis=1)
 
-        rays = [quad_ray_to_inf(ray_terms, 1j * Q, d, quad, sqrt_start=True) for d in (1.0, 1j)]
+        rays = [quad_ray_to_inf(ray_terms, 1j * Q, d, quad) for d in (1.0, 1j)]
         assert np.max(np.abs(rays[0] - rays[1])) <= 1e-12
 
     @pytest.mark.parametrize("x,frac,tol", _BAND_POINTS)

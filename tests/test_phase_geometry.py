@@ -309,7 +309,7 @@ class TestT2SearchCost:
         return calls
 
     def test_no_residual_quadrature(self, monkeypatch):
-        calls = self._count(monkeypatch, genus1, "endpoint_residuals")
+        calls = self._count(monkeypatch, phase_geometry, "endpoint_residuals")
         second_breaking_time(0.3, P)
         assert calls == []
         monkeypatch.setattr(field, "_T2_CACHE", {})

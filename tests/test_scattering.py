@@ -20,7 +20,8 @@ from sqnls.scattering import (
     nu_imag_cut,
     scattering_data,
 )
-from sqnls.specfun import QuadratureSpec, cut_sqrt, gl_panels, quad_path, quad_ray_to_inf
+from sqnls.specfun import (QuadratureSpec, adaptive_gl, cut_sqrt, gl_panels, quad_path,
+                           quad_ray_to_inf)
 
 P = BarrierParams(1.0, 1.0, 0.2)
 IMAG_CUT = BranchCut("imaginary_segment")
@@ -89,6 +90,16 @@ class TestNuBranch:
             off_cut = nu_branch(z + side * 1j * tang * 1e-7, CURVED, 1.0)
             assert abs(values[-1] - off_cut) < 5e-8
         assert abs(values[0] + values[1]) < 1e-14
+
+    @pytest.mark.parametrize("y", [-0.3, 0.0, 0.5])
+    def test_curved_cut_branch_on_the_imaginary_segment(self, y):
+        # the open segment [-iq, iq] is off the curved cut, where the branch
+        # is continuous: on the segment and within 1e-13 q of it on either
+        # side it equals its limits from both sides
+        left, right = (nu_branch(complex(x, y), CURVED, 1.0) for x in (-1e-9, 1e-9))
+        assert abs(left - right) < 1e-8
+        for x in (0.0, -5e-14, 5e-14):
+            assert abs(nu_branch(complex(x, y), CURVED, 1.0) - left) < 1e-8
 
     def test_asymptotic_normalization(self):
         z = 1e6 * cmath.exp(0.7j)
@@ -486,15 +497,19 @@ def _band_nodes(mu: float, q: float = 1.0) -> tuple[np.ndarray, float]:
 
 
 def _chi_node_rule(z: np.ndarray, a: float, q: float, spec: QuadratureSpec):
-    # chi_batch's ray rule as a node integrand, kappa / (s - z) by complex
-    # division at every ray node, and the number of ray nodes it took
+    # chi_batch's ray rule as a node integrand on its map s = a - u / (1 - u),
+    # kappa / (s - z) by complex division at every ray node, and the number of
+    # ray nodes it took
     nodes = []
+    d = complex(-1.0)
 
-    def f(s: np.ndarray) -> np.ndarray:
-        nodes.append(s.size)
-        return kappa_weight(s, q)[:, None] / (s[:, None] - z)
+    def f(u: np.ndarray) -> np.ndarray:
+        nodes.append(u.size)
+        s = a + d * (u / (1.0 - u))
+        return kappa_weight(s, q)[:, None] / (s[:, None] - z) * (d / (1.0 - u) ** 2)[:, None]
 
-    return -1j * quad_ray_to_inf(f, a, -1.0, spec), sum(nodes)
+    return (-1j * adaptive_gl(f, 0.0, 1.0, spec.target_abs_tol, spec.max_subdivisions),
+            sum(nodes))
 
 
 def _chi_batch_counted(monkeypatch, z: np.ndarray, a: float, q: float, spec: QuadratureSpec):

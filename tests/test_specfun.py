@@ -15,11 +15,13 @@ from sqnls.specfun import (
     complete_elliptic_m1,
     complete_elliptic_series,
     cut_sqrt,
+    cut_sqrt_boundary,
     dilog,
     ellipe,
     ellipk,
     quad_path,
     quad_ray_to_inf,
+    segment_distance,
     theta_sum,
 )
 
@@ -246,7 +248,7 @@ class TestQuadPath:
     def test_tail_with_inverse_sqrt_start(self):
         # integral_0^inf lam^(-1/2) (1 + lam)^(-2) dlam = B(1/2, 3/2) = pi / 2
         val = quad_ray_to_inf(lambda lam: 1.0 / (np.sqrt(lam) * (1.0 + lam) ** 2), 0.0, 1.0,
-                              QuadratureSpec(1e-12), sqrt_start=True)
+                              QuadratureSpec(1e-12))
         assert abs(val - math.pi / 2) < 1e-11
 
 
@@ -423,6 +425,52 @@ class TestCutSqrt:
             one = cut_sqrt(complex(zj), self.C, self.D)
             assert isinstance(one, complex)
             assert abs(one - aj) <= 1e-15 * abs(aj)
+
+    def test_boundary_value_is_the_limit_from_each_side(self):
+        # side +1 is the left of the direction d, where Im((z - c)/d) > 0
+        s = np.linspace(-0.95, 0.95, 13)
+        on_cut = self.C + s * self.D
+        for side in (+1, -1):
+            limit = cut_sqrt(on_cut + side * 1e-9j * self.D, self.C, self.D)
+            assert np.all(np.abs(cut_sqrt_boundary(s, self.D, side) - limit) < 1e-7)
+        # the branch points, and parameters past them by rounding, give 0
+        ends = cut_sqrt_boundary(np.array([-1.0, 1.0, 1.0 + 2e-16]), self.D, -1)
+        assert np.all(ends == 0)
+
+
+class TestSegmentDistance:
+    def test_crossing_and_touching(self):
+        assert segment_distance(-1 - 1j, 1 + 1j, -1 + 1j, 1 - 1j) == 0.0
+        assert segment_distance(0j, 1 + 0j, 1 + 0j, 1 + 1j) == 0.0
+        # collinear: overlapping, then apart
+        assert segment_distance(0j, 2 + 0j, 1 + 0j, 3 + 0j) == 0.0
+        assert segment_distance(0j, 1 + 0j, 2 + 0j, 3 + 0j) == 1.0
+
+    def test_apart(self):
+        assert segment_distance(0j, 2 + 0j, 1 + 0.5j, 3 + 0.5j) == 0.5
+        assert segment_distance(0j, 1 + 0j, 2 + 1j, 2 + 3j) == abs(1 + 1j)
+        # a long segment passing 1e-3 from the end of a short one
+        assert segment_distance(-3 + 1e-3j, 3 + 1e-3j, -0.1j, 0j) == pytest.approx(1e-3, rel=1e-12)
+
+    def test_zero_length_segments(self):
+        # a point's distance from a segment, given as either pair; two points
+        assert segment_distance(0.5 + 2j, 0.5 + 2j, 0j, 1 + 0j) == 2.0
+        assert segment_distance(0j, 1 + 0j, 0.5 + 2j, 0.5 + 2j) == 2.0
+        assert segment_distance(0.25 + 0j, 0.25 + 0j, 0j, 1 + 0j) == 0.0
+        assert segment_distance(3 + 4j, 3 + 4j, 0j, 0j) == 5.0
+        assert segment_distance(1j, 1j, 1j, 1j) == 0.0
+
+    def test_against_dense_sampling(self):
+        # the exact distance is the least over the segments' points: never
+        # above a dense sample's least distance, and within its spacing of it
+        rng = np.random.default_rng(5)
+        u = np.linspace(0.0, 1.0, 401)
+        for _ in range(100):
+            a0, a1, b0, b1 = rng.normal(size=4) + 1j * rng.normal(size=4)
+            sampled = np.min(np.abs((a0 + u * (a1 - a0))[:, None] - (b0 + u * (b1 - b0))[None, :]))
+            exact = segment_distance(a0, a1, b0, b1)
+            assert exact <= sampled + 1e-15
+            assert sampled - exact <= (abs(a1 - a0) + abs(b1 - b0)) / 400
 
 
 # scipy is the reference for the three ports below; the library never imports it

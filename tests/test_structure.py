@@ -1,6 +1,6 @@
 """Module structure of the package: imports at module level only, no import cycle,
-no private name in the command line, and every function the benchmark tracer
-wraps still found."""
+no module importing another's private name, and every function the benchmark
+tracer wraps still found."""
 
 import ast
 import graphlib
@@ -55,8 +55,10 @@ def test_package_imports_are_acyclic():
     assert order.index("phase_geometry") < order.index("genus1")
 
 
-def test_cli_imports_no_private_name():
-    private = [f"{node.module}.{alias.name}" for node in ast.walk(MODULES["cli"])
+def test_no_module_imports_a_private_name():
+    # an underscore name belongs to its module: no other package module imports it
+    private = [f"{name}: {node.module}.{alias.name}"
+               for name, tree in MODULES.items() for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom)
                and (node.level == 1 or (node.module or "").startswith("sqnls"))
                for alias in node.names if alias.name.startswith("_")]

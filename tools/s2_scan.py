@@ -42,7 +42,7 @@ EPS = 0.05
 
 # (caller, specfun entry point) -> the pass of an S2 point it runs
 PASSES = {
-    ("_band_pass", "quad_path"): "band pass",
+    ("_cut_integral", "quad_path"): "band pass",
     ("modulation_constants", "quad_path"): "segment alpha* -> alpha",
     ("modulation_constants", "quad_ray_to_inf"): "ray iq -> i inf",
     ("chi_batch", "adaptive_panels"): "chi",

@@ -64,7 +64,7 @@ def _t2_cached(x: float, p: BarrierParams) -> float | None:
     Any other failure propagates.
     """
     # second_breaking_time reads q and L only, so one search serves every eps
-    key = (p.q, p.L, round(abs(x), 12))
+    key = (p.q, p.L, round(abs(x) / p.L, 12))
     if key not in _T2_CACHE:
         try:
             _T2_CACHE[key] = second_breaking_time(abs(x), p)
@@ -78,22 +78,22 @@ def classify(x: float, t: float, p: BarrierParams) -> Region:
 
     Boundary points (|x| = L or t on a breaking curve) are beyond_scope:
     the asymptotic description holds on compacts strictly inside each
-    region. T2 is computed lazily and cached per x.
+    region, to _BOUNDARY_RTOL of the units L and L/q. T2 is cached per x.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    scale_x = max(1.0, p.L)
-    if abs(abs(x) - p.L) <= _BOUNDARY_RTOL * scale_x:
+    if abs(abs(x) - p.L) <= _BOUNDARY_RTOL * p.L:
         return Region("beyond_scope")
     if abs(x) > p.L:
         return Region("S0")
     t1 = first_breaking_time(x, p)
-    if abs(t - t1) <= _BOUNDARY_RTOL * max(1.0, t1):
+    dt = _BOUNDARY_RTOL * p.L / p.q
+    if abs(t - t1) <= dt:
         return Region("beyond_scope", T1=t1)
     if t < t1:
         return Region("S1", T1=t1)
     t2 = _t2_cached(x, p)
-    if t2 is None or t >= t2 - _BOUNDARY_RTOL * max(1.0, t2):
+    if t2 is None or t >= t2 - dt:
         return Region("beyond_scope", T1=t1, T2=t2)
     return Region("S2", T1=t1, T2=t2)
 

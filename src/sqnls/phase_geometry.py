@@ -32,10 +32,9 @@ class PinchPointError(RuntimeError):
     (T2(x) -> T1(0)), so rho1 has no root pair just past T1 and no T2
     exists. Close to |x| = L the search window ends before the bump maximum
     turns negative. The window ends at the endpoint solver's floor
-    m = 1 - 1e-14, where mu = (L - |x|)/(2t) is ~1.85e-6 q, or at
-    t = 1e4 L/q if that comes first; as T2 -> L/q at the edge, mu at T2
-    falls below that floor for |x| > (1 - 3.7e-6) L. That exit is a limit of
-    the endpoint solver, not a proof that T2 is absent.
+    m = 1 - 1e-14, where mu = (L - |x|)/(2t) is ~1.85e-6 q; as T2 -> L/q at
+    the edge, mu at T2 falls below that floor for |x| > (1 - 3.7e-6) L. That
+    exit is a limit of the endpoint solver, not a proof that T2 is absent.
     """
 
 
@@ -148,7 +147,7 @@ def rho1_bump_max(alpha: complex, xi0: float, t: float, L: float, q: float
 
     slope_lo, slope_hi = slope(lam_lo), slope(lam_hi)
     if slope_lo > 0 > slope_hi:
-        lam_star = brentq(slope, lam_lo, lam_hi, xtol=1e-13)
+        lam_star = brentq(slope, lam_lo, lam_hi, xtol=1e-13 * q)
     else:
         lam_star = lam_hi if slope_hi >= 0 else lam_lo
     return rho1_value(lam_star, alpha, xi0, t, L, q), lam_star
@@ -159,7 +158,7 @@ def rho1_real_roots(alpha: complex, xi0: float, t: float, L: float, q: float,
     """Real zeros of rho1 on lambda < 0: two simple roots, one double, or none.
 
     The root count follows the sign of rho1_bump_max. A double root
-    (|max| < double_tol) is reported twice. With right=False the right
+    (|max| < double_tol L) is reported twice. With right=False the right
     simple root is not solved for, and two simple roots come back as the
     left one alone.
     """
@@ -171,14 +170,14 @@ def rho1_real_roots(alpha: complex, xi0: float, t: float, L: float, q: float,
         return rho1_value(lam, alpha, xi0, t, L, q)
 
     f_star, lam_star = rho1_bump_max(alpha, xi0, t, L, q)
-    if abs(f_star) < double_tol:
+    if abs(f_star) < double_tol * L:
         return [lam_star, lam_star]
     if f_star < 0:
         return []
-    left = brentq(f, lam_lo, lam_star, xtol=1e-14)
+    left = brentq(f, lam_lo, lam_star, xtol=1e-14 * q)
     if not right:
         return [left]
-    return [left, brentq(f, lam_star, lam_hi, xtol=1e-14)]
+    return [left, brentq(f, lam_star, lam_hi, xtol=1e-14 * q)]
 
 
 def first_breaking_time(x: float, p) -> float:
@@ -326,7 +325,7 @@ def endpoint_residuals(alpha: complex, x_minus_l: float, t: float, q: float
     ac = a.conjugate()
     f_m = t / 4.0 * (3 * a * a + 2 * a * ac + 3 * ac * ac + 4 * q * q) \
         + x_minus_l / 2.0 * (a + ac)
-    if abs(a.imag) < 1e-14:
+    if abs(a.imag) < 1e-14 * q:
         # degenerate real endpoint: S integrand collapses, integral vanishes
         return f_m, 0.0 + 0.0j
 
@@ -335,6 +334,29 @@ def endpoint_residuals(alpha: complex, x_minus_l: float, t: float, q: float
 
     f_g = quad_path(integrand, [ac, a], QuadratureSpec(target_abs_tol=1e-12))
     return f_m, f_g
+
+
+def _double_root(bump_max, lo: float, hi: float, xtol: float, L: float, q: float,
+                 tol: float, where: str) -> float:
+    """t of rho1's double root: brentq drives bump_max(s)[0] to zero on [lo, hi].
+
+    bump_max(s) is (value, lam_star, alpha, xi0, t). RuntimeError unless
+    |rho1| <= tol L and |rho1'| <= tol L/q at the double root.
+    """
+    def gap(s: float) -> float:
+        # rho1's terms are O(4L): a bump maximum within a few ulps of them is
+        # a root, and brentq stops there instead of stepping to confirm it
+        g = bump_max(s)[0]
+        return 0.0 if abs(g) <= 4e-15 * L else g
+
+    _, lam_star, alpha, xi0, t = bump_max(brentq(gap, lo, hi, xtol=xtol, rtol=8.9e-16))
+    g_res = rho1_value(lam_star, alpha, xi0, t, L, q)
+    dres = rho1_slope(lam_star, alpha, xi0, t, L, q)
+    if abs(g_res) > tol * L or abs(dres) > tol * L / q:
+        raise RuntimeError(
+            f"double-root residuals too large at {where}: |rho1| = {abs(g_res):.2e}, "
+            f"|rho1'| = {abs(dres):.2e}")
+    return t
 
 
 # w = (log m1)^2 of the search's start t = 1.0001 T1(x), where mu = (L - |x|)/(2t)
@@ -352,11 +374,11 @@ def second_breaking_time(x: float, p, tol: float = 1e-8) -> float:
     t = 1.0001 T1(x), whose w is the same for every x and q (_W_START), so
     no mu is inverted. The bump maximum is close to linear in w: near the
     pinch both w and T2 - T1 go like m^2. Returns
-    T2(x) > T1(x); the residuals |rho1| and |rho1'| at the reported double
-    root are below tol. Raises PinchPointError at x = 0, where no bracket
+    T2(x) > T1(x); at the reported double root |rho1| <= tol L and
+    |rho1'| <= tol L/q. Raises PinchPointError at x = 0, where no bracket
     for T2 exists, and when the bump maximum is still positive where the
     window ends: the bracket grows in steps of 10, 20, 40, ... in w up to
-    the endpoint solver's floor m = 1 - 1e-14 or t = 1e4 L/q.
+    the endpoint solver's floor m = 1 - 1e-14.
     """
     x = abs(x)
     first_breaking_time(x, p)  # rejects |x| >= L
@@ -375,53 +397,29 @@ def second_breaking_time(x: float, p, tol: float = 1e-8) -> float:
     if g_lo <= 0:
         raise PinchPointError(f"no root pair just past T1(x) at x = {x}; bump max {g_lo}")
     w_floor = math.log(1.0 - _M_BRACKET[1]) ** 2
-    t_cap = 1e4 * L / q
     w_hi, step = _W_START, 10.0
     while True:
         w_prev, w_hi = w_hi, min(w_hi + step, w_floor)
         step *= 2.0
-        g_hi, _, _, _, t_hi = bump_max(w_hi)
-        if g_hi < 0:
+        if bump_max(w_hi)[0] < 0:
             break
-        if w_hi >= w_floor or t_hi >= t_cap:
+        if w_hi >= w_floor:
             raise PinchPointError(f"double-root search window exhausted at x = {x}")
-
-    def gap(w: float) -> float:
-        # rho1's terms are O(4L): a bump maximum within a few ulps of them is
-        # a root, and brentq stops there instead of stepping to confirm it
-        g = bump_max(w)[0]
-        return 0.0 if abs(g) <= 4e-15 * L else g
-
-    w2 = brentq(gap, w_prev, w_hi, xtol=1e-12, rtol=8.9e-16)
-    _, lam_star, alpha, xi0, t2 = bump_max(w2)
-    g_res = rho1_value(lam_star, alpha, xi0, t2, L, q)
-    dres = rho1_slope(lam_star, alpha, xi0, t2, L, q)
-    if abs(g_res) > tol or abs(dres) > tol:
-        raise RuntimeError(
-            f"double-root residuals too large at x = {x}: |rho1| = {abs(g_res):.2e}, "
-            f"|rho1'| = {abs(dres):.2e}")
-    return t2
+    return _double_root(bump_max, w_prev, w_hi, 1e-12, L, q, tol, f"x = {x}")
 
 
 def ray_breaking_time(mu: float, p) -> float:
     """T2 on the ray of constant mu = (L - |x|) / (2t) through (L, 0).
 
     The endpoint depends only on mu, so along the ray only t moves in rho1.
-    t doubles from 0.1 until rho1's bump maximum turns negative, and the
-    last doubling brackets the root of the bump maximum.
+    The search in t runs on [1e-3 L/q, min(L/q, L/(2 mu))]: the ray is below
+    T2 at its lower end, and past it at the upper, since T2 < L/q and the
+    ray meets x = 0, where T2(0) = T1(0) < L/(2 mu), at t = L/(2 mu).
     """
     q, L = p.q, p.L
     alpha = solve_endpoint(mu, q).alpha
     xi0 = mu - alpha.real
-
-    @functools.cache
-    def gap(t: float) -> float:
-        return rho1_bump_max(alpha, xi0, t, L, q)[0]
-
-    t_hi = 0.1
-    while gap(t_hi) > 0:
-        t_hi *= 2.0
-        if t_hi > 1e6:
-            raise RuntimeError("no upper breaking time found on the ray")
-    t_lo = t_hi / 2.0 if gap(t_hi / 2.0) > 0 else 1e-8
-    return brentq(gap, t_lo, t_hi, xtol=1e-10)
+    bump_max = functools.cache(lambda t: (*rho1_bump_max(alpha, xi0, t, L, q), alpha, xi0, t))
+    t_unit = L / q
+    return _double_root(bump_max, 1e-3 * t_unit, min(t_unit, L / (2.0 * mu)), 1e-14 * t_unit,
+                        L, q, 1e-8, f"mu = {mu}")

@@ -79,6 +79,15 @@ class TestClassify:
         reg = classify(0.41, 0.4, P)
         assert (reg.label, reg.T2) == ("beyond_scope", None)
 
+    def test_t2_memo_keyed_in_units_of_l(self, monkeypatch):
+        # at L = 1e-9, x = 0.3 L and 0.3004 L are two memo entries, not one
+        import sqnls.field
+
+        monkeypatch.setattr(sqnls.field, "_T2_CACHE", {})
+        p = BarrierParams(1.0, 1e-9, 0.1)
+        classify(0.3e-9, 4e-10, p)
+        assert classify(0.3004e-9, 4e-10, p).T2 == second_breaking_time(0.3004e-9, p)
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             classify(0.0, -0.1, P)
@@ -291,6 +300,26 @@ class TestCliOutput:
         assert captured.out == ""
         assert captured.err.startswith("sqnls endpoint: adaptive quadrature: ")
         assert captured.err.count("\n") == 1
+
+    def test_endpoint_far_from_unit_scale(self, capsys):
+        # the ray's T2 search is stated in the units L and L/q
+        assert main(["--L", "1e-9", "endpoint", "--mu", "0.9"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and len(lines[1].split(",")) == 9
+        # at L = 1e7 the modulation constants may fail; the command then
+        # reports it and exits 1, never with a traceback
+        src = str(Path(sqnls.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "sqnls.cli", "--L", "1e7", "endpoint",
+                               "--mu", "0.9"], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert "Traceback" not in proc.stderr
+        if proc.returncode == 0:
+            assert len(proc.stdout.splitlines()) == 2
+        else:
+            assert proc.returncode == 1 and proc.stdout == ""
+            assert proc.stderr.splitlines()[-1].startswith("sqnls endpoint: ")
 
     def test_validate_command(self, tmp_path):
         out = tmp_path / "val.csv"

@@ -274,7 +274,7 @@ class TestBreakingTimes:
 
     @pytest.mark.parametrize("q,L", [(1.0, 1.0), (2.0, 1.0), (1.0, 2.0)])
     def test_t2_near_the_barrier_edge(self, q, L):
-        # T1 -> 0 as |x| -> L while T2 -> L/q; the search window's cap does
+        # T1 -> 0 as |x| -> L while T2 -> L/q; the search window in w does
         # not shrink with T1, so the bracket is found up to (1 - 1e-5) L
         p = BarrierParams(q, L, 0.1)
         for x_frac, t2_unit in ((0.999, 0.99159), (0.9999, 0.99815), (0.99999, 0.99960)):
@@ -359,3 +359,50 @@ class TestT2SearchCost:
         ts = [args[2] for args in bumps]
         assert len(ts) > 0
         assert len(set(ts)) == len(ts)
+
+
+class TestScalingLaw:
+    """psi(x, t; q, L, eps) = q phi(x/L, qt/L; eps/(qL)): every entry point outside
+    S2 gives the unit problem's answer in the units q, L and L/q. Scaling by a
+    power of two is exact in floating point, so there the answers are the
+    unit answers bit for bit. Elsewhere x L is rounded, and near the edge
+    L - |x| keeps only ulp(L) of it: the answers agree to 1e-13 of their unit."""
+
+    XS = (0.01, 0.3, 0.5, 0.75, 0.9, 0.999, 0.99999)
+    MUS = (1e-4, 0.01, 0.4, 0.9, 1.3, 1.41)
+    # (x/L, qt/L): S1, S2 at three x, past T2, the pinch point, within 1e-4 L
+    # of the edge before T1, S0
+    POINTS = ((0.3, 0.1), (0.25, 0.3), (0.5, 0.5), (0.9, 0.5), (0.3, 0.95), (0.0, 0.5),
+              (0.9999, 1e-5), (1.5, 0.2))
+
+    @pytest.mark.parametrize("q, L, rtol", [
+        (2.0, 1.0, 0.0), (1.0, 2.0, 0.0), (4.0, 0.5, 0.0),
+        (0.7, 1.9, 1e-13), (1.0, 1e-9, 1e-13), (1.0, 1e7, 1e-13), (1e-7, 1.0, 1e-13),
+        (1e-4, 1e4, 1e-13)])
+    def test_entry_points_scale(self, monkeypatch, q, L, rtol):
+        monkeypatch.setattr(field, "_T2_CACHE", {})
+        p = BarrierParams(q, L, 0.1 * q * L)
+        t_unit = L / q
+
+        def same(v, v_unit, unit):
+            if v_unit is None:
+                assert v is None
+            else:
+                assert abs(v - unit * v_unit) <= rtol * unit, (v, unit * v_unit)
+
+        for x in self.XS:
+            same(first_breaking_time(x * L, p), first_breaking_time(x, P), t_unit)
+            same(second_breaking_time(x * L, p), second_breaking_time(x, P), t_unit)
+        for mu in self.MUS:
+            same(ray_breaking_time(mu * q, p), ray_breaking_time(mu, P), t_unit)
+            same(solve_endpoint(mu * q, q).alpha, solve_endpoint(mu, 1.0).alpha, q)
+        for x, t in self.POINTS:
+            reg, reg_unit = field.classify(x * L, t * t_unit, p), field.classify(x, t, P)
+            assert reg.label == reg_unit.label, (x, t)
+            same(reg.T1, reg_unit.T1, t_unit)
+            same(reg.T2, reg_unit.T2, t_unit)
+        rows = [line.split(",") for line in field.breaking_curves(-1.1 * L, 1.1 * L, 12, p)[1:]]
+        rows_unit = [line.split(",") for line in field.breaking_curves(-1.1, 1.1, 12, P)[1:]]
+        for row, row_unit in zip(rows, rows_unit, strict=True):
+            for v, v_unit, unit in zip(row, row_unit, (L, t_unit, t_unit), strict=True):
+                same(float(v) if v else None, float(v_unit) if v_unit else None, unit)

@@ -18,8 +18,8 @@ import numpy as np
 from .genus0 import RegionError, psi_asy_g0
 from .genus1 import RealityError, modulation_constants, psi_asy_g1
 from .nls_direct import evolve, validation_config
-from .phase_geometry import (PinchPointError, first_breaking_time, ray_breaking_time,
-                             second_breaking_time, solve_endpoint)
+from .phase_geometry import (EndpointRangeError, PinchPointError, endpoint_ray_breaking_time,
+                             first_breaking_time, second_breaking_time, solve_endpoint)
 from .scattering import BarrierParams
 from .specfun import QuadratureConvergenceError
 
@@ -27,7 +27,7 @@ __all__ = ["Region", "TableError", "EmptyPatchError", "classify", "psi_asymptoti
            "classify_table", "breaking_curves", "field_table", "validate_table", "endpoint_table"]
 
 _BOUNDARY_RTOL = 1e-12
-_POINT_ERRORS = (QuadratureConvergenceError, RealityError, RegionError)
+_POINT_ERRORS = (QuadratureConvergenceError, RealityError, RegionError, EndpointRangeError)
 
 
 @dataclass(frozen=True)
@@ -122,9 +122,10 @@ def sample_grid(x_range: tuple[float, float], t_range: tuple[float, float],
     'errors', and 'asymptotic' and/or 'numeric' by mode ('both' gives both),
     each an (nt, nx) complex array. A beyond-scope point of the asymptotic
     field is NaN, a null marker, never a guess; so is a point where a
-    QuadratureConvergenceError, RealityError or RegionError is raised, and
-    'errors' records it. Any other error propagates. The numeric field is
-    the validation_config solver run, interpolated linearly onto the grid.
+    QuadratureConvergenceError, RealityError, RegionError or EndpointRangeError
+    is raised, and 'errors' records it. Any other error propagates. The
+    numeric field is the validation_config solver run, interpolated linearly
+    onto the grid.
     """
     if mode not in ("asymptotic", "numeric", "both"):
         raise ValueError("mode must be 'asymptotic', 'numeric' or 'both'")
@@ -278,7 +279,7 @@ def endpoint_table(mu: float, p: BarrierParams) -> list[str]:
     """
     try:
         state = solve_endpoint(mu, p.q)
-        t_ref = 0.5 * ray_breaking_time(mu, p)
+        t_ref = 0.5 * endpoint_ray_breaking_time(state, p.L)
         mods = modulation_constants(state.alpha, p.L - 2.0 * mu * t_ref, t_ref, p)
     except _POINT_ERRORS as exc:
         raise TableError(str(exc)) from exc

@@ -1,12 +1,12 @@
 """Pre-break asymptotics inside the barrier support (and the quiescent exterior).
 
 In the plane-wave window the wave form is q exp(i(q^2 t/eps + omega)) with a
-slow phase correction omega. omega comes either from two half-line integrals
-of the reflection weight or from a closed dilogarithm form; both are kept and
-cross-checked. The module also carries the finite band of Im phi0 = 0, each
-of its points a root of one real quartic, and the finite-difference
-diagnostic showing omega fails the rescaled Laplace equation (while the
-arctan family satisfies it exactly).
+slow phase correction omega. The wave form takes omega from its closed
+dilogarithm form; omega_phase also evaluates the two half-line integrals of
+the reflection weight that the closed form sums, on request. The module also
+carries the finite band of Im phi0 = 0, each of its points a root of one real
+quartic, and the finite-difference diagnostic showing omega fails the
+rescaled Laplace equation (while the arctan family satisfies it exactly).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .scattering import BarrierParams, kappa_weight, nu_imag_cut
 from .specfun import QuadratureSpec, dilog, quad_ray_to_inf
 
 __all__ = ["RegionError", "BandContour", "stationary_points_g0", "build_band_g0", "omega_phase",
-           "omega_selfsimilar", "psi_asy_g0", "wkb_laplace_residual"]
+           "psi_asy_g0", "wkb_laplace_residual"]
 
 
 class RegionError(ValueError):
@@ -96,11 +96,6 @@ def build_band_g0(x: float, t: float, p: BarrierParams) -> BandContour:
 # the slow phase omega
 # ---------------------------------------------------------------------------
 
-def _omega_density(lam: np.ndarray, q: float) -> np.ndarray:
-    # log(1 + |r0|^2) / nu at real lam, nu = sign(lam) sqrt(lam^2 + q^2)
-    return -2.0 * math.pi * kappa_weight(lam, q) / nu_imag_cut(lam, q)
-
-
 def omega_phase(x: float, t: float, p: BarrierParams, quad: QuadratureSpec | None = None,
                 method: str = "dilog") -> float:
     """Slow phase correction omega(x, t) on S1.
@@ -110,15 +105,15 @@ def omega_phase(x: float, t: float, p: BarrierParams, quad: QuadratureSpec | Non
     -(1/2 pi) [Li2(r0(xi0)^2) + Li2(r0(xi1)^2)] with the real arguments
     r0(xi)^2 = -q^2/(nu(xi) + xi)^2. The two agree to quadrature tolerance.
     """
-    if quad is None:
-        quad = QuadratureSpec(target_abs_tol=1e-11)
     xi0, xi1 = stationary_points_g0(x, t, p)
     q = p.q
     if method == "dilog":
         return -(_dilog_of_r0sq(xi0, q) + _dilog_of_r0sq(xi1, q)) / (2 * math.pi)
     if method != "integral":
         raise ValueError("method must be 'integral' or 'dilog'")
-    f = lambda lam: _omega_density(lam, q)
+    quad = quad or QuadratureSpec(target_abs_tol=1e-11)
+    # log(1 + |r0|^2) / nu at real lam, nu = sign(lam) sqrt(lam^2 + q^2)
+    f = lambda lam: -2.0 * math.pi * kappa_weight(lam, q) / nu_imag_cut(lam, q)
     left = quad_ray_to_inf(f, xi1, -1.0, quad)   # = -int_{-inf}^{xi1}
     right = quad_ray_to_inf(f, xi0, +1.0, quad)  # = +int_{xi0}^{inf}
     return float(((left + right) / math.pi).real)
@@ -130,21 +125,6 @@ def _dilog_of_r0sq(xi: float, q: float) -> float:
     if arg > 1e-12:
         raise ValueError(f"r0(xi)^2 = {arg} should be real and <= 0")
     return dilog(min(arg, 0.0))
-
-
-def omega_selfsimilar(x: float, t: float, p: BarrierParams, quad: QuadratureSpec) -> float:
-    """omega rebuilt from its self-similar form F((x+L)/t) + F((x-L)/t) - omega0."""
-    q = p.q
-
-    f = lambda lam: _omega_density(lam, q)
-
-    def F(zeta: float) -> float:
-        lam_c = -zeta / 4 * (1 + math.sqrt(1 - 8 * q * q / (zeta * zeta)))
-        return float((quad_ray_to_inf(f, lam_c, -1.0, quad) / math.pi).real)
-
-    omega0 = float(((quad_ray_to_inf(f, 0.0, -1.0, quad)
-                     - quad_ray_to_inf(f, 0.0, +1.0, quad)) / math.pi).real)
-    return F((x + p.L) / t) + F((x - p.L) / t) - omega0
 
 
 def psi_asy_g0(x: float, t: float, p: BarrierParams) -> complex:

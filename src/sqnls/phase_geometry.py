@@ -18,11 +18,11 @@ import numpy as np
 
 from .specfun import QuadratureSpec, brentq, complete_elliptic_m1, cut_sqrt, quad_path
 
-__all__ = ["LevelTopology", "PinchPointError", "EndpointState", "level_topology",
-           "rho1_real_roots", "rho1_value", "rho1_slope", "rho1_bump_max", "first_breaking_time",
-           "second_breaking_time", "ray_breaking_time", "band_cut", "big_s", "big_r",
-           "elliptic_parameter", "alpha_from_m", "mu_from_m", "endpoint_mu_floor",
-           "solve_endpoint", "endpoint_residuals"]
+__all__ = ["LevelTopology", "PinchPointError", "EndpointRangeError", "EndpointState",
+           "level_topology", "rho1_real_roots", "rho1_value", "rho1_slope", "rho1_bump_max",
+           "first_breaking_time", "second_breaking_time", "ray_breaking_time",
+           "endpoint_ray_breaking_time", "band_cut", "big_s", "big_r", "elliptic_parameter",
+           "alpha_from_m", "mu_from_m", "endpoint_mu_floor", "solve_endpoint", "endpoint_residuals"]
 
 
 class PinchPointError(RuntimeError):
@@ -36,6 +36,10 @@ class PinchPointError(RuntimeError):
     the edge, mu at T2 falls below that floor for |x| > (1 - 3.7e-6) L. That
     exit is a limit of the endpoint solver, not a proof that T2 is absent.
     """
+
+
+class EndpointRangeError(ValueError):
+    """mu lies outside [endpoint_mu_floor(q), sqrt2 q), where solve_endpoint inverts it."""
 
 
 @dataclass(frozen=True)
@@ -232,12 +236,12 @@ _M_BRACKET = (1e-14, 1.0 - 1e-14)
 def _v_from_mu(mu: float, q: float) -> float:
     """v = -log(1 - m) at mu by brentq on _endpoint(exp(-v)): v resolves m near 1."""
     if not (0 < mu < math.sqrt(2.0) * q):
-        raise ValueError(f"mu = {mu} outside the oscillatory window (0, sqrt2 q)")
+        raise EndpointRangeError(f"mu = {mu} outside the oscillatory window (0, sqrt2 q)")
     v_lo, v_hi = (-math.log1p(-m) for m in _M_BRACKET)
     f = lambda v: _endpoint(math.exp(-v), q)[1] - mu
     f_lo, f_hi = f(v_lo), f(v_hi)
     if f_lo * f_hi > 0:
-        raise RuntimeError(f"no sign change for mu = {mu}: [{f_lo}, {f_hi}]")
+        raise EndpointRangeError(f"no sign change for mu = {mu}: [{f_lo}, {f_hi}]")
     return brentq(f, v_lo, v_hi, xtol=1e-15, rtol=8.9e-16)
 
 
@@ -298,7 +302,7 @@ def endpoint_mu_floor(q: float) -> float:
     """Smallest mu that solve_endpoint inverts, mu(1 - 1e-14) ~ 1.85e-6 q.
 
     Below it the root m lies past the top of the m bracket, and
-    solve_endpoint raises RuntimeError.
+    solve_endpoint raises EndpointRangeError.
     """
     return mu_from_m(_M_BRACKET[1], q)
 
@@ -416,8 +420,12 @@ def ray_breaking_time(mu: float, p) -> float:
     T2 at its lower end, and past it at the upper, since T2 < L/q and the
     ray meets x = 0, where T2(0) = T1(0) < L/(2 mu), at t = L/(2 mu).
     """
-    q, L = p.q, p.L
-    alpha = solve_endpoint(mu, q).alpha
+    return endpoint_ray_breaking_time(solve_endpoint(mu, p.q), p.L)
+
+
+def endpoint_ray_breaking_time(state: EndpointState, L: float) -> float:
+    """ray_breaking_time on the ray of a solved endpoint's mu, with no mu inverted."""
+    mu, alpha, q = state.mu, state.alpha, state.q
     xi0 = mu - alpha.real
     bump_max = functools.cache(lambda t: (*rho1_bump_max(alpha, xi0, t, L, q), alpha, xi0, t))
     t_unit = L / q

@@ -20,7 +20,7 @@ from .specfun import (QuadratureSpec, adaptive_panels, brentq, cut_sqrt, cut_sqr
 
 __all__ = ["BarrierParams", "BranchCut", "BranchBoundaryError", "nu_branch", "nu_imag_cut",
            "scattering_data", "eigenvalues", "eigenvalue_phase", "connection_coefficient",
-           "kappa_weight", "chi_integral", "chi_batch", "multistep_scattering"]
+           "kappa_weight", "chi_integral", "chi_batch"]
 
 
 class BranchBoundaryError(ValueError):
@@ -372,41 +372,3 @@ def chi_integral(z: complex, a: float, q: float, quad: QuadratureSpec | None = N
         return 1j * (tail + mid + head)
 
     return complex(chi_batch(np.array([z]), a, q, quad)[0])
-
-
-# ---------------------------------------------------------------------------
-# piecewise-constant (multi-step) potentials
-# ---------------------------------------------------------------------------
-
-def multistep_scattering(steps: Sequence[tuple[tuple[float, float], complex]],
-                         z: complex, eps: float) -> np.ndarray:
-    """Scattering matrix of a piecewise-constant potential on [-L, L].
-
-    steps is a list of ((x_left, x_right), amplitude); intervals must tile
-    [-L, L] contiguously. The matrix is the ordered product of constant-
-    coefficient transfer exponentials conjugated by the free phases.
-    """
-    if not steps:
-        raise ValueError("empty step list")
-    xs = [s[0] for s in steps]
-    for (left, right) in xs:
-        if not (right > left):
-            raise ValueError("each interval needs x_right > x_left")
-    for (_, right_prev), (left_next, _) in zip(xs[:-1], xs[1:]):
-        if abs(right_prev - left_next) > 1e-12:
-            raise ValueError("intervals do not tile contiguously")
-    L = xs[-1][1]
-    if abs(xs[0][0] + L) > 1e-12:
-        raise ValueError("partition must cover a symmetric interval [-L, L]")
-
-    z = complex(z)
-    out = np.eye(2, dtype=complex)
-    for (left, right), amp in steps:
-        dx = (right - left) / eps
-        amp = complex(amp)
-        w = cmath.sqrt(z * z + abs(amp) ** 2)
-        m = np.array([[-1j * z, amp], [-amp.conjugate(), 1j * z]], dtype=complex)
-        block = cmath.cos(w * dx) * np.eye(2) + dx * _csinc(w * dx) * m
-        out = out @ block
-    free = np.array([[cmath.exp(1j * z * L / eps), 0], [0, cmath.exp(-1j * z * L / eps)]])
-    return free @ out @ free

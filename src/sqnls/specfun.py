@@ -1,8 +1,7 @@
 """Special functions, scalar solvers and complex-path quadrature kernels.
 
 Everything here is self-contained and needs numpy only: complete elliptic
-integrals (AGM production scheme plus an independent power-series scheme
-for cross-checking), the real dilogarithm, the genus-1 theta sum, the
+integrals (one AGM pass), the real dilogarithm, the genus-1 theta sum, the
 branch square root `cut_sqrt` cut on a straight segment with its boundary
 values, the exact distance between segments, the Brent root finder `brentq`,
 and an adaptive Gauss-Legendre quadrature over complex polylines and rays.
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["QuadratureSpec", "QuadratureConvergenceError", "complete_elliptic",
-           "complete_elliptic_m1", "ellipk", "ellipe", "complete_elliptic_series", "dilog",
+           "complete_elliptic_m1", "ellipk", "ellipe", "dilog",
            "theta_sum", "cut_sqrt", "cut_sqrt_boundary", "segment_distance", "brentq",
            "gl_panels", "adaptive_panels", "adaptive_gl", "quad_path", "quad_ray_to_inf"]
 
@@ -120,30 +119,6 @@ def ellipe(m: float) -> float:
     if m == 1.0:
         return 1.0
     return complete_elliptic_m1(1.0 - m)[1]
-
-
-def complete_elliptic_series(m: float) -> tuple[float, float]:
-    """Independent evaluation of (K, E) by the hypergeometric power series.
-
-    Kept as the verification scheme for the AGM production code; converges
-    for 0 <= m < 1, slowly near 1.
-    """
-    if not (0 <= m < 1):
-        raise ValueError("series form requires 0 <= m < 1")
-    coeff = 1.0  # ((2n)! / (2^{2n} (n!)^2))^2 m^n
-    k_sum = 1.0
-    e_sum = 1.0
-    n = 0
-    while True:
-        n += 1
-        coeff *= ((2 * n - 1) / (2 * n)) ** 2 * m
-        k_sum += coeff
-        e_sum -= coeff / (2 * n - 1)
-        if coeff < 1e-16 * k_sum and n > 4:
-            break
-        if n > 100000:
-            raise QuadratureConvergenceError("elliptic series did not converge", k_sum, coeff)
-    return math.pi / 2 * k_sum, math.pi / 2 * e_sum
 
 
 # ---------------------------------------------------------------------------
@@ -410,51 +385,54 @@ def adaptive_panels(sums, a: float, b: float, tol: float, max_panels: int) -> np
     A panel with a non-finite value stops the loop at once: the
     QuadratureConvergenceError names that panel and carries the estimate and
     error sum of the finite panels before it (NaN and inf if it is [a, b]).
+    numpy's divide, invalid and overflow warnings are silenced while the
+    panels are summed: that check raises the typed error in their place.
     """
-    m = 0.5 * (a + b)
-    whole, left, right = sums(np.array([a, a, m]), np.array([b, m, b]))
-    if not np.all(np.isfinite([whole, left, right])):
-        raise _non_finite(a, b, np.full(whole.shape, np.nan + 0j), np.full(whole.shape, np.inf))
-    bounds = [(a, b)]
-    halves = np.empty((max_panels, 2) + whole.shape, dtype=complex)
-    errs = np.empty((max_panels,) + whole.shape)
-    halves[0] = left, right
-    errs[0] = err = np.abs(whole - left - right)
-    heap = [(-float(err.max()), 0)]
-    n = 1
-    while True:
-        total_err = errs[:n].sum(axis=0)
-        if (total_err <= tol).all():
-            return halves[:n].sum(axis=(0, 1))
-        if n >= max_panels:
-            raise QuadratureConvergenceError(
-                f"adaptive quadrature: error {total_err.max():.3e} > tol {tol:.3e} "
-                f"after {n} panels",
-                halves[:n].sum(axis=(0, 1))[()],
-                total_err[()],
-            )
-        row = heapq.heappop(heap)[1]
-        lo, hi = bounds[row]
-        m = 0.5 * (lo + hi)
-        ql, qr = 0.5 * (lo + m), 0.5 * (m + hi)
-        quarters = sums(np.array([lo, ql, m, qr]), np.array([ql, m, qr, hi]))
-        # one sum is finite unless a value is (or the sum overflows)
-        if not math.isfinite(abs(quarters.sum())):
-            finite = np.isfinite(quarters.reshape(2, -1)).all(axis=1)
-            if not finite.all():
-                bad_lo, bad_hi = (lo, m) if not finite[0] else (m, hi)
-                raise _non_finite(bad_lo, bad_hi, halves[:n].sum(axis=(0, 1)), total_err)
-        # the children [lo, m] (row) and [m, hi] (n) at once: each one's
-        # whole-panel rule is a half-panel rule of the parent
-        err = np.abs(halves[row] - quarters[0::2] - quarters[1::2])
-        halves[row], halves[n] = quarters[:2], quarters[2:]
-        errs[row], errs[n] = err
-        bounds[row] = lo, m
-        bounds.append((m, hi))
-        err_left, err_right = err.reshape(2, -1).max(axis=1).tolist()
-        heapq.heappush(heap, (-err_left, row))
-        heapq.heappush(heap, (-err_right, n))
-        n += 1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m = 0.5 * (a + b)
+        whole, left, right = sums(np.array([a, a, m]), np.array([b, m, b]))
+        if not np.all(np.isfinite([whole, left, right])):
+            raise _non_finite(a, b, np.full(whole.shape, np.nan + 0j), np.full(whole.shape, np.inf))
+        bounds = [(a, b)]
+        halves = np.empty((max_panels, 2) + whole.shape, dtype=complex)
+        errs = np.empty((max_panels,) + whole.shape)
+        halves[0] = left, right
+        errs[0] = err = np.abs(whole - left - right)
+        heap = [(-float(err.max()), 0)]
+        n = 1
+        while True:
+            total_err = errs[:n].sum(axis=0)
+            if (total_err <= tol).all():
+                return halves[:n].sum(axis=(0, 1))
+            if n >= max_panels:
+                raise QuadratureConvergenceError(
+                    f"adaptive quadrature: error {total_err.max():.3e} > tol {tol:.3e} "
+                    f"after {n} panels",
+                    halves[:n].sum(axis=(0, 1))[()],
+                    total_err[()],
+                )
+            row = heapq.heappop(heap)[1]
+            lo, hi = bounds[row]
+            m = 0.5 * (lo + hi)
+            ql, qr = 0.5 * (lo + m), 0.5 * (m + hi)
+            quarters = sums(np.array([lo, ql, m, qr]), np.array([ql, m, qr, hi]))
+            # one sum is finite unless a value is (or the sum overflows)
+            if not math.isfinite(abs(quarters.sum())):
+                finite = np.isfinite(quarters.reshape(2, -1)).all(axis=1)
+                if not finite.all():
+                    bad_lo, bad_hi = (lo, m) if not finite[0] else (m, hi)
+                    raise _non_finite(bad_lo, bad_hi, halves[:n].sum(axis=(0, 1)), total_err)
+            # the children [lo, m] (row) and [m, hi] (n) at once: each one's
+            # whole-panel rule is a half-panel rule of the parent
+            err = np.abs(halves[row] - quarters[0::2] - quarters[1::2])
+            halves[row], halves[n] = quarters[:2], quarters[2:]
+            errs[row], errs[n] = err
+            bounds[row] = lo, m
+            bounds.append((m, hi))
+            err_left, err_right = err.reshape(2, -1).max(axis=1).tolist()
+            heapq.heappush(heap, (-err_left, row))
+            heapq.heappush(heap, (-err_right, n))
+            n += 1
 
 
 def _non_finite(lo: float, hi: float, estimate: np.ndarray,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sqnls
+from sqnls import phase_geometry
 from sqnls.cli import load_config, main
 from sqnls.field import breaking_curves, classify, endpoint_table, sample_grid
 from sqnls.nls_direct import evolve, validation_config
@@ -300,6 +301,23 @@ class TestCliOutput:
         assert captured.out == ""
         assert captured.err.startswith("sqnls endpoint: adaptive quadrature: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("mu", ["1e-7", "2"])
+    def test_endpoint_mu_outside_the_solver_range(self, capsys, mu):
+        # below endpoint_mu_floor(q) and past sqrt2 q: a typed error, exit 1
+        assert main(["endpoint", "--mu", mu]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sqnls endpoint: ")
+        assert captured.err.count("\n") == 1
+
+    def test_endpoint_table_inverts_mu_once(self, monkeypatch):
+        calls = []
+        v_from_mu = phase_geometry._v_from_mu
+        monkeypatch.setattr(phase_geometry, "_v_from_mu",
+                            lambda mu, q: calls.append(mu) or v_from_mu(mu, q))
+        endpoint_table(0.9, P)
+        assert calls == [0.9]
 
     def test_endpoint_far_from_unit_scale(self, capsys):
         # the ray's T2 search is stated in the units L and L/q

@@ -9,16 +9,30 @@ from sqnls.genus0 import (
     _phi0_imagcut,
     build_band_g0,
     omega_phase,
-    omega_selfsimilar,
     psi_asy_g0,
     stationary_points_g0,
     wkb_laplace_residual,
 )
 from sqnls.phase_geometry import first_breaking_time, level_topology
 from sqnls.scattering import BarrierParams
-from sqnls.specfun import QuadratureSpec
 
 P = BarrierParams(1.0, 1.0, 0.1)
+
+
+def _omega_density(s: float, q: float) -> float:
+    # log(1 + |r0(s)|^2) / nu(s) with nu = sign(s) sqrt(s^2 + q^2) on R
+    r = math.hypot(s, q)
+    return math.log1p(q * q / (abs(s) + r) ** 2) / math.copysign(r, s)
+
+
+def _density_integral(lo: float, hi: float, q: float) -> float:
+    # scipy's adaptive quad over [lo, hi], split at s = 0, where the density
+    # depends on |s| and nu changes sign
+    from scipy.integrate import quad
+
+    ends = [lo, 0.0, hi] if lo < 0.0 < hi else [lo, hi]
+    return sum(quad(_omega_density, a, b, args=(q,), epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+               for a, b in zip(ends[:-1], ends[1:]))
 
 
 class TestStationaryPoints:
@@ -111,7 +125,10 @@ class TestOmega:
                                      (0.45, 0.12), (-0.7, 0.05), (0.1, 0.25),
                                      (0.35, 0.18)])
     def test_integral_vs_dilog(self, x, t):
-        w_int = omega_phase(x, t, P, QuadratureSpec(1e-12), method="integral")
+        # omega = -(1/pi) (int_{-inf}^{xi1} - int_{xi0}^{inf}) of the density
+        xi0, xi1 = stationary_points_g0(x, t, P)
+        w_int = -(_density_integral(-math.inf, xi1, P.q)
+                  - _density_integral(xi0, math.inf, P.q)) / math.pi
         w_dlg = omega_phase(x, t, P, method="dilog")
         assert abs(w_int - w_dlg) < 1e-8
         assert isinstance(w_dlg, float)
@@ -120,9 +137,19 @@ class TestOmega:
         assert abs(omega_phase(0.4, 0.1, P) - omega_phase(-0.4, 0.1, P)) < 1e-14
 
     def test_selfsimilar_form(self):
+        # omega = F((x+L)/t) + F((x-L)/t) - omega0, F(zeta) the integral up to
+        # lam_c, the root of 2 lam^2 + zeta lam + q^2 = 0 farther from 0
+        q = P.q
+
+        def F(zeta: float) -> float:
+            lam_c = -zeta / 4 * (1 + math.sqrt(1 - 8 * q * q / (zeta * zeta)))
+            return -_density_integral(-math.inf, lam_c, q) / math.pi
+
+        omega0 = -(_density_integral(-math.inf, 0.0, q)
+                   + _density_integral(0.0, math.inf, q)) / math.pi
         for (x, t) in ((0.2, 0.15), (0.5, 0.08)):
             w = omega_phase(x, t, P, method="dilog")
-            w_ss = omega_selfsimilar(x, t, P, QuadratureSpec(1e-12))
+            w_ss = F((x + P.L) / t) + F((x - P.L) / t) - omega0
             assert abs(w - w_ss) < 1e-8
 
 

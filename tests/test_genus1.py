@@ -4,6 +4,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
+import sqnls
 from sqnls import genus1, phase_geometry, scattering, specfun
 from sqnls.genus1 import (
     RealityError,
@@ -576,6 +577,14 @@ class TestWaveForm:
         assert np.all(np.isfinite(amps))
         assert max(amps) < 2.5 * p.q
         assert min(amps) > 0.0
+
+    def test_near_edge_failure_raises_no_warning(self):
+        # a quadrature node rounds onto a branch point here: the failure is
+        # the typed error alone, with none of numpy's RuntimeWarnings before
+        # it (warnings are errors under the test configuration)
+        p, x, t, _ = _s2_point(x=0.9995, frac=0.6)
+        with pytest.raises(specfun.QuadratureConvergenceError, match="non-finite"):
+            sqnls.psi_asymptotic(x, t, p)
 
 
 # the s2_field benchmark's cell centres (|x| / L, (t - T1) / (T2 - T1)) and barriers

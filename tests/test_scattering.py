@@ -15,7 +15,6 @@ from sqnls.scattering import (
     eigenvalue_phase,
     eigenvalues,
     kappa_weight,
-    multistep_scattering,
     nu_branch,
     nu_imag_cut,
     scattering_data,
@@ -674,27 +673,3 @@ class TestChiBatch:
             miss = abs(chi_batch(z, a, q, QuadratureSpec(tol))[0] - split[0])
             assert 1e-9 < miss < 1e-8
 
-
-class TestMultistep:
-    def test_single_step_reduction(self):
-        z = 0.8 - 0.3j
-        S = multistep_scattering([((-1.0, 1.0), 1.0)], z, 0.2)
-        a, b, _ = scattering_data(z, P)
-        assert abs(S[0, 0] - a) < 1e-12
-        assert abs(S[1, 0] - b) < 1e-12
-
-    def test_unimodular_on_axis(self):
-        steps = [((-1.0, -0.2), 0.7), ((-0.2, 0.4), 1.3 + 0.2j), ((0.4, 1.0), 0.5)]
-        for z in (-2.0, -0.3, 0.9, 3.7):
-            S = multistep_scattering(steps, z, 0.15)
-            assert abs(np.linalg.det(S) - 1.0) < 1e-12
-
-    def test_semigroup_halving(self):
-        z = 0.8 - 0.3j
-        whole = multistep_scattering([((-1.0, 1.0), 1.0)], z, 0.2)
-        halves = multistep_scattering([((-1.0, 0.0), 1.0), ((0.0, 1.0), 1.0)], z, 0.2)
-        assert np.max(np.abs(whole - halves)) < 1e-12
-
-    def test_rejects_gap(self):
-        with pytest.raises(ValueError):
-            multistep_scattering([((-1.0, 0.0), 1.0), ((0.1, 1.0), 1.0)], 1.0, 0.2)

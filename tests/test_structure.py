@@ -1,6 +1,6 @@
 """Module structure of the package: imports at module level only, no import cycle,
-no module importing another's private name, and every function the benchmark
-tracer wraps still found."""
+no module importing another's private name, every function the benchmark
+tracer wraps still found, and no public definition that nothing reaches."""
 
 import ast
 import graphlib
@@ -63,6 +63,45 @@ def test_no_module_imports_a_private_name():
                and (node.level == 1 or (node.module or "").startswith("sqnls"))
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def _names(node: ast.AST, strings: bool = False) -> set[str]:
+    # every name, attribute and imported name under node, and its strings if asked
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.asname or sub.name)
+        elif strings and isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            found.add(sub.value)
+    return found
+
+
+def _is_all(stmt: ast.stmt) -> bool:
+    return isinstance(stmt, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__" for target in stmt.targets)
+
+
+def test_every_public_definition_is_reached():
+    # a public top-level function or class is reached by a name, attribute or
+    # import in another of the library's top-level statements (a string in
+    # __all__ does not count), by the acceptance suite, or by a name or string
+    # in the scripts of tools/ and perfbench/, which the tracer finds by name
+    outside = _names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")))
+    for path in sorted([*(ROOT / "tools").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]):
+        outside |= _names(ast.parse(path.read_text(encoding="utf-8")), strings=True)
+    stmts = [(stmt, _names(stmt)) for tree in MODULES.values() for stmt in tree.body
+             if not _is_all(stmt)]
+    defs = [stmt for stmt, _ in stmts if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and not stmt.name.startswith("_")]
+    assert len(defs) > 50
+    unreached = [d.name for d in defs
+                 if d.name not in outside
+                 and not any(d.name in names for stmt, names in stmts if stmt is not d)]
+    assert unreached == []
 
 
 def test_every_traced_function_resolves(monkeypatch):

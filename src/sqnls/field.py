@@ -242,8 +242,8 @@ def validate_table(p: BarrierParams, eps_list: list[float], t: float | None = No
         pe = BarrierParams(p.q, p.L, eps)
         cfg = validation_config(pe, times[-1], times)
         x = cfg.x_nodes
-        s1 = np.array([abs(xx) <= 0.5 * pe.L and t_s1 < first_breaking_time(float(xx), pe)
-                       for xx in x])
+        s1 = np.abs(x) <= 0.5 * pe.L
+        s1[s1] = t_s1 < first_breaking_time(x[s1], pe)
         s0 = (x >= 1.5 * pe.L) & (x <= 2.0 * pe.L)
         for name, mask in (("S1", s1), ("S0", s0)):
             if not np.any(mask):

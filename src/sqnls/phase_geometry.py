@@ -184,11 +184,12 @@ def rho1_real_roots(alpha: complex, xi0: float, t: float, L: float, q: float,
     return [left, brentq(f, lam_star, lam_hi, xtol=1e-14 * q)]
 
 
-def first_breaking_time(x: float, p) -> float:
-    """T1(x) = (L - |x|) / (2 sqrt2 q) for |x| < L."""
-    if abs(x) >= p.L:
+def first_breaking_time(x, p):
+    """T1(x) = (L - |x|) / (2 sqrt2 q) for |x| < L, at a point or at every point of an array."""
+    ax = abs(x)
+    if (ax >= p.L).any() if isinstance(ax, np.ndarray) else ax >= p.L:
         raise ValueError("first breaking time is defined only inside the support |x| < L")
-    return (p.L - abs(x)) / (2.0 * math.sqrt(2.0) * p.q)
+    return (p.L - ax) / (2.0 * math.sqrt(2.0) * p.q)
 
 
 # Taylor coefficients of A(m) = ((2-m)E - 2(1-m)K)/(m^2 E) at m = 0, from the

@@ -18,13 +18,27 @@ import numpy as np
 from .specfun import (QuadratureSpec, adaptive_panels, brentq, cut_sqrt, cut_sqrt_boundary,
                       gl_panels, quad_path, quad_ray_to_inf, segment_distance)
 
-__all__ = ["BarrierParams", "BranchCut", "BranchBoundaryError", "nu_branch", "nu_imag_cut",
+__all__ = ["BarrierParams", "BranchCut", "BranchBoundaryError", "ConnectionOverflowError",
+           "nu_branch", "nu_imag_cut",
            "scattering_data", "eigenvalues", "eigenvalue_phase", "connection_coefficient",
            "kappa_weight", "chi_integral", "chi_batch"]
 
 
 class BranchBoundaryError(ValueError):
     """Evaluation point sits on a branch cut; request an explicit side."""
+
+
+class ConnectionOverflowError(OverflowError):
+    """c_k = exp(log_factor) scaled lies beyond the float range.
+
+    scaled is exp(-2 L Im z_k / eps) c_k and log_factor is 2 L Im z_k / eps.
+    """
+
+    def __init__(self, scaled: complex, log_factor: float):
+        super().__init__(f"c_k = exp({log_factor:.6g}) * ({scaled:.6g}) "
+                         "lies beyond the float range")
+        self.scaled = scaled
+        self.log_factor = log_factor
 
 
 @dataclass(frozen=True)
@@ -257,8 +271,10 @@ def connection_coefficient(z_k: complex, p: BarrierParams) -> complex:
     a and a' are taken times exp(2 L Im z_k / eps), which takes out their
     factor exp(2iLz/eps): z_k is an eigenvalue when the Newton step a/a' is
     below 1e-10 q, a simple one when a' is above 1e-10 of a's larger term
-    times 2L/eps. c_k itself carries exp(2 L Im z_k / eps), and past
-    2 L Im z_k / eps ~ 709 it overflows (OverflowError).
+    times 2L/eps. b over the scaled a' is the scaled coefficient
+    exp(-2 L Im z_k / eps) c_k, and c_k is it times exp(2 L Im z_k / eps).
+    Where c_k lies beyond the float range, ConnectionOverflowError carries
+    the scaled coefficient.
     """
     z_k = complex(z_k)
     k = 2 * p.L / p.eps
@@ -269,7 +285,16 @@ def connection_coefficient(z_k: complex, p: BarrierParams) -> complex:
                          "z_k is not an eigenvalue")
     if abs(a_prime) <= 1e-10 * k * size:
         raise ValueError("a'(z_k) vanishes: zero is not simple")
-    return b_val * math.exp(shift) / a_prime
+    scaled = b_val / a_prime
+    # exp(shift) in two halves: it overflows before c_k does when |scaled| < 1
+    try:
+        grow = math.exp(0.5 * shift)
+    except OverflowError:
+        grow = math.inf
+    c_k = scaled * grow * grow
+    if not cmath.isfinite(c_k):
+        raise ConnectionOverflowError(scaled, shift)
+    return c_k
 
 
 # ---------------------------------------------------------------------------

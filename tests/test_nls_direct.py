@@ -176,6 +176,24 @@ class TestFusedStep:
         # the field moved, so agreement is not trivial
         assert np.max(np.abs(snaps[-1].values - snaps[0].values)) > 0.1
 
+    # the same schedule shape at the validate grids, N = 4096 and 8192
+    VALIDATE_TIMES = (0.0, 1.23e-3, 1.25e-3, 3e-3)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.025])
+    def test_matches_unfused_strang_at_the_validate_grids(self, eps):
+        p = BarrierParams(1.0, 1.0, eps)
+        cfg = default_config(p, self.VALIDATE_TIMES[-1], self.VALIDATE_TIMES, refine=2,
+                             dt_divisor=32)
+        assert cfg.grid_points == {0.05: 4096, 0.025: 8192}[eps]
+        spans = np.diff(self.VALIDATE_TIMES)
+        assert 0 < spans[1] <= cfg.dt < spans[0] < spans[2]
+        snaps = evolve(cfg)
+        ref = _unfused_strang(cfg)
+        assert [s.t for s in snaps] == list(self.VALIDATE_TIMES)
+        for s, r in zip(snaps, ref):
+            assert np.max(np.abs(s.values - r)) <= 1e-11
+        assert np.max(np.abs(snaps[-1].values - snaps[0].values)) > 0.1
+
     def test_snapshots_not_aliased(self):
         cfg = default_config(P, self.TIMES[-1], self.TIMES)
         snaps = evolve(cfg)

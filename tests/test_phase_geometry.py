@@ -230,6 +230,15 @@ class TestBreakingTimes:
         with pytest.raises(ValueError):
             first_breaking_time(1.0, P)
 
+    def test_first_breaking_over_an_array(self):
+        # elementwise the same closed form, bit for bit, and one node on or
+        # past the edge rejects the array
+        x = np.linspace(-1.0, 1.0, 4097)[1:-1]
+        t1 = first_breaking_time(x, P)
+        assert t1.tolist() == [first_breaking_time(float(xx), P) for xx in x]
+        with pytest.raises(ValueError):
+            first_breaking_time(np.array([0.0, -1.0]), P)
+
     @pytest.mark.parametrize("x", [0.25, 0.5, 0.75])
     def test_second_after_first(self, x):
         t2 = second_breaking_time(x, P, tol=1e-8)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sqnls.scattering import (
     BarrierParams,
     BranchBoundaryError,
     BranchCut,
+    ConnectionOverflowError,
     chi_batch,
     chi_integral,
     connection_coefficient,
@@ -281,6 +283,39 @@ class TestConnectionCoefficients:
             res = quad_path(lambda z: np.array([scattering_data(v, p)[2] for v in z]), poly,
                             QuadratureSpec(1e-11 * abs(ck))) / (2j * math.pi)
             assert abs(ck - res) < 1e-8 * abs(ck)
+
+    def test_beyond_the_float_range_raises_the_scaled_coefficient(self):
+        # at eps = 0.002, c_k = exp(k y) times the scaled closed form of the
+        # test above passes the float range at 222 of the 318 eigenvalues; the
+        # scaled value is checked at all of them. The closed form holds at the
+        # exact zero, and a float y can miss it by half an ulp, which moves
+        # Phi by |Phi'| ulp(y)/2: 3.5e-11 at the top eigenvalue, where k nu ~ pi
+        q, L, eps = 1.0, 1.0, 0.002
+        p = BarrierParams(q, L, eps)
+        k = 2 * L / eps
+        evs = eigenvalues(p)
+        assert len(evs) == 318
+        log_max = math.log(sys.float_info.max)
+        raised = finite_past_exp = 0
+        for y in evs:
+            nu = math.sqrt(q * q - y * y)
+            slope = -(k * y + 1.0) / nu  # Phi'(y)
+            closed = 1j * math.sin(k * nu) / (math.sin(eigenvalue_phase(y, p)) * slope)
+            tol = 1e-12 + abs(slope) * math.ulp(y)
+            if math.log(abs(closed)) + k * y > log_max:
+                with pytest.raises(ConnectionOverflowError) as err:
+                    connection_coefficient(1j * y, p)
+                assert err.value.log_factor == k * y
+                assert abs(err.value.scaled - closed) < tol * abs(closed)
+                raised += 1
+            else:
+                ck = connection_coefficient(1j * y, p)
+                grow = math.exp(0.5 * k * y)
+                assert abs(ck - closed * grow * grow) < tol * abs(closed) * grow * grow
+                finite_past_exp += k * y > log_max
+        assert raised == 222
+        # c_k is returned where exp(k y) alone would overflow
+        assert finite_past_exp == 2
 
     @pytest.mark.parametrize("z", [0.3 + 0.2j, 1.5 - 0.4j, 0.2 + 3.0j, -2.0 + 1.5j])
     def test_derivative_is_exact_in_both_forms(self, z):

@@ -9,6 +9,7 @@ reproduce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .field import (TableError, breaking_curves, classify_table, endpoint_table, field_table,
@@ -99,6 +100,11 @@ def main(argv: list[str] | None = None) -> int:
     sp = sub.add_parser("endpoint", help="genus-1 endpoint and modulation constants")
     sp.add_argument("--mu", type=float, required=True)
 
+    # argparse's pattern for negative numbers has no exponent (Python 3.11) and no
+    # public hook, so it reads -1e-3 as an option: each parser gets one with it
+    negative_number = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+    for parser in (ap, *sub.choices.values()):
+        parser._negative_number_matcher = negative_number
     args = ap.parse_args(argv)
     cfg = load_config(args.config) if args.config else {}
     p = BarrierParams(**({"q": 1.0, "L": 1.0, "eps": 0.1} | _options(args, cfg, BARRIER_OPTIONS)))

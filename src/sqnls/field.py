@@ -10,6 +10,7 @@ text. A command that cannot make its table whole raises TableError.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -261,12 +262,9 @@ def validate_table(p: BarrierParams, eps_list: list[float], t: float | None = No
             linf, l2 = float(np.max(err)), float(math.sqrt(np.mean(err ** 2)))
             lines.append(",".join([_fmt(pe.eps), region] + [_fmt(v) for v in (
                 float(x[mask][0]), float(x[mask][-1]), linf, l2)]))
-            # the text of json.dumps(summary, sort_keys=True), which writes floats
-            # by repr; the json module would be one more import of `import sqnls`
-            l2_key = f'"l2": {l2!r}, ' if region == "S1" else ""
-            entries.append(f'{{"eps": {float(pe.eps)!r}, {l2_key}"linf": {linf!r}, '
-                           f'"region": "{region}"}}')
-    lines.append(f'{{"entries": [{", ".join(entries)}], "t": {float(t_s1)!r}}}')
+            entry = {"eps": float(pe.eps), "region": region, "linf": linf}
+            entries.append(entry | {"l2": l2} if region == "S1" else entry)
+    lines.append(json.dumps({"entries": entries, "t": float(t_s1)}, sort_keys=True))
     return lines
 
 

@@ -308,24 +308,22 @@ def modulation_constants(alpha: complex, x: float, t: float, p: BarrierParams) -
                             reality_defect=defect)
 
 
-def psi_asy_g1(x: float, t: float, p: BarrierParams, state: EndpointState,
-               mods: ModulationParams) -> complex:
-    """Leading-order one-phase wave form from solved endpoint and constants."""
-    q, eps = p.q, p.eps
-    H = mods.H
-    fast = math.fmod(mods.Omega / eps, 2.0 * math.pi)
-    arg_shift = 1j * (mods.T0 - fast)
-    two_a = 2.0 * mods.A_inf
-    th_num0 = theta_sum(0.0, H)
-    th_den0 = theta_sum(two_a, H)
-    th_num1 = theta_sum(two_a + arg_shift, H)
-    th_den1 = theta_sum(arg_shift, H)
-    for name, val in (("Theta(2A)", th_den0), ("Theta(iT)", th_den1)):
+def _theta_ratio(two_a: complex, shift: complex, H: float) -> complex:
+    """Theta(0) Theta(2A + iT) / (Theta(2A) Theta(iT)) with shift = iT."""
+    th0, th_2a, th_num, th_shift = theta_sum(np.array([0.0, two_a, two_a + shift, shift]), H)
+    for name, val in (("Theta(2A)", th_2a), ("Theta(iT)", th_shift)):
         if abs(val) < 1e-12:
             raise ZeroDivisionError(
                 f"{name} vanished; upstream reality violation (zeros need complex T)")
-    amp = q - state.alpha.imag
-    return amp * (th_num0 / th_den0) * (th_num1 / th_den1) * cmath.exp(-2j * mods.Y0)
+    return (th0 / th_2a) * (th_num / th_shift)
+
+
+def psi_asy_g1(x: float, t: float, p: BarrierParams, state: EndpointState,
+               mods: ModulationParams) -> complex:
+    """Leading-order one-phase wave form from solved endpoint and constants."""
+    fast = math.fmod(mods.Omega / p.eps, 2.0 * math.pi)
+    ratio = _theta_ratio(2.0 * mods.A_inf, 1j * (mods.T0 - fast), mods.H)
+    return (p.q - state.alpha.imag) * ratio * cmath.exp(-2j * mods.Y0)
 
 
 def envelope_defect(alpha: complex, mods: ModulationParams, q: float) -> float:
@@ -337,7 +335,6 @@ def envelope_defect(alpha: complex, mods: ModulationParams, q: float) -> float:
     construction; the maximum, at T = pi, only when alpha, H and A_inf agree:
     (q - b) |Theta(0) Theta(2A + i pi) / (Theta(2A) Theta(i pi))| = q + b.
     """
-    b, two_a, H = alpha.imag, 2.0 * mods.A_inf, mods.H
-    ratio = (theta_sum(0.0, H) * theta_sum(two_a + 1j * math.pi, H)
-             / (theta_sum(two_a, H) * theta_sum(1j * math.pi, H)))
+    b = alpha.imag
+    ratio = _theta_ratio(2.0 * mods.A_inf, 1j * math.pi, mods.H)
     return abs((q - b) * abs(ratio) - (q + b)) / (q + b)

@@ -173,46 +173,6 @@ def _csinc(w: complex) -> complex:
     return cmath.sin(w) / w
 
 
-def _csinc_slope(w: complex) -> complex:
-    # (cos w - sinc w) / w^2 = sinc'(w) / w, from its series where it cancels
-    if abs(w) < 0.1:
-        w2 = w * w
-        return -1.0 / 3.0 + w2 / 30.0 - w2 * w2 / 840.0 + w2 * w2 * w2 / 45360.0
-    return (cmath.cos(w) - _csinc(w)) / (w * w)
-
-
-def _a_and_b(z: complex, p: BarrierParams, shift: float = 0.0
-             ) -> tuple[complex, complex, complex, float]:
-    """(a, a', b, size) at z, with no pole check; a' is exact.
-
-    a, a' and size, the modulus of the larger of the two terms summed into a,
-    come times exp(shift): shift = 2 L Im z / eps takes out the modulus of
-    a's factor exp(2iLz/eps), which underflows far up the imaginary axis.
-    """
-    q, L, eps = p.q, p.L, p.eps
-    k = 2 * L / eps
-    nu = cmath.sqrt(z * z + q * q)  # any branch; a, b are even in nu
-    phi = 2.0 * L * nu / eps
-    if abs(phi.imag) <= 30.0:
-        # trig form, smooth through nu = 0: a = A exp(2iLz/eps), A = cos phi - i k z sinc phi
-        sinc = _csinc(phi)
-        t0, t1 = cmath.cos(phi), -1j * z * k * sinc
-        d_big_a = -k * sinc * (k * z + 1j) - 1j * k ** 3 * z * z * _csinc_slope(phi)
-        e = cmath.exp(2j * L * z / eps + shift)
-        a, a_prime = (t0 + t1) * e, (d_big_a + 1j * k * (t0 + t1)) * e
-        size = max(abs(t0), abs(t1)) * abs(e)
-        b = -q * k * sinc
-    else:
-        # exponential split keeps the combined exponents moderate
-        e1 = cmath.exp(2j * L * (z - nu) / eps + shift)
-        e2 = cmath.exp(2j * L * (z + nu) / eps + shift)
-        t0, t1 = ((nu + z) / (2 * nu)) * e1, ((nu - z) / (2 * nu)) * e2
-        a, size = t0 + t1, max(abs(t0), abs(t1))
-        a_prime = q * q / (2 * nu * nu) * ((e1 - e2) / nu + 1j * k * (e1 + e2))
-        b = q * (cmath.exp(-2j * L * nu / eps) - cmath.exp(2j * L * nu / eps)) / (2j * nu)
-    return a, a_prime, b, size
-
-
 def scattering_data(z: complex, p: BarrierParams) -> tuple[complex, complex, complex]:
     """Exact (a, b, r) of the single barrier at spectral point z.
 
@@ -221,7 +181,22 @@ def scattering_data(z: complex, p: BarrierParams) -> tuple[complex, complex, com
     an eigenvalue, where r has a pole.
     """
     z = complex(z)
-    a, _, b, _ = _a_and_b(z, p)
+    q, L, eps = p.q, p.L, p.eps
+    k = 2 * L / eps
+    # any branch; the product of z -+ iq keeps nu's relative precision near z = +-iq
+    nu = cmath.sqrt((z - 1j * q) * (z + 1j * q))
+    phi = 2.0 * L * nu / eps
+    if abs(phi.imag) <= 30.0:
+        # trig form, smooth through nu = 0: a = (cos phi - i k z sinc phi) exp(2iLz/eps)
+        sinc = _csinc(phi)
+        a = (cmath.cos(phi) - 1j * z * k * sinc) * cmath.exp(2j * L * z / eps)
+        b = -q * k * sinc
+    else:
+        # exponential split keeps the combined exponents moderate
+        e1 = cmath.exp(2j * L * (z - nu) / eps)
+        e2 = cmath.exp(2j * L * (z + nu) / eps)
+        a = ((nu + z) / (2 * nu)) * e1 + ((nu - z) / (2 * nu)) * e2
+        b = q * (cmath.exp(-2j * L * nu / eps) - cmath.exp(2j * L * nu / eps)) / (2j * nu)
     if abs(a) < 1e-300:
         raise ZeroDivisionError(f"a({z}) = 0 to machine precision: z is an eigenvalue, r has a pole")
     return a, b, b / a
@@ -235,10 +210,11 @@ def eigenvalue_phase(y: float, p: BarrierParams) -> float:
     """Phase whose half-integer-pi crossings locate the zeros of a(iy).
 
     On the imaginary axis a(iy) is proportional to q cos(Phi(y)) with
-    Phi = 2 L sqrt(q^2-y^2)/eps - asin(y/q), strictly decreasing in y.
+    Phi = 2 L s/eps - asin(y/q), s = sqrt((q - y)(q + y)), strictly
+    decreasing in y; the factored s keeps its relative precision near y = q.
     """
     q = p.q
-    s = math.sqrt(max(q * q - y * y, 0.0))
+    s = math.sqrt(max((q - y) * (q + y), 0.0))
     return 2 * p.L * s / p.eps - math.asin(min(1.0, max(-1.0, y / q)))
 
 
@@ -261,31 +237,33 @@ def eigenvalues(p: BarrierParams) -> list[float]:
     roots.sort()
     for y_prev, y_next in zip(roots[:-1], roots[1:]):
         if y_next - y_prev < 1e-12 * q:
-            raise RuntimeError("eigenvalue brackets collapsed; refine the phase grid")
+            raise RuntimeError("two eigenvalues closer than 1e-12 q: the brackets collapsed")
     return roots
 
 
 def connection_coefficient(z_k: complex, p: BarrierParams) -> complex:
-    """c_k = b(z_k) / a'(z_k) at a simple zero z_k of a.
+    """c_k = b(z_k) / a'(z_k) at an eigenvalue z_k = iy, 0 < y < q.
 
-    a and a' are taken times exp(2 L Im z_k / eps), which takes out their
-    factor exp(2iLz/eps): z_k is an eigenvalue when the Newton step a/a' is
-    below 1e-10 q, a simple one when a' is above 1e-10 of a's larger term
-    times 2L/eps. b over the scaled a' is the scaled coefficient
-    exp(-2 L Im z_k / eps) c_k, and c_k is it times exp(2 L Im z_k / eps).
-    Where c_k lies beyond the float range, ConnectionOverflowError carries
-    the scaled coefficient.
+    There a(iy) = exp(-k y) (q / s) cos(Phi) and b(iy) = -q sin(k s) / s,
+    with k = 2L/eps, s = sqrt(q^2 - y^2) and Phi = eigenvalue_phase(y), so
+    c_k = i sin(k s) exp(k y) / (sin(Phi) Phi') with Phi' = -(k y + 1) / s.
+    Phi' < 0 makes every zero simple; z_k is one when the Newton step
+    cos(Phi) / (sin(Phi) Phi') is at most 1e-10 q. Where c_k lies beyond
+    the float range, ConnectionOverflowError carries the scaled coefficient
+    exp(-k y) c_k.
     """
     z_k = complex(z_k)
+    q, y = p.q, z_k.imag
+    if z_k.real != 0 or not 0 < y < q:
+        raise ValueError(f"z_k = {z_k} is off the eigenvalue segment i(0, q)")
     k = 2 * p.L / p.eps
-    shift = k * z_k.imag
-    a_val, a_prime, b_val, size = _a_and_b(z_k, p, shift)
-    if abs(a_val) > 1e-10 * p.q * abs(a_prime):
-        raise ValueError(f"|a| = {abs(a_val):.2e}, |a'| = {abs(a_prime):.2e}: "
-                         "z_k is not an eigenvalue")
-    if abs(a_prime) <= 1e-10 * k * size:
-        raise ValueError("a'(z_k) vanishes: zero is not simple")
-    scaled = b_val / a_prime
+    s = math.sqrt((q - y) * (q + y))
+    phase = eigenvalue_phase(y, p)
+    denom = math.sin(phase) * -(k * y + 1.0) / s  # sin(Phi) Phi'
+    if abs(math.cos(phase)) > 1e-10 * q * abs(denom):
+        raise ValueError(f"Newton step {math.cos(phase) / denom:.2e}: z_k is not an eigenvalue")
+    scaled = 1j * math.sin(k * s) / denom
+    shift = k * y
     # exp(shift) in two halves: it overflows before c_k does when |scaled| < 1
     try:
         grow = math.exp(0.5 * shift)

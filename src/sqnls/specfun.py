@@ -168,26 +168,27 @@ def dilog(x: float) -> float:
 # genus-1 theta sum
 # ---------------------------------------------------------------------------
 
-def theta_sum(w: complex, H: float) -> complex:
+def theta_sum(w, H: float):
     """Theta(w; H) = sum_n exp(n^2 H / 2 - n w), H < 0.
 
-    The truncation index N is the smallest integer with
-    N^2 |H|/2 - N max(|Re w|, |H|) >= ln(1e16), which makes the tail
-    geometric with first omitted term below 1e-16 of the n = 0 term.
+    w is a point or an array of points, all summed to one truncation index
+    N: the smallest integer with N^2 |H|/2 - N max(|Re w|, |H|) >= ln(1e16)
+    over the points, which makes the tail geometric with first omitted term
+    below 1e-16 of the n = 0 term. A point gives a numpy complex scalar.
     """
     if not math.isfinite(H) or H >= 0:
         raise ValueError("theta_sum requires H < 0 (series diverges otherwise)")
-    w = complex(w)
-    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
+    w = np.asarray(w, dtype=complex)
+    if not np.all(np.isfinite(w)):
         raise ValueError("theta_sum requires finite w")
-    big = max(abs(w.real), abs(H))
+    big = max(float(np.max(np.abs(w.real))), abs(H))
     n_trunc = int(math.ceil((big + math.sqrt(big * big + 2.0 * abs(H) * _LN_INV_EPS)) / abs(H))) + 2
     if n_trunc > 2_000_000:
         raise QuadratureConvergenceError(
             f"theta truncation index {n_trunc} exceeds hard cap", 0.0, math.inf
         )
     n = np.arange(-n_trunc, n_trunc + 1)
-    return complex(np.sum(np.exp(0.5 * H * n * n - n * w)))
+    return np.sum(np.exp(0.5 * H * n * n - n * w[..., None]), axis=-1)[()]
 
 
 # ---------------------------------------------------------------------------

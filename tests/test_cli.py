@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,15 @@ from sqnls.scattering import BarrierParams
 from sqnls.specfun import QuadratureConvergenceError
 
 P = BarrierParams(1.0, 1.0, 0.1)
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    # a fresh interpreter with the package's source on its path
+    src = str(Path(sqnls.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
 
 
 class TestClassify:
@@ -326,12 +336,7 @@ class TestCliOutput:
         assert len(lines) == 2 and len(lines[1].split(",")) == 9
         # at L = 1e7 the modulation constants may fail; the command then
         # reports it and exits 1, never with a traceback
-        src = str(Path(sqnls.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "sqnls.cli", "--L", "1e7", "endpoint",
-                               "--mu", "0.9"], env=env, capture_output=True, text=True,
-                              timeout=120)
+        proc = _run_python("-m", "sqnls.cli", "--L", "1e7", "endpoint", "--mu", "0.9")
         assert "Traceback" not in proc.stderr
         if proc.returncode == 0:
             assert len(proc.stdout.splitlines()) == 2
@@ -418,21 +423,51 @@ class TestCliOutput:
 
     def test_module_entry_point_runs_without_warning(self):
         # sqnls/__init__ must not import the CLI module that `-m` executes
-        src = str(Path(sqnls.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "sqnls.cli",
-             "classify", "--x", "0.3", "--t", "0.4"],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = _run_python("-W", "error::RuntimeWarning", "-m", "sqnls.cli",
+                           "classify", "--x", "0.3", "--t", "0.4")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("S2,")
+
+    @pytest.mark.parametrize("argv", [
+        "classify --x -1e-3 --t 0.1",
+        "--L 1e-7 breaking-curves --x-min -2e-7 --x-max 2e-7 --nx 5",
+    ])
+    def test_negative_value_in_exponent_notation(self, capsys, argv):
+        # argparse alone reads -1e-3 as an option; the value reaches its flag
+        # as in the --x=-1e-3 form
+        assert main(argv.split()) == 0
+        out = capsys.readouterr().out
+        assert main(re.sub(r" (-\d)", r"=\1", argv).split()) == 0
+        assert capsys.readouterr().out == out
 
     def test_seventeen_digit_format(self, capsys):
         main(["--eps", "0.1", "classify", "--x", "0.1", "--t", "0.01"])
         out = capsys.readouterr().out
         t1 = out.split(",")[1]
         assert len(t1.replace(".", "").lstrip("0")) >= 16
+
+
+@pytest.mark.parametrize("argv", [
+    "--q 1e-7 classify --x 0.3 --t 1e6",
+    "--L 1e7 classify --x 3e6 --t 3e6",
+    "--q 1e7 breaking-curves --x-min -2 --x-max 2 --nx 5",
+    "--q 1e-3 field --nx 5 --nt 2",
+    "--L 1e7 field --nx 5 --nt 2",
+    "--q 1e-7 endpoint --mu 0.9e-7",
+    "endpoint --mu 1.414213562373",
+    "classify --x -1e-3 --t 0.1",
+    "--L 1e-7 breaking-curves --x-min -2e-7 --x-max 2e-7 --nx 5",
+])
+def test_command_exits_0_or_1_without_a_traceback(argv):
+    # far from unit scale, and at the ends of the endpoint solver's range: a
+    # command either succeeds or fails with one typed line on stderr
+    proc = _run_python("-m", "sqnls.cli", *argv.split())
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode in (0, 1), proc.stderr
+    if proc.returncode == 1:
+        command = next(a for a in argv.split() if a[0].isalpha())
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"sqnls {command}: ")
 
 
 class TestConfigFile:

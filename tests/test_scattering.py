@@ -2,6 +2,7 @@ import cmath
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,6 +26,18 @@ from sqnls.specfun import (QuadratureSpec, adaptive_gl, cut_sqrt, gl_panels, qua
                            quad_ray_to_inf)
 
 P = BarrierParams(1.0, 1.0, 0.2)
+
+
+def _scaled_closed_form(y: float, p: BarrierParams) -> complex:
+    # exp(-k y) c_k = i sin(k s) / (sin(Phi) Phi') at 50 digits, at the float y:
+    # a(iy) = exp(-k y) (q / s) cos(Phi) and b(iy) = -q sin(k s) / s with
+    # k = 2L/eps, s = sqrt(q^2 - y^2), Phi = k s - asin(y / q), Phi' = -(k y + 1) / s
+    with mpmath.workdps(50):
+        y, q, L, eps = (mpmath.mpf(v) for v in (y, p.q, p.L, p.eps))
+        k = 2 * L / eps
+        s = mpmath.sqrt(q * q - y * y)
+        phase = k * s - mpmath.asin(y / q)
+        return complex(1j * mpmath.sin(k * s) / (mpmath.sin(phase) * -(k * y + 1) / s))
 IMAG_CUT = BranchCut("imaginary_segment")
 # symmetric curved cut bulging to the right of the imaginary segment
 CURVED = BranchCut("curved_polyline",
@@ -183,6 +196,21 @@ class TestScatteringData:
         assert abs(a - limit) < 1.2e-12
 
 
+    @pytest.mark.parametrize("z", [0.3 + 0.2j, 1.5 - 0.4j, 0.2 + 3.0j, -2.0 + 1.5j])
+    def test_a_matches_50_digits_in_both_forms(self, z):
+        # the trig form at the first two z, where |Im phi| <= 30, the
+        # exponential split at the other two
+        p = BarrierParams(1.0, 1.0, 0.05)
+        with mpmath.workdps(50):
+            zz, q, L, eps = mpmath.mpc(z), mpmath.mpf(p.q), mpmath.mpf(p.L), mpmath.mpf(p.eps)
+            nu = mpmath.sqrt(zz * zz + q * q)
+            phi = 2 * L * nu / eps
+            exact = complex((mpmath.cos(phi) - 1j * zz * mpmath.sin(phi) / nu)
+                            * mpmath.exp(2j * L * zz / eps))
+        assert (abs(complex(phi).imag) > 30.0) == (z.imag > 1.0)
+        assert abs(scattering_data(z, p)[0] - exact) < 1e-13 * abs(exact)
+
+
 class TestEigenvalues:
     def _brute_count(self, p):
         ys = np.linspace(1e-9, p.q * (1 - 1e-12), 400001)
@@ -259,10 +287,7 @@ class TestConnectionCoefficients:
                                            (1.0, 2.0, 0.05), (0.5, 1.0, 0.03), (1.0, 1.0, 0.005)])
     def test_every_eigenvalue_matches_the_phase_form(self, q, L, eps):
         # at eps = 0.005 the roots near y = q are steep: |a| there reaches 2e-10
-        # of a's terms, so only a test on the Newton step a/a' takes them all
-        # a(iy) = exp(-k y) q cos(Phi(y)) / nu with k = 2L/eps, nu = sqrt(q^2 - y^2)
-        # and Phi = eigenvalue_phase; at a zero, exp(k y) a'(iy) = i q sin(Phi) Phi' / nu
-        # and b(iy) = -q sin(k nu) / nu, so exp(-k y) c_k = i sin(k nu) / (sin(Phi) Phi')
+        # of a's terms, and each root must still pass the Newton-step test
         p = BarrierParams(q, L, eps)
         k = 2 * L / eps
         evs = eigenvalues(p)
@@ -270,12 +295,12 @@ class TestConnectionCoefficients:
         for y in evs:
             ck = connection_coefficient(1j * y, p)
             assert math.isfinite(abs(ck))
-            nu = math.sqrt(q * q - y * y)
+            nu = math.sqrt((q - y) * (q + y))
             slope = -(k * y + 1.0) / nu  # Phi'(y)
             h = 1e-7 * nu
             fd = (eigenvalue_phase(y + h, p) - eigenvalue_phase(y - h, p)) / (2 * h)
             assert abs(fd - slope) < 1e-5 * abs(slope)
-            closed = 1j * math.sin(k * nu) / (math.sin(eigenvalue_phase(y, p)) * slope)
+            closed = _scaled_closed_form(y, p)
             assert abs(ck * math.exp(-k * y) - closed) < 1e-12 * abs(closed)
             # and the residue of r = b/a, on a circle clear of the other zeros
             rad = 0.25 * min([abs(y - o) for o in evs if o != y] + [y, q - y])
@@ -298,9 +323,8 @@ class TestConnectionCoefficients:
         log_max = math.log(sys.float_info.max)
         raised = finite_past_exp = 0
         for y in evs:
-            nu = math.sqrt(q * q - y * y)
-            slope = -(k * y + 1.0) / nu  # Phi'(y)
-            closed = 1j * math.sin(k * nu) / (math.sin(eigenvalue_phase(y, p)) * slope)
+            slope = -(k * y + 1.0) / math.sqrt((q - y) * (q + y))  # Phi'(y)
+            closed = _scaled_closed_form(y, p)
             tol = 1e-12 + abs(slope) * math.ulp(y)
             if math.log(abs(closed)) + k * y > log_max:
                 with pytest.raises(ConnectionOverflowError) as err:
@@ -317,14 +341,11 @@ class TestConnectionCoefficients:
         # c_k is returned where exp(k y) alone would overflow
         assert finite_past_exp == 2
 
-    @pytest.mark.parametrize("z", [0.3 + 0.2j, 1.5 - 0.4j, 0.2 + 3.0j, -2.0 + 1.5j])
-    def test_derivative_is_exact_in_both_forms(self, z):
-        # the trig form at |Im phi| <= 30, the exponential split beyond it
-        p = BarrierParams(1.0, 1.0, 0.05)
-        h = 1e-5
-        _, a_prime, _, _ = scattering._a_and_b(z, p)
-        fd = (scattering_data(z + h, p)[0] - scattering_data(z - h, p)[0]) / (2 * h)
-        assert abs(a_prime - fd) < 1e-7 * abs(a_prime)
+    def test_rejects_a_point_off_the_eigenvalue_segment(self):
+        y = eigenvalues(P)[0]
+        for z in (1e-9 + 1j * y, -1j * y, 1j * (P.q + y)):
+            with pytest.raises(ValueError, match="off the eigenvalue segment"):
+                connection_coefficient(z, P)
 
 
 class TestSpectralWeights:

@@ -135,6 +135,16 @@ class TestThetaSum:
         doubled = complex(np.sum(np.exp(0.5 * H * k * k - k * w)))
         assert abs(doubled - base) < 1e-13 * abs(base)
 
+    def test_array_matches_each_point(self):
+        # one truncation index for all points, set by the largest |Re w|: the
+        # terms it adds for the others lie below 1e-16 of the n = 0 term
+        w = np.array([0.0, 1.3 + 0.4j, -2.5 + 3j, 0.7 - 1.1j, 2j * math.pi])
+        H = -0.8
+        together = theta_sum(w, H)
+        assert together.shape == w.shape
+        for wj, tj in zip(w, together):
+            assert abs(tj - theta_sum(wj, H)) < 1e-15 * max(abs(tj), 1.0)
+
     def test_divergent_domain(self):
         with pytest.raises(ValueError):
             theta_sum(0.3, 0.0)

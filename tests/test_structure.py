@@ -1,6 +1,7 @@
 """Module structure of the package: imports at module level only, no import cycle,
 no module importing another's private name, every function the benchmark
-tracer wraps still found, and no public definition that nothing reaches."""
+tracer wraps still found, and no public definition or private function that
+nothing reaches."""
 
 import ast
 import graphlib
@@ -85,22 +86,34 @@ def _is_all(stmt: ast.stmt) -> bool:
         isinstance(target, ast.Name) and target.id == "__all__" for target in stmt.targets)
 
 
-def test_every_public_definition_is_reached():
-    # a public top-level function or class is reached by a name, attribute or
-    # import in another of the library's top-level statements (a string in
-    # __all__ does not count), by the acceptance suite, or by a name or string
-    # in the scripts of tools/ and perfbench/, which the tracer finds by name
+def _unreached(kinds: tuple[type, ...], private: bool) -> tuple[int, list[str]]:
+    # the number of top-level definitions of the kinds and privacy asked for,
+    # and the names of those not reached: by a name, attribute or import in
+    # another of the library's top-level statements (a string in __all__ does
+    # not count), by the acceptance suite, or by a name or string in the
+    # scripts of tools/ and perfbench/, which the tracer finds by name
     outside = _names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")))
     for path in sorted([*(ROOT / "tools").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]):
         outside |= _names(ast.parse(path.read_text(encoding="utf-8")), strings=True)
     stmts = [(stmt, _names(stmt)) for tree in MODULES.values() for stmt in tree.body
              if not _is_all(stmt)]
-    defs = [stmt for stmt, _ in stmts if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-            and not stmt.name.startswith("_")]
-    assert len(defs) > 50
-    unreached = [d.name for d in defs
-                 if d.name not in outside
-                 and not any(d.name in names for stmt, names in stmts if stmt is not d)]
+    defs = [stmt for stmt, _ in stmts
+            if isinstance(stmt, kinds) and stmt.name.startswith("_") == private]
+    return len(defs), [d.name for d in defs
+                       if d.name not in outside
+                       and not any(d.name in names for stmt, names in stmts if stmt is not d)]
+
+
+def test_every_public_definition_is_reached():
+    count, unreached = _unreached((ast.FunctionDef, ast.ClassDef), private=False)
+    assert count > 50
+    assert unreached == []
+
+
+def test_every_private_function_is_reached():
+    # no helper is left behind when its last caller goes
+    count, unreached = _unreached((ast.FunctionDef,), private=True)
+    assert count > 20
     assert unreached == []
 
 

@@ -106,13 +106,14 @@ def main(argv: list[str] | None = None) -> int:
     for parser in (ap, *sub.choices.values()):
         parser._negative_number_matcher = negative_number
     args = ap.parse_args(argv)
-    cfg = load_config(args.config) if args.config else {}
-    p = BarrierParams(**({"q": 1.0, "L": 1.0, "eps": 0.1} | _options(args, cfg, BARRIER_OPTIONS)))
     out = getattr(args, "out", None)
     try:
+        cfg = load_config(args.config) if args.config else {}
+        p = BarrierParams(**({"q": 1.0, "L": 1.0, "eps": 0.1}
+                             | _options(args, cfg, BARRIER_OPTIONS)))
         lines = _table(args, cfg, p)
-    except TableError as exc:
-        if exc.lines:
+    except (TableError, ValueError) as exc:
+        if getattr(exc, "lines", None):
             _write_lines(exc.lines, out)
         sys.stderr.write(f"sqnls {args.command}: {exc}\n")
         return 1

@@ -39,6 +39,10 @@ class Region:
     T1: float | None = None
     T2: float | None = None
 
+    def __post_init__(self):
+        if not all(v is None or math.isfinite(v) for v in (self.T1, self.T2)):
+            raise ValueError(f"breaking times ({self.T1}, {self.T2}) must be finite or None")
+
 
 class TableError(RuntimeError):
     """A command's table could not be made whole; lines holds what of it was made."""
@@ -80,9 +84,10 @@ def classify(x: float, t: float, p: BarrierParams) -> Region:
     Boundary points (|x| = L or t on a breaking curve) are beyond_scope:
     the asymptotic description holds on compacts strictly inside each
     region, to _BOUNDARY_RTOL of the units L and L/q. T2 is cached per x.
+    x must be finite, and t finite and >= 0.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    if not (math.isfinite(x) and 0 <= t < math.inf):
+        raise ValueError(f"(x, t) = ({x}, {t}): x must be finite, and t finite and >= 0")
     if abs(abs(x) - p.L) <= _BOUNDARY_RTOL * p.L:
         return Region("beyond_scope")
     if abs(x) > p.L:
@@ -171,7 +176,9 @@ def classify_table(x: float, t: float, p: BarrierParams) -> list[str]:
 
 
 def breaking_curves(x_min: float, x_max: float, nx: int, p: BarrierParams) -> list[str]:
-    """CSV lines x,T1,T2 over a grid; T2 empty where the search fails."""
+    """CSV lines x,T1,T2 over a grid of finite ends; T2 empty where the search fails."""
+    if not (math.isfinite(x_min) and math.isfinite(x_max)):
+        raise ValueError(f"x range [{x_min}, {x_max}] must have finite ends")
     lines = ["x,T1,T2"]
     for x in np.linspace(x_min, x_max, nx):
         x = float(x)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phase_geometry import first_breaking_time, level_topology
-from .scattering import BarrierParams, kappa_weight, nu_imag_cut
+from .scattering import BarrierParams, kappa_weight, nu_imag_cut, reflection_sq
 from .specfun import QuadratureSpec, dilog, quad_ray_to_inf
 
 __all__ = ["RegionError", "BandContour", "stationary_points_g0", "build_band_g0", "omega_phase",
@@ -102,29 +102,22 @@ def omega_phase(x: float, t: float, p: BarrierParams, quad: QuadratureSpec | Non
 
     method 'integral': -(1/pi) (int_{-inf}^{xi1} - int_{xi0}^{inf}) of
     log(1 + |r0|^2)/nu with the real-axis branch of nu. method 'dilog':
-    -(1/2 pi) [Li2(r0(xi0)^2) + Li2(r0(xi1)^2)] with the real arguments
-    r0(xi)^2 = -q^2/(nu(xi) + xi)^2. The two agree to quadrature tolerance.
+    -(1/2 pi) [Li2(r0(xi0)^2) + Li2(r0(xi1)^2)], where r0(xi)^2 = -|r0(xi)|^2
+    on the real axis. The two agree to quadrature tolerance.
     """
     xi0, xi1 = stationary_points_g0(x, t, p)
     q = p.q
     if method == "dilog":
-        return -(_dilog_of_r0sq(xi0, q) + _dilog_of_r0sq(xi1, q)) / (2 * math.pi)
+        return -(dilog(-reflection_sq(xi0, q)) + dilog(-reflection_sq(xi1, q))) / (2 * math.pi)
     if method != "integral":
         raise ValueError("method must be 'integral' or 'dilog'")
     quad = quad or QuadratureSpec(target_abs_tol=1e-11)
-    # log(1 + |r0|^2) / nu at real lam, nu = sign(lam) sqrt(lam^2 + q^2)
-    f = lambda lam: -2.0 * math.pi * kappa_weight(lam, q) / nu_imag_cut(lam, q)
+    # log(1 + |r0|^2) / nu at the ray's real nodes, nu = sign(lam) sqrt(lam^2 + q^2)
+    f = lambda lam: (-2.0 * math.pi * kappa_weight(lam.real, q)
+                     / np.copysign(np.hypot(lam.real, q), lam.real))
     left = quad_ray_to_inf(f, xi1, -1.0, quad)   # = -int_{-inf}^{xi1}
     right = quad_ray_to_inf(f, xi0, +1.0, quad)  # = +int_{xi0}^{inf}
     return float(((left + right) / math.pi).real)
-
-
-def _dilog_of_r0sq(xi: float, q: float) -> float:
-    nu = math.copysign(math.sqrt(xi * xi + q * q), xi)
-    arg = -q * q / (nu + xi) ** 2
-    if arg > 1e-12:
-        raise ValueError(f"r0(xi)^2 = {arg} should be real and <= 0")
-    return dilog(min(arg, 0.0))
 
 
 def psi_asy_g0(x: float, t: float, p: BarrierParams) -> complex:
@@ -133,9 +126,9 @@ def psi_asy_g0(x: float, t: float, p: BarrierParams) -> complex:
         return 0.0 + 0.0j
     if abs(x) == p.L:
         raise RegionError("|x| = L sits on the region boundary")
-    if t < 0:
+    if not t >= 0:
         raise RegionError("t must be >= 0")
-    if t >= first_breaking_time(x, p):
+    if not t < first_breaking_time(x, p):
         raise RegionError("t past the first breaking time; use the genus-1 evaluator")
     if t == 0:
         return complex(p.q)

@@ -50,7 +50,7 @@ class SolverConfig:
         n = self.grid_points
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError("grid_points must be a power of two")
-        if self.half_width < p.L + 4.0 * p.q * self.t_final:
+        if not self.half_width >= p.L + 4.0 * p.q * self.t_final:
             raise ValueError("domain half-width too small: needs D >= L + 4 q t_final")
         dx = 2.0 * self.half_width / n
         if dx > p.eps / (8.0 * p.q):
@@ -58,7 +58,7 @@ class SolverConfig:
         if not (0 < self.dt <= dx):
             raise ValueError("dt must satisfy 0 < dt <= dx")
         times = tuple(self.snapshot_times)
-        if any(t < 0 or t > self.t_final + 1e-15 for t in times):
+        if not all(0 <= t <= self.t_final + 1e-15 for t in times):
             raise ValueError("snapshot times must lie in [0, t_final]")
         if list(times) != sorted(times):
             raise ValueError("snapshot times must be sorted")

@@ -187,7 +187,7 @@ def rho1_real_roots(alpha: complex, xi0: float, t: float, L: float, q: float,
 def first_breaking_time(x, p):
     """T1(x) = (L - |x|) / (2 sqrt2 q) for |x| < L, at a point or at every point of an array."""
     ax = abs(x)
-    if (ax >= p.L).any() if isinstance(ax, np.ndarray) else ax >= p.L:
+    if not ((ax < p.L).all() if isinstance(ax, np.ndarray) else ax < p.L):
         raise ValueError("first breaking time is defined only inside the support |x| < L")
     return (p.L - ax) / (2.0 * math.sqrt(2.0) * p.q)
 

@@ -16,16 +16,16 @@ from typing import Sequence
 import numpy as np
 
 from .specfun import (QuadratureSpec, adaptive_panels, brentq, cut_sqrt, cut_sqrt_boundary,
-                      gl_panels, quad_path, quad_ray_to_inf, segment_distance)
+                      gl_panels, segment_distance)
 
 __all__ = ["BarrierParams", "BranchCut", "BranchBoundaryError", "ConnectionOverflowError",
            "nu_branch", "nu_imag_cut",
            "scattering_data", "eigenvalues", "eigenvalue_phase", "connection_coefficient",
-           "kappa_weight", "chi_integral", "chi_batch"]
+           "reflection_sq", "kappa_weight", "chi_integral", "chi_batch"]
 
 
 class BranchBoundaryError(ValueError):
-    """Evaluation point sits on a branch cut; request an explicit side."""
+    """Evaluation point sits on a branch cut, where only one-sided limits exist."""
 
 
 class ConnectionOverflowError(OverflowError):
@@ -127,34 +127,24 @@ def _point_in_polygon(z: complex, verts: Sequence[complex]) -> bool:
     return inside
 
 
-def nu_branch(z: complex, cut: BranchCut, q: float, side: int | None = None) -> complex:
+def nu_branch(z: complex, cut: BranchCut, q: float) -> complex:
     """Branch of sqrt(z^2 + q^2) cut along `cut`, normalized nu ~ z at infinity.
 
-    For z within 1e-12 q of the cut a side (+1 = left of the -iq -> +iq
-    orientation, -1 = right) must be requested explicitly. A curved cut's
+    z within 1e-12 q of the cut raises BranchBoundaryError. A curved cut's
     branch is the imaginary-segment branch with its sign flipped inside the
     polygon that the cut closes with the segment [-iq, iq].
     """
     z = complex(z)
     if cut.kind == "imaginary_segment":
         if abs(z.real) < 1e-12 * q and abs(z.imag) < q * (1 + 1e-12):
-            if side is None:
-                raise BranchBoundaryError("z on the imaginary-segment cut; pass side=+1 or -1")
-            return complex(cut_sqrt_boundary(z.imag / q, 1j * q, side))
+            raise BranchBoundaryError("z on the imaginary-segment cut")
         return nu_imag_cut(z, q)
 
     cut.validate_endpoints(q)
     pts = cut.polyline
-    dists = [segment_distance(z, z, a, b) for a, b in zip(pts[:-1], pts[1:])]
-    i_near = min(range(len(dists)), key=dists.__getitem__)
-    probe = z
-    if dists[i_near] < 1e-12 * q:
-        if side is None:
-            raise BranchBoundaryError("z on the cut polyline; pass side=+1 or -1")
-        # displace along the local left normal only to decide the sign flip
-        tang = pts[i_near + 1] - pts[i_near]
-        probe = z + side * 1j * (tang / abs(tang)) * (1e-6 * q)
-    sign = -1.0 if _point_in_polygon(probe, pts) else 1.0
+    if min(segment_distance(z, z, a, b) for a, b in zip(pts[:-1], pts[1:])) < 1e-12 * q:
+        raise BranchBoundaryError("z on the cut polyline")
+    sign = -1.0 if _point_in_polygon(z, pts) else 1.0
     if z.real == 0 and abs(z.imag) < q:
         # the open segment [-iq, iq] closes the polygon, and the crossing test
         # counts it to its right: take the segment branch's value from there
@@ -279,27 +269,21 @@ def connection_coefficient(z_k: complex, p: BarrierParams) -> complex:
 # spectral weights kappa, chi, delta
 # ---------------------------------------------------------------------------
 
-def kappa_weight(s, q: float):
-    """-(1/2 pi) log(1 + |r0|^2), analytically continued off the real axis.
+def reflection_sq(s, q: float):
+    """|r0(s)|^2 = q^2 / (|s| + sqrt(s^2 + q^2))^2 at real s, a point or an array of points."""
+    d = abs(s) + np.hypot(s, q)
+    return q * q / (d * d)
 
-    s is a point or an array of points; r0 = -iq / (nu + s) with nu on the
-    imaginary-segment branch. Real s gives real values, from |nu + s| =
-    |s| + sqrt(s^2 + q^2): at s = 0 that is q, as the branch's midpoint
-    value -q gives (nu + s)^2 = q^2 in the continuation.
+
+def kappa_weight(s, q: float):
+    """-(1/2 pi) log(1 + |r0(s)|^2) at real s, a point or an array of points.
+
+    Complex s raises TypeError: chi integrates kappa along the real axis only.
     """
     s = np.asarray(s)
-    if not np.iscomplexobj(s):
-        d = np.abs(s) + np.hypot(s, q)
-        return (np.log1p(q * q / (d * d)) / (-2 * math.pi))[()]
-    nu = cut_sqrt(s, 0.0, 1j * q)
-    w = q * q / (nu + s) ** 2
-    # log(1 + w) = log|1 + w| + i arg(1 + w), with |1 + w|^2 - 1 summed from
-    # w itself so that the small w of the ray tails keeps its relative
-    # precision; np.log(1 + w), and numpy's complex ufunc for it, round
-    # 1 + w first and lose it
-    wr, wi = w.real, w.imag
-    log_1pw = 0.5 * np.log1p(wr * (wr + 2.0) + wi * wi) + 1j * np.arctan2(wi, 1.0 + wr)
-    return -log_1pw[()] / (2 * math.pi)
+    if np.iscomplexobj(s):
+        raise TypeError("kappa_weight takes real s only")
+    return (np.log1p(reflection_sq(s, q)) / (-2 * math.pi))[()]
 
 
 def chi_batch(z, a: float, q: float, quad: QuadratureSpec | None = None) -> np.ndarray:
@@ -312,13 +296,13 @@ def chi_batch(z, a: float, q: float, quad: QuadratureSpec | None = None) -> np.n
     Jacobian and kappa) and dr = s - Re z_j a panel's sum is
     sum c / (s - z_j) = sum c dr / (dr^2 + Im z_j^2) + i Im z_j sum c /
     (dr^2 + Im z_j^2): two real matrix products, no complex division. No z_j
-    may lie on the ray; use chi_integral with a side for real z below a.
+    may lie on the ray, where chi has two one-sided limits.
     """
     z = np.asarray(z, dtype=complex)
     if quad is None:
         quad = QuadratureSpec(target_abs_tol=1e-11)
     if np.any((z.imag == 0) & (z.real < a)):
-        raise BranchBoundaryError("real z below a: use chi_integral with side=+1 or -1")
+        raise BranchBoundaryError("real z below a lies on chi's ray")
     y = z.imag
     # Re z_j and Im z_j^2 at every node of the 4 panels a bisection asks for,
     # so that no elementwise step of the sums broadcasts, which costs numpy
@@ -346,32 +330,6 @@ def chi_batch(z, a: float, q: float, quad: QuadratureSpec | None = None) -> np.n
     return 1j * adaptive_panels(cauchy_sums, 0.0, 1.0, quad.target_abs_tol, quad.max_subdivisions)
 
 
-def chi_integral(z: complex, a: float, q: float, quad: QuadratureSpec | None = None,
-                 side: int | None = None) -> complex:
-    """chi(z, a) = i * integral_{-inf}^{a} kappa(s) / (s - z) ds.
-
-    For real z strictly below a, pass side=+1 (limit from above) or -1; the
-    contour is deformed around s = z into the opposite half-plane, which is
-    the analytic continuation of the corresponding boundary value. Elsewhere
-    this is the one-point case of chi_batch.
-    """
-    z = complex(z)
-    if quad is None:
-        quad = QuadratureSpec(target_abs_tol=1e-11)
-
-    def f(s: np.ndarray) -> np.ndarray:
-        return kappa_weight(s, q) / (s - z)
-
-    if z.imag == 0 and z.real < a:
-        if side is None:
-            raise BranchBoundaryError("real z below a: request side=+1 or -1")
-        d = 0.5 * min(a - z.real, q)
-        # detour into the half-plane opposite the requested side: below z for
-        # the +-side limit, above z for the --side limit
-        arc = [z + d * cmath.exp(1j * math.pi * (1 + side * k / 16)) for k in range(17)]
-        tail = -quad_ray_to_inf(f, z.real - d, -1.0, quad)
-        mid = quad_path(f, arc, quad)
-        head = quad_path(f, [z.real + d, a], quad)
-        return 1j * (tail + mid + head)
-
-    return complex(chi_batch(np.array([z]), a, q, quad)[0])
+def chi_integral(z: complex, a: float, q: float, quad: QuadratureSpec | None = None) -> complex:
+    """chi(z, a) = i * integral_{-inf}^{a} kappa(s) / (s - z) ds: chi_batch at one point."""
+    return complex(chi_batch(np.array([complex(z)]), a, q, quad)[0])

@@ -470,6 +470,28 @@ def test_command_exits_0_or_1_without_a_traceback(argv):
         assert len(lines) == 1 and lines[0].startswith(f"sqnls {command}: ")
 
 
+@pytest.mark.parametrize("argv", [
+    "classify --x 0.3 --t nan",
+    "classify --x nan --t 0.1",
+    "classify --x 0.3 --t -1",
+    "--eps nan classify --x 0.3 --t 0.1",
+    "--q -1 classify --x 0.3 --t 0.1",
+    "field --nx 1 --nt 2",
+    "field --t-min nan",
+    "validate --eps-list 0.05 --t -1",
+    "breaking-curves --x-min nan --x-max 1 --nx 3",
+])
+def test_invalid_argument_exits_1(capsys, argv):
+    # a NaN or out-of-range value is neither classified nor printed as a row:
+    # the command writes one line naming it and exits 1
+    assert main(argv.split()) == 1
+    out, err = capsys.readouterr()
+    command = next(a for a in argv.split() if a in ("classify", "field", "validate",
+                                                    "breaking-curves"))
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"sqnls {command}: ")
+
+
 class TestConfigFile:
     def test_roundtrip(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

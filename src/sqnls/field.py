@@ -278,9 +278,9 @@ def validate_table(p: BarrierParams, eps_list: list[float], t: float | None = No
 def endpoint_table(mu: float, p: BarrierParams) -> list[str]:
     """Header and row mu,m,re_alpha,im_alpha,Omega,eta,T0,Y0,H of one ray.
 
-    The modulation constants need a concrete (x, t); the canonical choice is
-    the midpoint t = T2_ray/2 of the oscillatory window on the ray of
-    constant mu through (L, 0). A point error raises TableError.
+    Only T0 and Y0 need a concrete (x, t); Omega/t, eta/t and the rest depend
+    on mu alone. The row takes the midpoint t = T2_ray/2 of the oscillatory
+    window on the ray of constant mu through (L, 0). A point error raises TableError.
     """
     try:
         state = solve_endpoint(mu, p.q)

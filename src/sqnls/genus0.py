@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_geometry import first_breaking_time, level_topology
+from .phase_geometry import first_breaking_time
 from .scattering import BarrierParams, kappa_weight, nu_imag_cut, reflection_sq
 from .specfun import QuadratureSpec, dilog, quad_ray_to_inf
 
@@ -29,17 +29,25 @@ class RegionError(ValueError):
     """(x, t) lies outside the region this evaluator covers."""
 
 
+def _crossings(b: float, t: float, q: float) -> tuple[float, float]:
+    """(z0, z1) = -b/(4t) (1 -+ sqrt(1 - 8 t^2 q^2 / b^2)): Im(2 nu (tz + b) - t q^2) = 0 on R.
+
+    Before breaking, 0 < t < |b| / (2 sqrt2 q), a finite arc joining +-iq
+    crosses R at z0 and an infinite branch crosses it at z1.
+    """
+    surd = math.sqrt(max(1.0 - 8.0 * t * t * q * q / (b * b), 0.0))
+    return -b / (4 * t) * (1.0 - surd), -b / (4 * t) * (1.0 + surd)
+
+
 def stationary_points_g0(x: float, t: float, p: BarrierParams) -> tuple[float, float]:
-    """Real stationary points (xi0, xi1) of the two modified phases in S1."""
+    """Real stationary points (xi0, xi1) in S1: the larger crossings at b = x -+ L."""
     if abs(x) >= p.L:
         raise RegionError("|x| must be < L")
     if t <= 0:
         raise RegionError("t must be positive")
     if t >= first_breaking_time(x, p):
         raise RegionError(f"t = {t} is at or past the first breaking time")
-    xi0 = level_topology(x - p.L, t, p.q).crossings[1]
-    xi1 = level_topology(x + p.L, t, p.q).crossings[1]
-    return xi0, xi1
+    return _crossings(x - p.L, t, p.q)[1], _crossings(x + p.L, t, p.q)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -73,13 +81,13 @@ def build_band_g0(x: float, t: float, p: BarrierParams) -> BandContour:
     Im z > 0. It runs from iq (c = 0) to z0 (c^2 = f(z0)), and the lower half
     of the band is its mirror image. Sampling c^2 = f(z0) s (2 - s) on a
     uniform grid in s makes the root leave iq like s and meet z0 like 1 - s.
+    Raises RegionError unless 0 < t < T1(x), and ValueError for |x| >= L.
     """
+    if not 0 < t < first_breaking_time(x, p):
+        raise RegionError("band exists only for 0 < t < T1(x)")
     q = p.q
     b = x - p.L
-    topo = level_topology(b, t, q)
-    if topo.case != "pre_break":
-        raise RegionError("band exists only for 0 < t < T1(x)")
-    z0 = topo.crossings[0]
+    z0 = _crossings(b, t, q)[0]
     s = np.arange(1, _BAND_HALF + 1) / (_BAND_HALF + 1)
     c2 = 4 * (t * z0 + b) ** 2 * (z0 * z0 + q * q) * s * (2 - s)
     # companion matrices of f(z) - c^2 over its leading coefficient 4 t^2
@@ -121,15 +129,16 @@ def omega_phase(x: float, t: float, p: BarrierParams, quad: QuadratureSpec | Non
 
 
 def psi_asy_g0(x: float, t: float, p: BarrierParams) -> complex:
-    """Leading-order wave form in S0 (zero) and S1 (nearly plane wave)."""
+    """Leading-order wave form in S0 (zero) and S1 (nearly plane wave).
+
+    RegionError at |x| = L, for t < 0 and (from omega_phase) for t >= T1(x).
+    """
     if abs(x) > p.L:
         return 0.0 + 0.0j
-    if abs(x) == p.L:
-        raise RegionError("|x| = L sits on the region boundary")
+    if not abs(x) < p.L:
+        raise RegionError(f"x = {x} is on the region boundary |x| = L or is NaN")
     if not t >= 0:
         raise RegionError("t must be >= 0")
-    if not t < first_breaking_time(x, p):
-        raise RegionError("t past the first breaking time; use the genus-1 evaluator")
     if t == 0:
         return complex(p.q)
     omega = omega_phase(x, t, p, method="dilog")

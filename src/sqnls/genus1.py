@@ -97,7 +97,7 @@ def _cut_integral(g, alpha: complex, q: float, quad: QuadratureSpec) -> np.ndarr
     def param_integrand(s: np.ndarray) -> np.ndarray:
         s = s.real
         z = c1 + s * d1
-        r_side = cut_sqrt_boundary(s, d1, -1) * cut_sqrt(z, c1.conjugate(), d1.conjugate())
+        r_side = cut_sqrt_boundary(s, d1) * cut_sqrt(z, c1.conjugate(), d1.conjugate())
         return g(z, r_side) * d1
 
     return quad_path(param_integrand, [-1.0, 1.0], quad)
@@ -320,10 +320,22 @@ def _theta_ratio(two_a: complex, shift: complex, H: float) -> complex:
 
 def psi_asy_g1(x: float, t: float, p: BarrierParams, state: EndpointState,
                mods: ModulationParams) -> complex:
-    """Leading-order one-phase wave form from solved endpoint and constants."""
+    """Leading-order one-phase wave form from solved endpoint and constants.
+
+    The theta form carries the carrier -exp(i eta/eps) of the genus-1 model
+    problem of arXiv:1106.1699, in the convention of Tovbis, Venakides and Zhou
+    (CPAM 57, 2004); +exp(i eta/eps) would miss S1 at T1 by ~2q. ValueError
+    unless x and t > 0 are finite and state.mu = (L - |x|)/(2t) to a few ulps.
+    """
+    if not (math.isfinite(x) and 0 < t < math.inf):
+        raise ValueError(f"(x, t) = ({x}, {t}): x must be finite, and t finite and > 0")
+    mu = (p.L - abs(x)) / (2.0 * t)
+    if abs(state.mu - mu) > 4.0 * math.ulp(mu):
+        raise ValueError(f"the state is solved at mu = {state.mu}, not at this point's mu = {mu}")
     fast = math.fmod(mods.Omega / p.eps, 2.0 * math.pi)
     ratio = _theta_ratio(2.0 * mods.A_inf, 1j * (mods.T0 - fast), mods.H)
-    return (p.q - state.alpha.imag) * ratio * cmath.exp(-2j * mods.Y0)
+    carrier = -cmath.exp(1j * (mods.eta / p.eps))
+    return (p.q - state.alpha.imag) * ratio * cmath.exp(-2j * mods.Y0) * carrier
 
 
 def envelope_defect(alpha: complex, mods: ModulationParams, q: float) -> float:

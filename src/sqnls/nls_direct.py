@@ -106,6 +106,8 @@ def default_config(p: BarrierParams, t_final: float, snapshot_times, refine: int
     compared with the asymptotics use validation_config.
     """
     half_width = max(4.0 * p.L, p.L + 4.0 * p.q * t_final)
+    if not (math.isfinite(half_width) and math.isfinite(refine)):
+        raise ValueError(f"t_final = {t_final} and refine = {refine} must be finite")
     n = 2
     while 2.0 * half_width / n > p.eps / (8.0 * p.q):
         n *= 2

@@ -1,11 +1,9 @@
-"""Zero-level-set geometry of the modified phases and the breaking curves.
+"""The breaking curves of the modified phases and the band endpoint.
 
-The pre-break phase geometry is controlled by a one-parameter family of
-level sets Im(2 nu (t z + b) - t q^2) = 0; their topology is known in
-closed form. The post-break boundary comes from a double-root condition on
-the derivative density rho1 of the second modified phase. The band endpoint
-sits beside the T2 searches: its cut [iq, alpha], its closed form in m and
-the endpoint solver that inverts it in mu.
+The first breaking time is closed form. The second comes from a double-root
+condition on the derivative density rho1 of the second modified phase. The
+band endpoint sits beside the T2 searches: its cut [iq, alpha], its closed
+form in m and the endpoint solver that inverts it in mu.
 """
 
 from __future__ import annotations
@@ -18,8 +16,8 @@ import numpy as np
 
 from .specfun import QuadratureSpec, brentq, complete_elliptic_m1, cut_sqrt, quad_path
 
-__all__ = ["LevelTopology", "PinchPointError", "EndpointRangeError", "EndpointState",
-           "level_topology", "rho1_real_roots", "rho1_value", "rho1_slope", "rho1_bump_max",
+__all__ = ["PinchPointError", "EndpointRangeError", "EndpointState", "rho1_real_roots",
+           "rho1_value", "rho1_slope", "rho1_bump_max",
            "first_breaking_time", "second_breaking_time", "ray_breaking_time",
            "endpoint_ray_breaking_time", "band_cut", "big_s", "big_r", "elliptic_parameter",
            "alpha_from_m", "mu_from_m", "endpoint_mu_floor", "solve_endpoint", "endpoint_residuals"]
@@ -40,41 +38,6 @@ class PinchPointError(RuntimeError):
 
 class EndpointRangeError(ValueError):
     """mu lies outside [endpoint_mu_floor(q), sqrt2 q), where solve_endpoint inverts it."""
-
-
-@dataclass(frozen=True)
-class LevelTopology:
-    """Topology of the level set Im(2 nu (tz + b) - t q^2) = 0 in C+.
-
-    case 'initial' (t = 0): the set is R together with the segment
-    [-iq, iq]; 'pre_break': a finite arc joining +-iq crossing R at the
-    smaller point and an infinite branch crossing at the larger one;
-    'post_break': no real crossings remain.
-    """
-
-    case: str
-    crossings: tuple[float, ...]
-    asymptote: float | None
-
-
-def level_topology(b: float, t: float, q: float) -> LevelTopology:
-    """Evolution of the zero level of Im(2 nu (tz+b) - t q^2) with time.
-
-    Before breaking the level set crosses R at -b/(4t) (1 -+ sqrt(1 - 8 t^2 q^2 / b^2)).
-    """
-    if b == 0:
-        raise ValueError("b must be nonzero")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0:
-        return LevelTopology("initial", (), None)
-    t_c = abs(b) / (2.0 * math.sqrt(2.0) * q)
-    if t > t_c:
-        return LevelTopology("post_break", (), -b / (2 * t))
-    surd = math.sqrt(max(1.0 - 8.0 * t * t * q * q / (b * b), 0.0))
-    z0 = -b / (4 * t) * (1.0 - surd)
-    z1 = -b / (4 * t) * (1.0 + surd)
-    return LevelTopology("pre_break", (z0, z1), -b / (2 * t))
 
 
 # ---------------------------------------------------------------------------
@@ -158,23 +121,20 @@ def rho1_bump_max(alpha: complex, xi0: float, t: float, L: float, q: float
 
 
 def rho1_real_roots(alpha: complex, xi0: float, t: float, L: float, q: float,
-                    double_tol: float = 1e-9, right: bool = True) -> list[float]:
+                    right: bool = True) -> list[float]:
     """Real zeros of rho1 on lambda < 0: two simple roots, one double, or none.
 
     The root count follows the sign of rho1_bump_max. A double root
-    (|max| < double_tol L) is reported twice. With right=False the right
+    (|max| < 1e-9 L) is reported twice. With right=False the right
     simple root is not solved for, and two simple roots come back as the
     left one alone.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     lam_lo, lam_hi = _rho1_window(xi0, t, L, q)
-
-    def f(lam: float) -> float:
-        return rho1_value(lam, alpha, xi0, t, L, q)
-
+    f = lambda lam: rho1_value(lam, alpha, xi0, t, L, q)
     f_star, lam_star = rho1_bump_max(alpha, xi0, t, L, q)
-    if abs(f_star) < double_tol * L:
+    if abs(f_star) < 1e-9 * L:
         return [lam_star, lam_star]
     if f_star < 0:
         return []

@@ -148,7 +148,7 @@ def nu_branch(z: complex, cut: BranchCut, q: float) -> complex:
     if z.real == 0 and abs(z.imag) < q:
         # the open segment [-iq, iq] closes the polygon, and the crossing test
         # counts it to its right: take the segment branch's value from there
-        return sign * complex(cut_sqrt_boundary(z.imag / q, 1j * q, -1))
+        return sign * complex(cut_sqrt_boundary(z.imag / q, 1j * q))
     return sign * nu_imag_cut(z, q)
 
 

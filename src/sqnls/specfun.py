@@ -210,13 +210,13 @@ def cut_sqrt(z, c: complex, d: complex):
     return np.where(mid, 1j * d, w * np.sqrt(1.0 - (d / w) ** 2))[()]
 
 
-def cut_sqrt_boundary(s, d: complex, side: int):
-    """cut_sqrt(c + s d, c, d) on its cut, -1 <= s <= 1, as the limit from one side.
+def cut_sqrt_boundary(s, d: complex):
+    """cut_sqrt(c + s d, c, d) on its cut, -1 <= s <= 1, as the limit from the right of d.
 
-    side = +1 is the left of d, where Im((z - c) / d) > 0, and -1 the right:
-    side i d sqrt(1 - s^2). s may be an array; |s| past 1 by rounding gives 0.
+    The right of d is where Im((z - c) / d) < 0, and the limit there is
+    -i d sqrt(1 - s^2). s may be an array; |s| past 1 by rounding gives 0.
     """
-    return side * 1j * d * np.sqrt(np.maximum(1.0 - s * s, 0.0))
+    return -1j * d * np.sqrt(np.maximum(1.0 - s * s, 0.0))
 
 
 def segment_distance(a0: complex, a1: complex, b0: complex, b1: complex) -> float:

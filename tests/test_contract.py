@@ -174,12 +174,62 @@ def test_nan_argument_raises(name, args):
     assert isinstance(_call(CALLS[name], *args), ERRORS)
 
 
-# psi_asy_g1 takes x and t and reads neither: its wave form comes from the
-# state and constants it is handed, so NaN there returns a finite value
-@pytest.mark.xfail(strict=True, reason="psi_asy_g1 reads neither x nor t")
+INF = math.inf
+
+
+def _inf_cases(s: float) -> list[tuple]:
+    # (name, arguments with s = +-inf in one place), in NAN_CASES' places
+    return [
+        ("BarrierParams", (s, 1.0, 0.1)),
+        ("BarrierParams", (1.0, s, 0.1)),
+        ("BarrierParams", (1.0, 1.0, s)),
+        ("Region", ("S1", s, None)),
+        ("Region", ("S2", 0.2, s)),
+        ("classify", (s, 0.1, P)),
+        ("classify", (0.3, s, P)),
+        ("first_breaking_time", (s, P)),
+        ("second_breaking_time", (s, P)),
+        ("psi_asy_g0", (s, 0.1, P)),
+        ("psi_asy_g0", (0.3, s, P)),
+        ("psi_asymptotic", (s, 0.3, P)),
+        ("psi_asymptotic", (0.25, s, P)),
+        ("solve_endpoint", (s, 1.0)),
+        ("solve_endpoint", (0.5, s)),
+        ("default_config", (P, s, [0.0])),
+        ("default_config", (P, 0.1, [0.0, s])),
+        ("default_config", (P, 0.1, [0.0, 0.1], s)),
+        ("default_config", (P, 0.1, [0.0, 0.1], 1, s)),
+    ]
+
+
+INF_CASES = [pytest.param(name, args, id=f"{name}-arg{[_finite(a) for a in args].index(False)}"
+                                          f"-{sign}inf")
+             for sign, s in (("+", INF), ("-", -INF)) for name, args in _inf_cases(s)]
+
+
+# a finite value passes, such as psi_asy_g0's 0 at x = +-inf, which is S0's
+@pytest.mark.parametrize("name, args", INF_CASES)
+def test_infinite_argument_gives_a_value_or_a_typed_error(name, args):
+    _call(CALLS[name], *args)
+
+
+# psi_asy_g1 checks x and t against the state it is handed
 @pytest.mark.parametrize("where", [0, 1])
 def test_psi_asy_g1_nan_argument_raises(where):
     state, mods = _g1_inputs(*S2_POINT, P)
     args = [*S2_POINT, P, state, mods]
     args[where] = NAN
     assert isinstance(_call(sqnls.psi_asy_g1, *args), ERRORS)
+
+
+@pytest.mark.parametrize("where, value", [(0, INF), (0, -INF), (1, INF), (1, -INF)])
+def test_psi_asy_g1_infinite_argument_raises(where, value):
+    state, mods = _g1_inputs(*S2_POINT, P)
+    args = [*S2_POINT, P, state, mods]
+    args[where] = value
+    assert isinstance(_call(sqnls.psi_asy_g1, *args), ValueError)
+
+
+def test_psi_asy_g1_rejects_a_state_solved_for_another_point():
+    state, mods = _g1_inputs(0.3, 0.3, P)
+    assert isinstance(_call(sqnls.psi_asy_g1, *S2_POINT, P, state, mods), ValueError)

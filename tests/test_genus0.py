@@ -4,8 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+from sqnls import genus0
 from sqnls.genus0 import (
     RegionError,
+    _crossings,
     _phi0_imagcut,
     build_band_g0,
     omega_phase,
@@ -13,7 +15,7 @@ from sqnls.genus0 import (
     stationary_points_g0,
     wkb_laplace_residual,
 )
-from sqnls.phase_geometry import first_breaking_time, level_topology
+from sqnls.phase_geometry import first_breaking_time
 from sqnls.scattering import BarrierParams
 
 P = BarrierParams(1.0, 1.0, 0.1)
@@ -56,7 +58,36 @@ class TestStationaryPoints:
         with pytest.raises(RegionError):
             stationary_points_g0(0.0, 0.4, P)
 
+    def test_pre_break_crossings(self):
+        # b = -1, t = 1/4: crossings (1 -+ sqrt(1/2))
+        z0, z1 = _crossings(-1.0, 0.25, 1.0)
+        assert abs(z0 - 0.2928932188134524) < 1e-14
+        assert abs(z1 - 1.7071067811865475) < 1e-14
+        assert abs(z0) < abs(z1)
+        # both crossings on the half-plane Re(b z) < 0
+        assert -1.0 * z0 < 0 and -1.0 * z1 < 0
+
+    def test_wave_form_reads_t1_once(self, monkeypatch):
+        calls = []
+
+        def counted(x, p):
+            calls.append(x)
+            return first_breaking_time(x, p)
+
+        monkeypatch.setattr(genus0, "first_breaking_time", counted)
+        psi_asy_g0(0.3, 0.1, P)
+        assert calls == [0.3]
+
+
 class TestBandContour:
+    def test_band_only_before_t1(self):
+        # T1(-0.5) = 0.177 at q = L = 1, while the crossings at b = x - L stay
+        # real up to t = (L + |x|) / (2 sqrt2 q) = 0.53
+        with pytest.raises(RegionError):
+            build_band_g0(-0.5, 0.3, P)
+        with pytest.raises(ValueError):
+            build_band_g0(1.5, 0.1, P)
+
     def test_band_connects_branch_points(self):
         band = build_band_g0(0.0, 0.2, P)
         assert abs(band.points[0] + 1j) < 1e-12
@@ -112,7 +143,7 @@ class TestBandContour:
         # -iq -> lower half -> z0 -> upper half -> iq, without jumps
         pts = build_band_g0(x, t, P).points
         assert pts[0] == -1j * P.q and pts[-1] == 1j * P.q
-        assert pts[len(pts) // 2] == level_topology(x - P.L, t, P.q).crossings[0]
+        assert pts[len(pts) // 2] == _crossings(x - P.L, t, P.q)[0]
         assert np.max(np.abs(np.diff(pts))) <= 0.05 * P.q
         worst = max(abs(_phi0_imagcut(z, x, t, P).imag)
                     for z in pts if abs(z.imag) < 0.999 * P.q)

@@ -11,7 +11,6 @@ from sqnls.phase_geometry import (
     big_r,
     big_s,
     first_breaking_time,
-    level_topology,
     _rho1_window,
     ray_breaking_time,
     rho1_bump_max,
@@ -23,34 +22,6 @@ from sqnls.phase_geometry import (
 from sqnls.scattering import BarrierParams
 
 P = BarrierParams(1.0, 1.0, 0.1)
-
-
-class TestLevelTopology:
-    def test_initial(self):
-        topo = level_topology(-1.0, 0.0, 1.0)
-        assert topo.case == "initial"
-        assert topo.crossings == ()
-
-    def test_pre_break_crossings(self):
-        # b = -1, t = 1/4: crossings (1 -+ sqrt(1/2))
-        topo = level_topology(-1.0, 0.25, 1.0)
-        assert topo.case == "pre_break"
-        z0, z1 = topo.crossings
-        assert abs(z0 - 0.2928932188134524) < 1e-14
-        assert abs(z1 - 1.7071067811865475) < 1e-14
-        assert abs(topo.asymptote - 2.0) < 1e-14
-        assert abs(z0) < abs(z1)
-        # both crossings on the half-plane Re(b z) < 0
-        assert -1.0 * z0 < 0 and -1.0 * z1 < 0
-
-    def test_post_break(self):
-        topo = level_topology(-1.0, 0.4, 1.0)  # T_c = 1/(2 sqrt2) ~ 0.3536
-        assert topo.case == "post_break"
-        assert topo.crossings == ()
-
-    def test_b_zero_rejected(self):
-        with pytest.raises(ValueError):
-            level_topology(0.0, 0.1, 1.0)
 
 
 class TestRho1:
@@ -77,7 +48,7 @@ class TestRho1:
         mu = (P.L - x) / (2 * t2)
         st = solve_endpoint(mu, P.q)
         xi0 = mu - st.alpha.real
-        roots = rho1_real_roots(st.alpha, xi0, t2, P.L, P.q, double_tol=1e-7)
+        roots = rho1_real_roots(st.alpha, xi0, t2, P.L, P.q)
         assert len(roots) == 2
         assert abs(roots[0] - roots[1]) < 1e-3
 
@@ -89,8 +60,8 @@ class TestRho1:
         st = solve_endpoint(mu, P.q)
         cases.append((st.alpha, mu - st.alpha.real, t2))
         (simple, none, double) = [
-            (rho1_real_roots(a, xi0, t, 1.0, 1.0, double_tol=1e-7),
-             rho1_real_roots(a, xi0, t, 1.0, 1.0, double_tol=1e-7, right=False))
+            (rho1_real_roots(a, xi0, t, 1.0, 1.0),
+             rho1_real_roots(a, xi0, t, 1.0, 1.0, right=False))
             for a, xi0, t in cases]
         assert len(simple[0]) == 2 and simple[0][0] < simple[0][1]
         assert simple[1] == simple[0][:1]
@@ -415,3 +386,27 @@ class TestScalingLaw:
         for row, row_unit in zip(rows, rows_unit, strict=True):
             for v, v_unit, unit in zip(row, row_unit, (L, t_unit, t_unit), strict=True):
                 same(float(v) if v else None, float(v_unit) if v_unit else None, unit)
+
+
+class TestSelfSimilarity:
+    """Along a ray of constant mu = (L - x)/(2t) the endpoint alpha is fixed,
+    the integrands of Omega and eta are linear in (t, x - L) = t (1, -2 mu),
+    and the tau1 b-period is Omega times constants of alpha. So H, A_inf,
+    c_nu and c_tau depend on mu alone, bit for bit, and those three on mu
+    alone once divided by t, to rounding. T0 and Y0 read xi1, the left root
+    of rho1, which moves with L/t."""
+
+    @pytest.mark.parametrize("q, L, mu", [(1.0, 1.0, 0.9), (1.0, 1.0, 1.3), (2.0, 1.0, 1.8)])
+    def test_constants_along_a_ray(self, q, L, mu):
+        p = BarrierParams(q, L, 0.05)
+        alpha = solve_endpoint(mu, q).alpha
+        (t_a, a), *rest = [(t, genus1.modulation_constants(alpha, L - 2.0 * mu * t, t, p))
+                           for t in (0.2 * L / q, 0.25 * L / q, 0.3 * L / q)]
+        for t, m in rest:
+            assert (m.H, m.A_inf, m.c_nu, m.c_tau) == (a.H, a.A_inf, a.c_nu, a.c_tau)
+            for name in ("tau1_b_period", "Omega", "eta"):
+                v, v_a = getattr(m, name) / t, getattr(a, name) / t_a
+                assert abs(v - v_a) <= 1e-14 * abs(v_a), name
+            # they move by 2e-3 to 1e-2 (T0) and 6e-4 to 2e-3 (Y0), far above rounding
+            assert abs(m.T0 - a.T0) > 1e-4 * abs(a.T0)
+            assert abs(m.Y0 - a.Y0) > 1e-4 * abs(a.Y0)

@@ -440,14 +440,13 @@ class TestCutSqrt:
             assert abs(one - aj) <= 1e-15 * abs(aj)
 
     def test_boundary_value_is_the_limit_from_each_side(self):
-        # side +1 is the left of the direction d, where Im((z - c)/d) > 0
+        # the boundary value is the limit from the right of the direction d,
+        # where Im((z - c)/d) < 0: the side every caller reads
         s = np.linspace(-0.95, 0.95, 13)
-        on_cut = self.C + s * self.D
-        for side in (+1, -1):
-            limit = cut_sqrt(on_cut + side * 1e-9j * self.D, self.C, self.D)
-            assert np.all(np.abs(cut_sqrt_boundary(s, self.D, side) - limit) < 1e-7)
+        limit = cut_sqrt(self.C + s * self.D - 1e-9j * self.D, self.C, self.D)
+        assert np.all(np.abs(cut_sqrt_boundary(s, self.D) - limit) < 1e-7)
         # the branch points, and parameters past them by rounding, give 0
-        ends = cut_sqrt_boundary(np.array([-1.0, 1.0, 1.0 + 2e-16]), self.D, -1)
+        ends = cut_sqrt_boundary(np.array([-1.0, 1.0, 1.0 + 2e-16]), self.D)
         assert np.all(ends == 0)
 
 
